@@ -79,20 +79,21 @@ class PointCloud:
         return PointCloud(self.points[indices], metric=self.metric)
 
     @staticmethod
-    def from_hpoints(points) -> "PointCloud":
-        return PointCloud(np.atleast_2d(np.asarray(points, float)))
-
-    @staticmethod
     def from_grid_functions(cls: FunctionClass) -> "PointCloud":
         """Members under the sup-norm metric, via their stored grids."""
         return PointCloud(np.stack([g.values for g in cls.members]), metric="sup")
 
     @staticmethod
+    def from_values(vals: np.ndarray) -> "PointCloud":
+        """(K, n) or (K, n, d_Y) design values under ||.||_{2,P_n}: rows
+        flattened and scaled by 1/sqrt(n), so euclidean distance is the
+        empirical norm."""
+        return PointCloud(vals.reshape(vals.shape[0], -1) / math.sqrt(vals.shape[1]))
+
+    @staticmethod
     def from_empirical(cls: FunctionClass, design: EmpiricalDesign) -> "PointCloud":
-        """Members under ||.||_{2,P_n}: scaled flattened design values."""
-        vals = cls.values_on(design)
-        flat = vals.reshape(len(cls), -1) / math.sqrt(design.n)
-        return PointCloud(flat)
+        """Members under ||.||_{2,P_n}."""
+        return PointCloud.from_values(cls.values_on(design))
 
 
 # --------------------------------------------------------------------------
@@ -105,10 +106,21 @@ class CoverResult:
     center_indices: np.ndarray     # indices into the cloud
     assignment: np.ndarray         # per point, index into center_indices
     assignment_dist: np.ndarray = field(repr=False)
+    insertion_radii: np.ndarray = field(repr=False)  # per center; inf for the first
 
     @property
     def size(self) -> int:
         return len(self.center_indices)
+
+    def size_at(self, r: float) -> int:
+        """Size of the greedy cover from the same start at any r >= radius.
+
+        Insertion radii never increase, so that cover is exactly the first
+        size_at(r) centers of this one.
+        """
+        if r < self.radius:
+            raise ValueError("size_at needs r >= the cover radius")
+        return int(np.count_nonzero(self.insertion_radii > r))
 
     def is_valid(self, tol: float = 1e-12) -> bool:
         return bool(np.all(self.assignment_dist <= self.radius * (1 + tol) + tol))
@@ -119,32 +131,38 @@ class CoverResult:
                 "assignment": [int(i) for i in self.assignment]}
 
 
-def greedy_cover(cloud: PointCloud, delta: float) -> CoverResult:
+def greedy_cover(cloud: PointCloud, delta: float, start: int = 0) -> CoverResult:
     """Deterministic farthest-point cover with centers in the cloud.
 
-    First center is point 0; each next center is the farthest point from the
-    current centers (ties broken by lowest index) until every point sits
-    within `delta` of some center. Points are assigned to their nearest
-    center, ties again to the lowest center position.
+    First center is point `start`; each next center is the farthest point
+    from the current centers (ties broken by lowest index) until every point
+    sits within `delta` of some center. Points are assigned to their nearest
+    center, ties again to the lowest center position. The centers are a
+    prefix of the farthest-point traversal from `start`, so one fine cover
+    answers every coarser radius through `size_at`.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if cloud.size == 0:
         raise ValueError("cloud must be nonempty")
-    centers = [0]
-    mindist = cloud.distances_to(0)
+    if not 0 <= start < cloud.size:
+        raise ValueError("start must index a point of the cloud")
+    centers, radii = [start], [math.inf]
+    mindist = cloud.distances_to(start)
     nearest = np.zeros(cloud.size, dtype=int)
     while True:
         far = int(np.argmax(mindist))  # argmax returns the first (lowest) index
         if mindist[far] <= delta:
             break
         centers.append(far)
+        radii.append(float(mindist[far]))
         dist = cloud.distances_to(far)
         closer = dist < mindist
         nearest[closer] = len(centers) - 1
         mindist = np.where(closer, dist, mindist)
     return CoverResult(radius=float(delta), center_indices=np.array(centers),
-                       assignment=nearest, assignment_dist=mindist)
+                       assignment=nearest, assignment_dist=mindist,
+                       insertion_radii=np.array(radii))
 
 
 def exact_cover_number(cloud: PointCloud, delta: float) -> int:

@@ -53,19 +53,8 @@ def greedy_entropy(cloud: PointCloud, delta: float, starts=None) -> float:
     """
     if starts is None:
         starts = _spread_starts(cloud, 8)
-    best = min(_greedy_size_from(cloud, delta, int(s)) for s in starts)
+    best = min(greedy_cover(cloud, delta, start=int(s)).size for s in starts)
     return math.log(best)
-
-
-def _greedy_size_from(cloud: PointCloud, delta: float, start: int) -> int:
-    mindist = cloud.distances_to(start)
-    count = 1
-    while True:
-        far = int(np.argmax(mindist))
-        if mindist[far] <= delta:
-            return count
-        count += 1
-        mindist = np.minimum(mindist, cloud.distances_to(far))
 
 
 def box_dimension_estimate(cloud: PointCloud, delta_grid,
@@ -74,8 +63,9 @@ def box_dimension_estimate(cloud: PointCloud, delta_grid,
     """Fit H(delta) against log(1/delta) over the declared radius window.
 
     Entropies are greedy-cover entropies (smallest cover over n_starts
-    deterministic spread starting points); the grid must be strictly
-    decreasing with at least four radii.
+    deterministic spread starting points), all read off one cover per start
+    at the finest radius; the grid must be strictly decreasing with at
+    least four radii.
     """
     deltas = np.asarray(delta_grid, float)
     if deltas.size < 4:
@@ -84,8 +74,10 @@ def box_dimension_estimate(cloud: PointCloud, delta_grid,
         raise ValueError("delta grid must be strictly decreasing")
     if cloud.size == 0:
         raise ValueError("cloud must be nonempty")
-    starts = _spread_starts(cloud, n_starts)
-    entropies = np.array([greedy_entropy(cloud, d, starts) for d in deltas])
+    covers = [greedy_cover(cloud, deltas[-1], start=int(s))
+              for s in _spread_starts(cloud, n_starts)]
+    entropies = np.array([math.log(min(c.size_at(d) for c in covers))
+                          for d in deltas])
     lo, hi = fit_range if fit_range is not None else (0, deltas.size)
     x = np.log(1.0 / deltas[lo:hi])
     y = entropies[lo:hi]

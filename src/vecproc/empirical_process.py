@@ -260,26 +260,22 @@ def build_chaining_plan(cls: FunctionClass, design: EmpiricalDesign,
     if len(cls) == 0:
         raise ValueError("class must be nonempty")
     k = len(cls)
-    vals = cls.values_on(design)
-    flat = vals.reshape(k, -1) / math.sqrt(design.n)
-    norms = np.linalg.norm(flat, axis=1)
+    cloud = PointCloud.from_values(cls.values_on(design))
+    norms = np.linalg.norm(cloud.points, axis=1)
     r_n = float(norms.max())
     if s_levels is None:
         s_levels = default_chain_levels(design.n)
-    cloud = PointCloud(flat)
     dist = cloud.distance_matrix()
 
     level_centers = [np.array([], dtype=int)]            # s = 0: the zero function
-    n_s = [1]
-    for s in range(1, s_levels + 2):
-        radius = r_n * 0.5 ** s
-        if r_n == 0.0:
-            centers = np.array([0])
-        else:
-            centers = np.sort(greedy_cover(cloud, radius).center_indices)
-        level_centers.append(centers)
-        n_s.append(len(centers))
-    n_s = np.array(n_s)
+    if r_n == 0.0:
+        level_centers += [np.array([0])] * (s_levels + 1)
+    else:
+        # each level is a prefix of the finest level's greedy traversal
+        fine = greedy_cover(cloud, r_n * 0.5 ** (s_levels + 1))
+        level_centers += [np.sort(fine.center_indices[:fine.size_at(r_n * 0.5 ** s)])
+                          for s in range(1, s_levels + 2)]
+    n_s = np.array([1] + [len(c) for c in level_centers[1:]])
     h_s = np.log(n_s.astype(float))
 
     chains = np.empty((k, s_levels + 2), dtype=int)

@@ -132,10 +132,9 @@ def lipschitz_contraction_check(cls: FunctionClass, loss_c: float,
     if targets.shape != (design.n, cls.d_y):
         raise ValueError("targets must have shape (n, d_y)")
     vals = cls.values_on(design)                       # (K, n, d_Y)
-    class_cloud = PointCloud(vals.reshape(len(cls), -1) / math.sqrt(design.n))
+    class_cloud = PointCloud.from_values(vals)
     dist = np.linalg.norm(targets[None, :, :] - vals, axis=2)
-    loss_vals = loss_c * np.minimum(dist, cap)         # (K, n)
-    loss_cloud = PointCloud(loss_vals / math.sqrt(design.n))
+    loss_cloud = PointCloud.from_values(loss_c * np.minimum(dist, cap))  # (K, n)
     rows = []
     for delta in np.asarray(delta_grid, float):
         n_loss = exact_cover_number(loss_cloud, loss_c * delta)

@@ -217,7 +217,7 @@ class CounterexampleReport:
 def basis_dependence_demo() -> CounterexampleReport:
     """Exact enumeration of the two-projection counterexample.
 
-    The coordinate-wise pattern sums are 2 (standard basis) and 5 sqrt(2)
+    The coordinate-wise pattern sums are 2 (standard basis) and 6 sqrt(2)
     (rotated basis); the norm-form complexity is identical in both bases.
     """
     values = counterexample_values()

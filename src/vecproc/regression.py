@@ -16,6 +16,7 @@ import numpy as np
 
 from .concentration import CovarianceSpectrum, sample_gaussian_batch
 from .covering import PointCloud, greedy_cover
+from .covering import greedy_cover as greedy_cover_from  # former name, kept for callers
 from .empirical_process import build_chaining_plan
 from .function_class import EmpiricalDesign, FunctionClass, SmoothOutputDescriptor
 from .reports import TailReport, binomial_report
@@ -136,10 +137,13 @@ def measured_entropy_integral(dist_matrix: np.ndarray, center: int,
             return 0.0
         sub = PointCloud(dist_matrix[np.ix_(inside, inside)], metric="matrix")
         u_grid = np.geomspace(delta / 64.0, delta, u_points)
-        h_vals = np.array([math.log(greedy_cover(sub, u).size) for u in u_grid])
+        cover = greedy_cover(sub, u_grid[0])
+        h_vals = np.array([math.log(cover.size_at(u)) for u in u_grid])
         head = u_grid[0] * math.sqrt(2.0 * math.log(inside.size))
-        trapezoid = getattr(np, "trapezoid", np.trapz)
-        return 4.0 * (head + float(trapezoid(np.sqrt(2.0 * h_vals), u_grid)))
+        f = np.sqrt(2.0 * h_vals)
+        # np.trapezoid's own expression; np.trapz is gone from numpy >= 2.4
+        area = float(np.sum(np.diff(u_grid) * (f[1:] + f[:-1]) / 2.0))
+        return 4.0 * (head + area)
 
     raw_vals = np.array([raw_j(u) for u in grid])
     env_ratio = np.maximum.accumulate((raw_vals / grid ** 2)[::-1])[::-1]
@@ -304,11 +308,7 @@ def rate_experiment(pool: FunctionClass, g0_index: int, noise: CovarianceSpectru
     for pos, n in enumerate(n_values):
         design = EmpiricalDesign.midpoint_grid(int(n), pool.d)
         vals = pool.values_on(design)
-        flat = vals.reshape(len(pool), -1) / math.sqrt(n)
-        sq = np.sum(flat ** 2, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * flat @ flat.T
-        dist = np.sqrt(np.maximum(d2, 0.0))
-        np.fill_diagonal(dist, 0.0)
+        dist = PointCloud.from_values(vals).distance_matrix()
 
         j_curve = measured_entropy_integral(dist, g0_index)
         # the theorem places no ceiling on delta_n; small n with trace-1
@@ -316,7 +316,7 @@ def rate_experiment(pool: FunctionClass, g0_index: int, noise: CovarianceSpectru
         delta_n = solve_delta_n(j_curve, int(n), t, bracket=(1e-8, 1e3))
         net_radius = net_fraction * delta_n
         cloud = PointCloud(dist, metric="matrix")
-        net = greedy_cover_from(cloud, net_radius, start=g0_index)
+        net = greedy_cover(cloud, net_radius, start=g0_index)
         cand = net.center_indices          # g0 first
         vc = vals[cand].reshape(len(cand), -1)
         truth = vals[g0_index].ravel()
@@ -354,27 +354,6 @@ def rate_experiment(pool: FunctionClass, g0_index: int, noise: CovarianceSpectru
                    delta_n=np.array(deltas), coverage_fail=np.array(cov_fail),
                    coverage_bound=coverage_bound, basic_ok=basic_ok,
                    net_sizes=np.array(net_sizes), reps=reps, seed=seed)
-
-
-def greedy_cover_from(cloud: PointCloud, delta: float, start: int = 0):
-    """Greedy cover with a prescribed first center (used to pin g0 in nets)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    centers = [start]
-    mindist = cloud.distances_to(start)
-    nearest = np.zeros(cloud.size, dtype=int)
-    while True:
-        far = int(np.argmax(mindist))
-        if mindist[far] <= delta:
-            break
-        centers.append(far)
-        d = cloud.distances_to(far)
-        closer = d < mindist
-        nearest[closer] = len(centers) - 1
-        mindist = np.where(closer, d, mindist)
-    from .covering import CoverResult
-    return CoverResult(radius=float(delta), center_indices=np.array(centers),
-                       assignment=nearest, assignment_dist=mindist)
 
 
 # --------------------------------------------------------------------------

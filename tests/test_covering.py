@@ -54,6 +54,15 @@ def test_greedy_rejects_bad_delta():
         cov.greedy_cover(cloud, 0.0)
 
 
+def test_greedy_rejects_bad_start_and_finer_radius():
+    cloud = cov.PointCloud(np.array([[0.0], [1.0]]))
+    for start in (-1, 2):
+        with pytest.raises(ValueError):
+            cov.greedy_cover(cloud, 0.5, start=start)
+    with pytest.raises(ValueError):
+        cov.greedy_cover(cloud, 0.5).size_at(0.25)
+
+
 def test_exact_two_points():
     cloud = cov.PointCloud(np.array([[0.0], [1.0]]))
     assert cov.exact_cover_number(cloud, 1.0) == 1
@@ -133,6 +142,34 @@ def test_entropy_halving_sandwich_random(seed, size, delta):
     packing = cov.max_packing_size(cloud, delta)
     n_half = cov.exact_cover_number(cloud, delta / 2)
     assert n_delta <= packing <= n_half
+
+
+def _cloud(rng, size, metric):
+    if metric == "sup":
+        return cov.PointCloud(rng.uniform(size=(size, 4, 2)), metric="sup")
+    cloud = cov.PointCloud(rng.uniform(size=(size, 2)))
+    if metric == "matrix":
+        return cov.PointCloud(cloud.distance_matrix(), metric="matrix")
+    return cloud
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+       st.sampled_from(["euclidean", "sup", "matrix"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_greedy_cover_is_prefix_of_finest(seed, size, metric, data):
+    # a greedy cover at r is the first size_at(r) centers of the same-start
+    # cover at any finer radius, also at r equal to an insertion radius
+    cloud = _cloud(np.random.default_rng(seed), size, metric)
+    start = data.draw(st.integers(0, size - 1))
+    radii = sorted(data.draw(st.lists(st.floats(0.01, 2.0), min_size=1,
+                                      max_size=8)), reverse=True)
+    fine = cov.greedy_cover(cloud, radii[-1], start=start)
+    assert fine.center_indices[0] == start
+    assert fine.size_at(radii[-1]) == fine.size
+    for r in radii + [float(v) for v in fine.insertion_radii[1:]]:
+        coarse = cov.greedy_cover(cloud, r, start=start)
+        assert np.array_equal(fine.center_indices[:fine.size_at(r)],
+                              coarse.center_indices)
 
 
 def test_matrix_metric_cloud():

@@ -60,6 +60,16 @@ def test_entropies_nonincreasing_in_delta():
     assert np.all(np.diff(fit.entropies) >= -1e-12)
 
 
+def test_box_entropies_match_greedy_entropy():
+    # one cover per start at the finest radius answers every radius
+    rng = substream(3, 31)
+    cloud = PointCloud(rng.uniform(size=(300, 2)))
+    deltas = np.geomspace(0.5, 0.03, 10)
+    fit = dim.box_dimension_estimate(cloud, deltas)
+    assert np.array_equal(fit.entropies,
+                          [dim.greedy_entropy(cloud, d) for d in deltas])
+
+
 def test_subset_entropy_below_superset():
     rng = substream(1, 31)
     pts = rng.uniform(size=(300, 2))

@@ -5,6 +5,7 @@ import pytest
 
 from vecproc import empirical_process as ep
 from vecproc import function_class as fc
+from vecproc.covering import PointCloud, greedy_cover
 from vecproc.rng import substream
 
 
@@ -189,6 +190,16 @@ def test_chaining_links_and_jn_consistency():
             va = flat[a]
             vb = flat[b] if b >= 0 else np.zeros_like(va)
             assert np.linalg.norm(va - vb) <= radii[s] * (1 + 1e-9)
+
+
+def test_chaining_levels_match_direct_greedy_covers():
+    cls = ball_class(40, seed=29)
+    design = fc.EmpiricalDesign.uniform(48, 1, substream(2, 4))
+    plan = ep.build_chaining_plan(cls, design, 4)
+    cloud = PointCloud.from_empirical(cls, design)
+    for s in range(1, plan.s_levels + 2):
+        direct = greedy_cover(cloud, plan.r_n * 0.5 ** s).center_indices
+        assert np.array_equal(plan.level_centers[s], np.sort(direct))
 
 
 def test_chaining_tail_check():

@@ -116,8 +116,9 @@ def _bounded_vector_sum(rng, size, n, d_y, c):
     uniform random unit direction: zero mean, ||Y_i|| = c_i surely."""
     dirs = rng.standard_normal((size, n, d_y))
     dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-    signs = rng.choice([-1.0, 1.0], size=(size, n, 1))
-    return np.sum(dirs * signs * c[None, :, None], axis=1)
+    dirs *= rng.choice([-1.0, 1.0], size=(size, n, 1))
+    dirs *= c[None, :, None]
+    return np.sum(dirs, axis=1)
 
 
 def hoeffding_hilbert_check(c, n: int, d_y: int, t_grid, reps: int, seed: int,

@@ -42,6 +42,8 @@ def empirical_mean(g: GridFunction, design: EmpiricalDesign) -> np.ndarray:
 
 def true_means(cls: FunctionClass) -> np.ndarray:
     """Pg for every member under the uniform law; exact, shape (K, d_Y)."""
+    if len(cls) == 0:
+        raise ValueError("class must be nonempty")
     return np.stack([mean_uniform(g) for g in cls.members])
 
 
@@ -99,25 +101,29 @@ def symmetrization_check(cls: FunctionClass, n: int, reps: int, seed: int,
     """Monte-Carlo check of both symmetrization inequalities.
 
     E||P_n - P||_G <= E||P_n - P'_n||_G and <= 2 E||P_n^sigma||_G, with
-    three combined standard errors of slack.
+    three combined standard errors of slack. Members are evaluated one at a
+    time and folded into running suprema, so a block holds one member's
+    (B, n, d_Y) values, not the whole class.
     """
     _require_uniform(law)
+    if reps < 2:
+        raise ValueError("reps must be at least 2")
     means = true_means(cls)
 
     def block(idx, size):
         rng = substream(seed, _TAG_SYM, idx)
-        x = rng.uniform(size=(size, n, cls.d))
-        x2 = rng.uniform(size=(size, n, cls.d))
-        signs = rng.choice([-1.0, 1.0], size=(size, 1, n, 1))
-        vals = np.stack([g.evaluate(x.reshape(-1, cls.d)).reshape(size, n, cls.d_y)
-                         for g in cls.members], axis=1)    # (B, K, n, d_Y)
-        vals2 = np.stack([g.evaluate(x2.reshape(-1, cls.d)).reshape(size, n, cls.d_y)
-                          for g in cls.members], axis=1)
-        emp = vals.mean(axis=2)
-        emp2 = vals2.mean(axis=2)
-        dev = np.linalg.norm(emp - means[None], axis=2).max(axis=1)
-        pair = np.linalg.norm(emp - emp2, axis=2).max(axis=1)
-        rad = np.linalg.norm((vals * signs).mean(axis=2), axis=2).max(axis=1)
+        x = rng.uniform(size=(size, n, cls.d)).reshape(-1, cls.d)
+        x2 = rng.uniform(size=(size, n, cls.d)).reshape(-1, cls.d)
+        signs = rng.choice([-1.0, 1.0], size=(size, 1, n, 1))[:, 0]
+        dev, pair, rad = np.zeros(size), np.zeros(size), np.zeros(size)
+        for g, mean in zip(cls.members, means):
+            vals = g.evaluate(x).reshape(size, n, cls.d_y)
+            emp = vals.mean(axis=1)
+            emp2 = g.evaluate(x2).reshape(size, n, cls.d_y).mean(axis=1)
+            dev = np.maximum(dev, np.linalg.norm(emp - mean, axis=1))
+            pair = np.maximum(pair, np.linalg.norm(emp - emp2, axis=1))
+            vals *= signs
+            rad = np.maximum(rad, np.linalg.norm(vals.mean(axis=1), axis=1))
         return dev, pair, rad
 
     parts = map_blocks(block, reps, threads)
@@ -146,13 +152,16 @@ def symmetrization_probability_check(cls: FunctionClass, n: int, a_grid,
 
     def block(idx, size):
         rng = substream(seed, _TAG_SYMPROB, idx)
-        x = rng.uniform(size=(size, n, cls.d))
-        signs = rng.choice([-1.0, 1.0], size=(size, 1, n, 1))
-        vals = np.stack([g.evaluate(x.reshape(-1, cls.d)).reshape(size, n, cls.d_y)
-                         for g in cls.members], axis=1)
-        per_member = np.linalg.norm(vals.mean(axis=2) - means[None], axis=2)  # (B, K)
+        x = rng.uniform(size=(size, n, cls.d)).reshape(-1, cls.d)
+        signs = rng.choice([-1.0, 1.0], size=(size, 1, n, 1))[:, 0]
+        per_member = np.empty((size, len(cls)))
+        rad = np.zeros(size)
+        for k, (g, mean) in enumerate(zip(cls.members, means)):
+            vals = g.evaluate(x).reshape(size, n, cls.d_y)
+            per_member[:, k] = np.linalg.norm(vals.mean(axis=1) - mean, axis=1)
+            vals *= signs
+            rad = np.maximum(rad, np.linalg.norm(vals.mean(axis=1), axis=1))
         dev = per_member.max(axis=1)
-        rad = np.linalg.norm((vals * signs).mean(axis=2), axis=2).max(axis=1)
         prem = (per_member[:, :, None] > a_vals[None, None, :] / 2.0).sum(axis=0)
         lhs = (dev[:, None] > a_vals[None, :]).sum(axis=0)
         rhs = (rad[:, None] > a_vals[None, :] / 4.0).sum(axis=0)
@@ -191,10 +200,11 @@ def gc_decay_curve(cls: FunctionClass, n_grid, reps: int, seed: int,
         def block(idx, size, n=n, pos=pos):
             rng = substream(seed, _TAG_GC, pos, idx)
             x = rng.uniform(size=(size * n, cls.d))
-            vals = np.stack([g.evaluate(x).reshape(size, n, cls.d_y)
-                             for g in cls.members], axis=1)
-            emp = vals.mean(axis=2)
-            return np.linalg.norm(emp - means[None], axis=2).max(axis=1)
+            dev = np.zeros(size)
+            for g, mean in zip(cls.members, means):
+                emp = g.evaluate(x).reshape(size, n, cls.d_y).mean(axis=1)
+                dev = np.maximum(dev, np.linalg.norm(emp - mean, axis=1))
+            return dev
 
         devs = np.concatenate(map_blocks(block, reps, threads))
         rows.append((int(n), float(np.median(devs))))

@@ -392,11 +392,27 @@ def gaussian_chaining_check(cls: FunctionClass, design: EmpiricalDesign,
 # Lipschitz-loss empirical risk minimisation (random design)
 
 
+# loss values per population-risk chunk (noise draws x quadrature points):
+# each temporary of clipped_loss is then 256 KB and stays in cache
+_LOSS_CHUNK = 1 << 15
+
+
 def clipped_loss(y: np.ndarray, yhat: np.ndarray, cap: float,
                  lipschitz: float) -> np.ndarray:
     """loss_c * min(||y - yhat||, cap): bounded by loss_c*cap and
-    loss_c-Lipschitz in yhat."""
-    return lipschitz * np.minimum(np.linalg.norm(y - yhat, axis=-1), cap)
+    loss_c-Lipschitz in yhat. The one clipped loss of the package.
+
+    y and yhat broadcast against each other over their leading axes; the
+    last axis is the output space. ||y - yhat||^2 is summed coordinate by
+    coordinate, left to right, on broadcast slices, so the (..., d_Y)
+    difference is never formed. For d_Y <= 7 the result is bitwise
+    np.linalg.norm(y - yhat, axis=-1); above that numpy sums pairwise and
+    the two differ by a few ulp.
+    """
+    sq = (y[..., 0] - yhat[..., 0]) ** 2
+    for j in range(1, np.shape(y)[-1]):
+        sq = sq + (y[..., j] - yhat[..., j]) ** 2
+    return lipschitz * np.minimum(np.sqrt(sq), cap)
 
 
 @dataclass(frozen=True)
@@ -441,22 +457,32 @@ def population_risks(cls: FunctionClass, noise: CovarianceSpectrum,
     """R(g) = E min-loss for every member: x-quadrature times common-random-
     number noise Monte Carlo; the shared noise sample keeps the member
     ordering exact and the recorded error estimate is the largest standard
-    error across members."""
+    error across members.
+
+    The residual y - g(x) = (g_true(x) - g(x)) + eps is formed by
+    clipped_loss as eps - (g(x) - g_true(x)), the same float. For each
+    member the noise draws of a block run in row chunks of about
+    _LOSS_CHUNK loss values (x_quad per draw, at least one draw); each
+    chunk's per-draw means go into one buffer that is summed over the whole
+    block, so no sum depends on the chunk size and memory does not grow
+    with the block or the class.
+    """
     xq = EmpiricalDesign.midpoint_grid(x_quad, cls.d)
     vals = cls.values_on(xq)                     # (K, xq, d_Y)
-    truth = vals[g_true_index]
-    risks = np.zeros(len(cls))
-    risk_sq = np.zeros(len(cls))
+    neg_diff = vals - vals[g_true_index][None]
+    rows = max(1, _LOSS_CHUNK // x_quad)
 
     def block(idx, size):
         rng = substream(seed, _TAG_ERM, idx)
         eps = sample_gaussian_batch(noise, rng, size)
         out_sum = np.zeros(len(cls))
         out_sq = np.zeros(len(cls))
+        per_draw = np.empty(size)
         for k in range(len(cls)):
-            diff = truth[None, :, :] - vals[k][None, :, :] + eps[:, None, :]
-            loss = lipschitz * np.minimum(np.linalg.norm(diff, axis=2), cap)
-            per_draw = loss.mean(axis=1)
+            for lo in range(0, size, rows):
+                loss = clipped_loss(eps[lo:lo + rows, None, :], neg_diff[k][None],
+                                    cap, lipschitz)
+                per_draw[lo:lo + rows] = loss.mean(axis=1)
             out_sum[k] = per_draw.sum()
             out_sq[k] = (per_draw ** 2).sum()
         return out_sum, out_sq
@@ -484,6 +510,8 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
     """
     if abs(noise.trace - 1.0) > 1e-9:
         raise ValueError("noise covariance must have trace 1")
+    if reps < 2:
+        raise ValueError("reps must be at least 2")
     risks, risk_se = population_risks(cls, noise, g_true_index, cap, lipschitz,
                                       seed, x_quad=x_quad,
                                       noise_quad=noise_quad)
@@ -502,8 +530,7 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
                 design = EmpiricalDesign(x)
                 vals = cls.values_on(design)
                 y = vals[g_true_index] + eps
-                loss = lipschitz * np.minimum(
-                    np.linalg.norm(y[None] - vals, axis=2), cap)   # (K, n)
+                loss = clipped_loss(y[None], vals, cap, lipschitz)  # (K, n)
                 emp = loss.mean(axis=1)
                 ghat = int(np.argmin(emp))
                 excess = risks[ghat] - risks[g_star]

@@ -160,3 +160,19 @@ def test_default_out_dir(tmp_path, monkeypatch):
     assert code == 0
     assert (tmp_path / "runs" / "demo-counterexample-5"
             / "counterexample.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["symmetrize", "--count", "3", "--n", "20", "--reps", "1"],
+     "reps must be at least 2"),
+    (["erm", "--count", "3", "--n-grid", "20", "--reps", "1"],
+     "reps must be at least 2"),
+    (["symmetrize", "--count", "0"], "class must be nonempty"),
+    (["gc", "--count", "0"], "class must be nonempty"),
+])
+def test_invalid_monte_carlo_input_exits_2(tmp_path, capsys, argv, message):
+    code, _ = run_cli(argv, tmp_path, argv[0])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err

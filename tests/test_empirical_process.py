@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from vecproc import empirical_process as ep
 from vecproc import function_class as fc
 from vecproc.covering import PointCloud, greedy_cover
-from vecproc.rng import substream
+from vecproc.rng import map_blocks, substream
 
 
 def ball_class(count, seed, d_y=3, m=1, resolution=129, **kw):
@@ -110,6 +111,69 @@ def test_symmetrization_rejects_other_laws():
         ep.symmetrization_check(zero_class(), 10, 100, seed=0, law="gauss")
 
 
+def stacked_symmetrization(cls, n, reps, seed):
+    """symmetrization_check with every member stacked into (B, K, n, d_Y)."""
+    means = ep.true_means(cls)
+
+    def block(idx, size):
+        rng = substream(seed, ep._TAG_SYM, idx)
+        x = rng.uniform(size=(size, n, cls.d))
+        x2 = rng.uniform(size=(size, n, cls.d))
+        signs = rng.choice([-1.0, 1.0], size=(size, 1, n, 1))
+        vals = np.stack([g.evaluate(x.reshape(-1, cls.d)).reshape(size, n, cls.d_y)
+                         for g in cls.members], axis=1)
+        vals2 = np.stack([g.evaluate(x2.reshape(-1, cls.d)).reshape(size, n, cls.d_y)
+                          for g in cls.members], axis=1)
+        emp = vals.mean(axis=2)
+        emp2 = vals2.mean(axis=2)
+        dev = np.linalg.norm(emp - means[None], axis=2).max(axis=1)
+        pair = np.linalg.norm(emp - emp2, axis=2).max(axis=1)
+        rad = np.linalg.norm((vals * signs).mean(axis=2), axis=2).max(axis=1)
+        return dev, pair, rad
+
+    parts = map_blocks(block, reps)
+    dev, pair, rad = (np.concatenate([p[i] for p in parts]) for i in range(3))
+    return ep.SymmetrizationReport(
+        mean_dev=float(dev.mean()), mean_pair=float(pair.mean()),
+        mean_rad=float(rad.mean()),
+        se_dev=float(dev.std(ddof=1) / math.sqrt(reps)),
+        se_pair=float(pair.std(ddof=1) / math.sqrt(reps)),
+        se_rad=float(rad.std(ddof=1) / math.sqrt(reps)),
+        reps=reps, seed=seed)
+
+
+@pytest.mark.parametrize("d_y, count", [(1, 4), (3, 9), (7, 5)])
+def test_symmetrization_matches_stacked_reference(d_y, count):
+    cls = ball_class(count, seed=21, d_y=d_y)
+    rep = ep.symmetrization_check(cls, 30, 700, seed=6)
+    assert rep == stacked_symmetrization(cls, 30, 700, seed=6)
+
+
+def test_symmetrization_peak_memory_flat_in_class_size():
+    def peak(count):
+        cls = ball_class(count, seed=22)
+        tracemalloc.start()
+        try:
+            ep.symmetrization_check(cls, 50, 400, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40) < 1.5 * peak(10)
+
+
+def test_symmetrization_rejects_single_replicate_and_empty_class():
+    with pytest.raises(ValueError, match="reps must be at least 2"):
+        ep.symmetrization_check(zero_class(), 10, 1, seed=0)
+    empty = ball_class(0, seed=1)
+    with pytest.raises(ValueError, match="class must be nonempty"):
+        ep.symmetrization_check(empty, 10, 100, seed=0)
+    with pytest.raises(ValueError, match="class must be nonempty"):
+        ep.symmetrization_probability_check(empty, 10, [0.1], 100, seed=0)
+    with pytest.raises(ValueError, match="class must be nonempty"):
+        ep.gc_decay_curve(empty, [10], 100, seed=0)
+
+
 def test_symmetrization_probability_rows():
     cls = ball_class(10, seed=13, min_freq=1)
     rows = ep.symmetrization_probability_check(cls, 100, [0.002, 0.005, 0.02],
@@ -133,6 +197,30 @@ def test_gc_decay_finite_class():
     meds = [r[1] for r in rows]
     assert meds[-1] <= meds[0] / 2.0
     assert slope < 0
+
+
+def stacked_gc_decay(cls, n_grid, reps, seed):
+    """gc_decay_curve's per-n deviations with the members stacked."""
+    means = ep.true_means(cls)
+    out = []
+    for pos, n in enumerate(n_grid):
+        def block(idx, size, n=n, pos=pos):
+            rng = substream(seed, ep._TAG_GC, pos, idx)
+            x = rng.uniform(size=(size * n, cls.d))
+            vals = np.stack([g.evaluate(x).reshape(size, n, cls.d_y)
+                             for g in cls.members], axis=1)
+            emp = vals.mean(axis=2)
+            return np.linalg.norm(emp - means[None], axis=2).max(axis=1)
+
+        out.append((int(n), float(np.median(np.concatenate(map_blocks(block, reps))))))
+    return out
+
+
+@pytest.mark.parametrize("d_y, count", [(2, 6), (5, 3)])
+def test_gc_decay_matches_stacked_reference(d_y, count):
+    cls = ball_class(count, seed=23, d_y=d_y)
+    rows, _ = ep.gc_decay_curve(cls, [7, 40], 900, seed=9)
+    assert rows == stacked_gc_decay(cls, [7, 40], 900, seed=9)
 
 
 def test_gc_decay_smooth_class():

@@ -5,8 +5,8 @@ import pytest
 
 from vecproc import function_class as fc
 from vecproc import regression as reg
-from vecproc.concentration import CovarianceSpectrum
-from vecproc.rng import substream
+from vecproc.concentration import CovarianceSpectrum, sample_gaussian_batch
+from vecproc.rng import map_blocks, substream
 
 
 def ball_class(count, seed, d_y=3, resolution=129, **kw):
@@ -178,6 +178,57 @@ def test_clipped_loss_lipschitz():
     lb = reg.clipped_loss(y, b, cap=1.0, lipschitz=2.0)
     assert abs(la - lb) <= 2.0 * np.linalg.norm(a - b) + 1e-12
     assert la <= 2.0
+
+
+@pytest.mark.parametrize("d_y", [1, 2, 3, 5, 7])
+def test_clipped_loss_matches_linalg_norm(d_y):
+    rng = substream(5, 2, d_y)
+    y = rng.standard_normal((40, 1, d_y))
+    yhat = rng.standard_normal((1, 30, d_y))
+    ref = 1.5 * np.minimum(np.linalg.norm(y - yhat, axis=-1), 0.8)
+    assert np.array_equal(reg.clipped_loss(y, yhat, cap=0.8, lipschitz=1.5), ref)
+
+
+def stacked_population_risks(cls, noise, g_true_index, cap, lipschitz, seed,
+                             x_quad, noise_quad):
+    """population_risks as one (draws, x_quad, d_Y) tensor per member."""
+    vals = cls.values_on(fc.EmpiricalDesign.midpoint_grid(x_quad, cls.d))
+    truth = vals[g_true_index]
+
+    def block(idx, size):
+        eps = sample_gaussian_batch(noise, substream(seed, reg._TAG_ERM, idx),
+                                    size)
+        out_sum = np.zeros(len(cls))
+        out_sq = np.zeros(len(cls))
+        for k in range(len(cls)):
+            diff = truth[None, :, :] - vals[k][None, :, :] + eps[:, None, :]
+            loss = lipschitz * np.minimum(np.linalg.norm(diff, axis=2), cap)
+            per_draw = loss.mean(axis=1)
+            out_sum[k] = per_draw.sum()
+            out_sq[k] = (per_draw ** 2).sum()
+        return out_sum, out_sq
+
+    parts = map_blocks(block, noise_quad, threads=1, block=4096)
+    risks = np.sum([p[0] for p in parts], axis=0) / noise_quad
+    risk_sq = np.sum([p[1] for p in parts], axis=0) / noise_quad
+    se = np.sqrt(np.maximum(risk_sq - risks ** 2, 0.0) / noise_quad)
+    return risks, float(se.max())
+
+
+@pytest.mark.parametrize("d_y, x_quad", [(3, 300), (20, 64)])
+def test_population_risks_match_stacked_reference(d_y, x_quad):
+    # x_quad = 300 leaves a short last chunk; 9000 draws span three blocks
+    cls = ball_class(6, seed=4, d_y=d_y)
+    noise = CovarianceSpectrum.uniform(d_y)
+    args = (cls, noise, 2, 0.7, 1.3, 8)
+    risks, se = reg.population_risks(*args, x_quad=x_quad, noise_quad=9000)
+    ref_risks, ref_se = stacked_population_risks(*args, x_quad=x_quad,
+                                                 noise_quad=9000)
+    if d_y <= 7:
+        assert np.array_equal(risks, ref_risks) and se == ref_se
+    else:   # numpy sums long norm axes pairwise: a few ulp apart
+        np.testing.assert_allclose(risks, ref_risks, rtol=1e-12, atol=0)
+        assert se == pytest.approx(ref_se, rel=1e-12)
 
 
 def test_erm_singleton_class():

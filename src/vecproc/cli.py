@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import traceback
+import warnings
 
 import numpy as np
 
@@ -29,16 +30,41 @@ from . import function_class as fc
 from . import rademacher as rad
 from . import regression as reg
 from .reports import write_csv, write_json
+from .rng import substream
 
 _TAG_CLI_DESIGN = 701
 
 
-def _floats(text: str):
-    return [float(tok) for tok in text.split(",") if tok]
+def _number(kind, low):
+    """argparse type: a `kind` value of at least `low`; NaN is rejected."""
+    def parse(text):
+        value = kind(text)
+        if value != value:
+            raise argparse.ArgumentTypeError(f"must be a number, got {text}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
-def _ints(text: str):
-    return [int(tok) for tok in text.split(",") if tok]
+def _grid(kind, low=-math.inf):
+    """argparse type: a nonempty comma-separated list of `kind` values."""
+    item = _number(kind, low)
+
+    def parse(text):
+        values = [item(tok) for tok in text.split(",") if tok]
+        if not values:
+            raise argparse.ArgumentTypeError("needs at least one value")
+        return values
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
+
+
+_positive = _number(int, 1)
+_floats = _grid(float)
+_times = _grid(float, 0)       # the t of a tail bound e^-t
+_sizes = _grid(int, 1)         # sample sizes
 
 
 def _spectrum(spec: str) -> conc.CovarianceSpectrum:
@@ -47,13 +73,25 @@ def _spectrum(spec: str) -> conc.CovarianceSpectrum:
     kind, _, modes = spec.partition(":")
     if kind == "geometric":
         return conc.CovarianceSpectrum.geometric(int(modes or 30))
-    if kind == "uniform":
-        return conc.CovarianceSpectrum.uniform(int(modes or 10))
-    raise ValueError(f"unknown spectrum {spec!r}")
+    return conc.CovarianceSpectrum.uniform(int(modes or 10))
+
+
+def _spectrum_spec(text: str) -> str:
+    """argparse type: single, geometric[:modes] or uniform[:modes], modes >= 1."""
+    kind, _, modes = text.partition(":")
+    if text != "single" and kind not in ("geometric", "uniform"):
+        raise argparse.ArgumentTypeError(f"unknown spectrum {text!r}")
+    if modes:
+        _positive(modes)
+    return text
 
 
 def _load_cloud(path: str) -> cov.PointCloud:
-    pts = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # numpy's "no data"
+        pts = np.loadtxt(path, delimiter=",", ndmin=2)
+    if pts.size == 0:
+        raise ValueError(f"{path} holds no points")
     return cov.PointCloud(pts)
 
 
@@ -63,13 +101,18 @@ def _ball_class(args, seed) -> fc.FunctionClass:
         seed=seed, resolution=args.resolution)
 
 
+def _design(args, cls) -> fc.EmpiricalDesign:
+    return fc.EmpiricalDesign.uniform(args.n, cls.d,
+                                      substream(args.seed, _TAG_CLI_DESIGN))
+
+
 def _add_class_flags(sub, count=20, d=1, m=1, dy=3, kb=1.0, resolution=None):
     sub.add_argument("--d", type=int, default=d)
     sub.add_argument("--m", type=int, default=m)
     sub.add_argument("--dy", type=int, default=dy)
     sub.add_argument("--kb", type=float, default=kb)
     sub.add_argument("--count", type=int, default=count)
-    sub.add_argument("--resolution", type=int, default=resolution)
+    sub.add_argument("--resolution", type=_positive, default=resolution)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_positive, default=1)
 
     p = sub.add_parser("cover", help="greedy or exact cover of a CSV point cloud")
     p.add_argument("--input", required=True)
@@ -102,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deltas", type=_floats, default=None)
     p.add_argument("--big-m", type=float, default=2.0)
     p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_positive, default=50)
     common(p)
 
     p = sub.add_parser("bounds", help="closed-form entropy bound tables")
@@ -124,20 +167,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", required=True,
                    choices=["hoeffding-real", "hoeffding-hilbert", "cosh",
                             "gaussian-mgf", "gaussian-tail"])
-    p.add_argument("--n", type=int, default=50)
+    p.add_argument("--n", type=_positive, default=50)
     p.add_argument("--dy", type=int, default=5)
     p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--t", type=_floats, default=[0.5, 1.0, 2.0, 4.0])
+    p.add_argument("--t", type=_times, default=[0.5, 1.0, 2.0, 4.0])
     p.add_argument("--lambdas", type=_floats, default=[0.1, 0.25, 0.4])
     p.add_argument("--a", type=_floats, default=[1.0, 2.0, 3.0])
-    p.add_argument("--reps", type=int, default=100_000)
-    p.add_argument("--spectrum", type=str, default="geometric:30")
+    p.add_argument("--reps", type=_positive, default=100_000)
+    p.add_argument("--spectrum", type=_spectrum_spec, default="geometric:30")
     common(p)
 
     p = sub.add_parser("symmetrize", help="symmetrization inequalities in MC")
     _add_class_flags(p)
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--reps", type=int, default=2000)
+    p.add_argument("--n", type=_positive, default=200)
+    p.add_argument("--reps", type=_positive, default=2000)
     p.add_argument("--class-seed", type=int, default=7)
     common(p)
 
@@ -145,18 +188,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_class_flags(p)
     p.add_argument("--kind", choices=["rademacher", "gaussian"],
                    default="rademacher")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--t", type=_floats, default=[0.5, 1.0, 2.0])
-    p.add_argument("--reps", type=int, default=10_000)
-    p.add_argument("--spectrum", type=str, default="uniform:3")
+    p.add_argument("--n", type=_positive, default=100)
+    p.add_argument("--levels", type=_positive, default=None)
+    p.add_argument("--t", type=_times, default=[0.5, 1.0, 2.0])
+    p.add_argument("--reps", type=_positive, default=10_000)
+    p.add_argument("--spectrum", type=_spectrum_spec, default="uniform:3")
     p.add_argument("--class-seed", type=int, default=7)
     common(p)
 
     p = sub.add_parser("gc", help="uniform law of large numbers decay curve")
     _add_class_flags(p, count=5)
-    p.add_argument("--n-grid", type=_ints, default=[100, 400, 1600, 6400])
-    p.add_argument("--reps", type=int, default=200)
+    p.add_argument("--n-grid", type=_sizes, default=[100, 400, 1600, 6400])
+    p.add_argument("--reps", type=_positive, default=200)
     p.add_argument("--class-seed", type=int, default=7)
     common(p)
 
@@ -164,17 +207,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dy", type=int, default=3)
     p.add_argument("--kb", type=float, default=250.0)
     p.add_argument("--base-count", type=int, default=150)
-    p.add_argument("--n-grid", type=_ints, default=[64, 256, 1024, 4096])
-    p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--t", type=float, default=2.0)
+    p.add_argument("--n-grid", type=_sizes, default=[64, 256, 1024, 4096])
+    p.add_argument("--reps", type=_positive, default=200)
+    p.add_argument("--t", type=_number(float, 0), default=2.0)
     p.add_argument("--net-fraction", type=float, default=1.0 / 64.0)
     p.add_argument("--class-seed", type=int, default=11)
     common(p)
 
     p = sub.add_parser("erm", help="Lipschitz-loss ERM excess-risk study")
     _add_class_flags(p, count=10)
-    p.add_argument("--n-grid", type=_ints, default=[100, 400, 1600])
-    p.add_argument("--reps", type=int, default=200)
+    p.add_argument("--n-grid", type=_sizes, default=[100, 400, 1600])
+    p.add_argument("--reps", type=_positive, default=200)
     p.add_argument("--cap", type=float, default=1.0)
     p.add_argument("--lipschitz", type=float, default=1.0)
     p.add_argument("--class-seed", type=int, default=3)
@@ -184,10 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_class_flags(p, count=15)
     p.add_argument("--check", choices=["norm", "coordinatewise", "entropy-bound"],
                    default="norm")
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--levels", type=int, default=5)
+    p.add_argument("--n", type=_positive, default=16)
+    p.add_argument("--levels", type=_positive, default=5)
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p.add_argument("--reps", type=int, default=100_000)
+    p.add_argument("--reps", type=_positive, default=100_000)
     p.add_argument("--normalized", action="store_true")
     p.add_argument("--class-seed", type=int, default=7)
     common(p)
@@ -199,61 +242,52 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # --------------------------------------------------------------------------
-# command bodies: return (ok, list of artifact paths)
+# command bodies: return (ok, {artifact name: payload}); main writes names
+# ending in .csv with write_csv and everything else with write_json
 
 
-def _run_cover(args, out):
+def _run_cover(args):
     cloud = _load_cloud(args.input)
+    result = cov.greedy_cover(cloud, args.delta)
     if args.mode == "exact":
-        count = cov.exact_cover_number(cloud, args.delta)
-        result = cov.greedy_cover(cloud, args.delta)
-        summary = {"mode": "exact", "delta": args.delta, "exact_size": count,
+        summary = {"mode": "exact", "delta": args.delta,
+                   "exact_size": cov.exact_cover_number(cloud, args.delta),
                    "greedy_size": result.size, "ok": True}
     else:
-        result = cov.greedy_cover(cloud, args.delta)
         summary = {"mode": "greedy", "delta": args.delta,
                    "greedy_size": result.size, "ok": result.is_valid()}
-    rows = [(i, int(result.center_indices[c]), float(d))
+    rows = [{"point_index": i, "center_point_index": result.center_indices[c],
+             "distance": d}
             for i, (c, d) in enumerate(zip(result.assignment,
                                            result.assignment_dist))]
-    write_csv(os.path.join(out, "cover.csv"),
-              ["point_index", "center_point_index", "distance"], rows)
-    write_json(os.path.join(out, "cover.json"), summary)
-    return bool(summary["ok"]), ["cover.csv", "cover.json"]
+    return bool(summary["ok"]), {"cover.csv": rows, "cover.json": summary}
 
 
-def _run_smooth_cover(args, out):
+def _run_smooth_cover(args):
     cls = _ball_class(args, args.seed)
-    all_ok = True
-    artifacts = []
-    summary = []
+    rows, plans = [], []
     for delta in args.delta:
         plan = cov.build_smooth_cover(cls, delta)
         validity = cov.verify_cover_validity(cls, plan)
-        occupied = plan.occupied_cell_count()
+        log_occupied = math.log(plan.occupied_cell_count())
         bound = eb.bound_assouad(cls.d, cls.m, args.kb, delta,
                                  big_m=5.0 ** cls.d_y, tau_asd=float(cls.d_y))
-        entry = plan.to_json()
-        entry.update({"pairs_checked": validity.pairs_checked,
-                      "max_violation": validity.max_violation,
-                      "log_occupied": math.log(occupied),
-                      "bound_assouad": bound,
-                      "ok": validity.ok and math.log(occupied) <= bound})
-        summary.append(entry)
-        all_ok = all_ok and entry["ok"]
-    write_json(os.path.join(out, "smooth_cover.json"),
-               {"deltas": args.delta, "plans": summary, "ok": all_ok})
-    write_csv(os.path.join(out, "smooth_cover.csv"),
-              ["delta", "occupied_cells", "log_occupied", "bound_assouad",
-               "pairs_checked", "max_violation", "ok"],
-              [(e["delta"], e["occupied_cells"], e["log_occupied"],
-                e["bound_assouad"], e["pairs_checked"], e["max_violation"],
-                e["ok"]) for e in summary])
-    artifacts += ["smooth_cover.json", "smooth_cover.csv"]
-    return all_ok, artifacts
+        plan_json = plan.to_json()
+        row = {"delta": plan_json["delta"],
+               "occupied_cells": plan_json["occupied_cells"],
+               "log_occupied": log_occupied, "bound_assouad": bound,
+               "pairs_checked": validity.pairs_checked,
+               "max_violation": validity.max_violation,
+               "ok": validity.ok and log_occupied <= bound}
+        rows.append(row)
+        plans.append({**plan_json, **row})
+    all_ok = all(r["ok"] for r in rows)
+    return all_ok, {
+        "smooth_cover.json": {"deltas": args.delta, "plans": plans, "ok": all_ok},
+        "smooth_cover.csv": rows}
 
 
-def _run_dimension(args, out):
+def _run_dimension(args):
     cloud = _load_cloud(args.input)
     if args.check == "box":
         if args.deltas is None:
@@ -262,77 +296,70 @@ def _run_dimension(args, out):
         else:
             deltas = args.deltas
         fit = dim.box_dimension_estimate(cloud, deltas)
-        write_csv(os.path.join(out, "box_dimension.csv"),
-                  ["delta", "entropy"],
-                  list(zip(fit.delta_grid, fit.entropies)))
-        write_json(os.path.join(out, "box_dimension.json"), fit.to_json())
-        return True, ["box_dimension.csv", "box_dimension.json"]
+        rows = [{"delta": d, "entropy": h}
+                for d, h in zip(fit.delta_grid, fit.entropies)]
+        return True, {"box_dimension.csv": rows, "box_dimension.json": fit}
     if args.check == "homogeneity":
         rep = dim.homogeneity_check(cloud, args.big_m, args.tau, args.trials,
                                     args.seed)
-        write_csv(os.path.join(out, "homogeneity.csv"),
-                  ["center", "R", "r", "local_size", "measured", "bound",
-                   "exact", "ok"],
-                  [(t.center, t.radius_big, t.radius_small, t.local_size,
-                    t.measured, t.bound, t.exact, t.ok) for t in rep.trials])
-        write_json(os.path.join(out, "homogeneity.json"), rep.to_json())
-        return rep.all_ok, ["homogeneity.csv", "homogeneity.json"]
+        return rep.all_ok, {"homogeneity.csv": rep.trials,
+                            "homogeneity.json": rep}
     m_est, tau_est = dim.assouad_estimate(cloud, args.seed, args.trials)
-    write_json(os.path.join(out, "assouad.json"),
-               {"m": m_est, "tau": tau_est, "trials": args.trials,
-                "note": "heuristic upper estimate from sampled local covers"})
-    return True, ["assouad.json"]
+    return True, {"assouad.json": {
+        "m": m_est, "tau": tau_est, "trials": args.trials,
+        "note": "heuristic upper estimate from sampled local covers"}}
 
 
-def _run_bounds(args, out):
-    measured_cls = None
+def _run_bounds(args):
+    if args.variant == "rkhs" and args.h is None:
+        raise ValueError("rkhs variant needs --h")
+    cloud = None
     if args.measure_count > 0:
-        measured_cls = fc.generate_finite_dim_ball_class(
-            d=args.d, m=args.m, d_y=args.dy, k_b=args.kb,
-            count=args.measure_count, seed=args.seed)
-        cloud = cov.PointCloud.from_grid_functions(measured_cls)
+        cloud = cov.PointCloud.from_grid_functions(
+            fc.generate_finite_dim_ball_class(
+                d=args.d, m=args.m, d_y=args.dy, k_b=args.kb,
+                count=args.measure_count, seed=args.seed))
+    tau = args.h if args.variant == "rkhs" else args.tau
     rows = []
-    all_ok = True
     for delta in args.deltas:
-        if args.variant == "assouad":
-            value = eb.bound_assouad(args.d, args.m, args.kb, delta,
-                                     args.big_m, args.tau)
-        elif args.variant == "box":
-            value = eb.bound_box(args.d, args.m, args.kb, delta, args.tau)
-        elif args.variant == "exponential":
-            value = eb.bound_exp(args.d, args.m, args.kb, delta,
-                                 args.big_m, args.tau)
-        else:
-            if args.h is None:
-                raise ValueError("rkhs variant needs --h")
-            value = eb.bound_rkhs(args.d, args.m, args.kb, delta,
-                                  args.big_m, args.h)
-        measured = ""
-        if measured_cls is not None:
-            measured = cov.entropy(cloud, delta, mode="greedy")
-            all_ok = all_ok and measured <= value
-        rows.append((delta, args.variant, value, measured))
-    write_csv(os.path.join(out, "bounds.csv"),
-              ["delta", "variant", "bound", "measured_entropy_if_any"], rows)
+        bound = eb.BoundParams(d=args.d, m=args.m, k_b=args.kb, delta=delta,
+                               variant=args.variant, big_m=args.big_m,
+                               tau=tau).evaluate()
+        measured = "" if cloud is None else cov.entropy(cloud, delta,
+                                                        mode="greedy")
+        rows.append({"delta": delta, "variant": args.variant, "bound": bound,
+                     "measured_entropy_if_any": measured})
+    all_ok = cloud is None or all(r["measured_entropy_if_any"] <= r["bound"]
+                                  for r in rows)
     # companion report: raw chain values next to the simplified K delta^-p
     # power law (constant calibrated at the smallest radius)
     exponent = {"assouad": args.d / args.m, "box": args.d / args.m,
                 "exponential": args.d / args.m + args.tau,
                 "rkhs": args.d / args.m + (2 * args.d / args.h
                                            if args.h else 0.0)}[args.variant]
-    delta_min = min(r[0] for r in rows)
-    raw_at_min = [r[2] for r in rows if r[0] == delta_min][0]
-    k_const = raw_at_min * delta_min ** exponent
-    write_json(os.path.join(out, "bounds.json"), {
+    at_min = min(rows, key=lambda r: r["delta"])
+    k_const = at_min["bound"] * at_min["delta"] ** exponent
+    return all_ok, {"bounds.csv": rows, "bounds.json": {
         "variant": args.variant, "exponent": exponent, "k_const": k_const,
-        "rows": [{"delta": r[0], "raw_chain": r[2],
-                  "simplified": k_const * r[0] ** -exponent,
-                  "measured": (None if r[3] == "" else r[3])} for r in rows],
-        "all_ok": all_ok})
-    return all_ok, ["bounds.csv", "bounds.json"]
+        "rows": [{"delta": r["delta"], "raw_chain": r["bound"],
+                  "simplified": k_const * r["delta"] ** -exponent,
+                  "measured": None if cloud is None
+                  else r["measured_entropy_if_any"]}
+                 for r in rows],
+        "all_ok": all_ok}}
 
 
-def _run_concentration(args, out):
+def _run_concentration(args):
+    if args.check == "cosh":
+        rep = conc.cosh_moment_check(args.c, args.n, args.lambdas, args.reps,
+                                     args.seed, d_y=args.dy,
+                                     threads=args.threads)
+        return rep.all_ok, {"cosh.csv": rep.rows, "cosh.json": rep}
+    if args.check == "gaussian-mgf":
+        rows = conc.gaussian_mgf_check(_spectrum(args.spectrum), args.lambdas)
+        ok = all(r.ok for r in rows)
+        return ok, {"gaussian_mgf.csv": rows, "gaussian_mgf.json":
+                    {"all_ok": ok, "deterministic": True}}
     if args.check == "hoeffding-real":
         rep = conc.hoeffding_real_check(args.c, args.n, args.t, args.reps,
                                         args.seed, threads=args.threads)
@@ -340,54 +367,28 @@ def _run_concentration(args, out):
         rep = conc.hoeffding_hilbert_check(args.c, args.n, args.dy, args.t,
                                            args.reps, args.seed,
                                            threads=args.threads)
-    elif args.check == "cosh":
-        rep = conc.cosh_moment_check(args.c, args.n, args.lambdas, args.reps,
-                                     args.seed, d_y=args.dy,
-                                     threads=args.threads)
-        write_csv(os.path.join(out, "cosh.csv"),
-                  ["lambda", "lhs", "rel_se", "rhs", "status"],
-                  [(r.lam, r.lhs, r.rel_se, r.rhs, r.status) for r in rep.rows])
-        write_json(os.path.join(out, "cosh.json"), rep.to_json())
-        return rep.all_ok, ["cosh.csv", "cosh.json"]
-    elif args.check == "gaussian-mgf":
-        rows = conc.gaussian_mgf_check(_spectrum(args.spectrum), args.lambdas)
-        write_csv(os.path.join(out, "gaussian_mgf.csv"),
-                  ["lambda", "product", "bound", "ok"],
-                  [(r.lam, r.product, r.bound, r.ok) for r in rows])
-        ok = all(r.ok for r in rows)
-        write_json(os.path.join(out, "gaussian_mgf.json"),
-                   {"all_ok": ok, "deterministic": True})
-        return ok, ["gaussian_mgf.csv", "gaussian_mgf.json"]
     else:
         rep = conc.gaussian_tail_check(_spectrum(args.spectrum), args.a,
                                        args.reps, args.seed,
                                        threads=args.threads)
-    rep.write_csv(os.path.join(out, "tail_report.csv"))
-    write_json(os.path.join(out, "tail_report.json"),
-               {"all_ok": rep.all_ok, "reps": rep.reps, "seed": rep.seed})
-    return rep.all_ok, ["tail_report.csv", "tail_report.json"]
+    return rep.all_ok, {"tail_report.csv": rep.rows(), "tail_report.json":
+                        {"all_ok": rep.all_ok, "reps": rep.reps,
+                         "seed": rep.seed}}
 
 
-def _run_symmetrize(args, out):
+def _run_symmetrize(args):
     cls = _ball_class(args, args.class_seed)
     rep = ep.symmetrization_check(cls, args.n, args.reps, args.seed,
                                   threads=args.threads)
-    write_json(os.path.join(out, "symmetrize.json"), rep.to_json())
-    write_csv(os.path.join(out, "symmetrize.csv"),
-              ["mean_dev", "mean_pair", "mean_rad", "se_dev", "se_pair",
-               "se_rad", "ok_pair", "ok_rad"],
-              [(rep.mean_dev, rep.mean_pair, rep.mean_rad, rep.se_dev,
-                rep.se_pair, rep.se_rad, rep.ok_pair, rep.ok_rad)])
-    return rep.all_ok, ["symmetrize.json", "symmetrize.csv"]
+    summary = rep.to_json()
+    row = {k: v for k, v in summary.items() if k not in ("reps", "seed")}
+    return rep.all_ok, {"symmetrize.json": summary, "symmetrize.csv": [row]}
 
 
-def _run_chain(args, out):
-    from .rng import substream
+def _run_chain(args):
     cls = _ball_class(args, args.class_seed)
-    design = fc.EmpiricalDesign.uniform(args.n, cls.d,
-                                        substream(args.seed, _TAG_CLI_DESIGN))
+    design = _design(args, cls)
     plan = ep.build_chaining_plan(cls, design, args.levels)
-    write_json(os.path.join(out, "chain_plan.json"), plan.to_json())
     if args.kind == "rademacher":
         rep = ep.chaining_tail_check(plan, cls, design, args.t, args.reps,
                                      args.seed, threads=args.threads)
@@ -396,26 +397,25 @@ def _run_chain(args, out):
                                           args.t, args.reps, args.seed,
                                           s_levels=args.levels,
                                           threads=args.threads)
-    rep.write_csv(os.path.join(out, "chain_tail.csv"))
     ok = plan.links_valid() and rep.all_ok
-    write_json(os.path.join(out, "chain_tail.json"),
-               {"all_ok": ok, "links_valid": plan.links_valid(),
-                "reps": rep.reps, "seed": rep.seed})
-    return ok, ["chain_plan.json", "chain_tail.csv", "chain_tail.json"]
+    return ok, {"chain_plan.json": plan, "chain_tail.csv": rep.rows(),
+                "chain_tail.json": {"all_ok": ok,
+                                    "links_valid": plan.links_valid(),
+                                    "reps": rep.reps, "seed": rep.seed}}
 
 
-def _run_gc(args, out):
+def _run_gc(args):
     cls = _ball_class(args, args.class_seed)
     rows, slope = ep.gc_decay_curve(cls, args.n_grid, args.reps, args.seed,
                                     threads=args.threads)
-    write_csv(os.path.join(out, "gc_curve.csv"), ["n", "median_deviation"], rows)
     ok = rows[-1][1] <= rows[0][1]
-    write_json(os.path.join(out, "gc_curve.json"),
-               {"rows": rows, "trend_slope": slope, "ok": ok})
-    return ok, ["gc_curve.csv", "gc_curve.json"]
+    return ok, {"gc_curve.csv": [{"n": n, "median_deviation": med}
+                                 for n, med in rows],
+                "gc_curve.json": {"rows": rows, "trend_slope": slope,
+                                  "ok": ok}}
 
 
-def _run_regress(args, out):
+def _run_regress(args):
     pool = reg.default_rate_pool(seed=args.class_seed, d_y=args.dy,
                                  k_b=args.kb, base_count=args.base_count)
     noise = conc.CovarianceSpectrum.uniform(args.dy)
@@ -423,40 +423,27 @@ def _run_regress(args, out):
                               args.seed, t=args.t,
                               net_fraction=args.net_fraction,
                               threads=args.threads)
-    write_csv(os.path.join(out, "rate.csv"),
-              ["n", "median_error", "delta_n", "coverage_fail", "net_size"],
-              fit.rows())
-    write_json(os.path.join(out, "rate.json"), fit.to_json())
     ok = fit.basic_ok and bool(np.all(fit.coverage_ok))
-    return ok, ["rate.csv", "rate.json"]
+    return ok, {"rate.csv": fit.rows(), "rate.json": fit}
 
 
-def _run_erm(args, out):
+def _run_erm(args):
     cls = _ball_class(args, args.class_seed)
     noise = conc.CovarianceSpectrum.uniform(args.dy)
     rep = reg.erm_lipschitz_experiment(cls, noise, args.n_grid, args.reps,
                                        args.seed, cap=args.cap,
                                        lipschitz=args.lipschitz,
                                        threads=args.threads)
-    write_csv(os.path.join(out, "erm.csv"),
-              ["n", "median_excess", "q95_excess", "rad_mean", "rad_se",
-               "bound", "decomposition_ok", "ok"],
-              [(r.n, r.median_excess, r.q95_excess, r.rad_mean, r.rad_se,
-                r.bound, r.decomposition_ok, r.ok) for r in rep.rows])
-    write_json(os.path.join(out, "erm.json"), rep.to_json())
-    return rep.all_ok, ["erm.csv", "erm.json"]
+    return rep.all_ok, {"erm.csv": rep.rows, "erm.json": rep}
 
 
-def _run_rademacher(args, out):
-    from .rng import substream
+def _run_rademacher(args):
     cls = _ball_class(args, args.class_seed)
-    design = fc.EmpiricalDesign.uniform(args.n, cls.d,
-                                        substream(args.seed, _TAG_CLI_DESIGN))
+    design = _design(args, cls)
     if args.check == "norm":
         est = rad.norm_rademacher(cls, design, mode=args.mode, reps=args.reps,
                                   seed=args.seed, threads=args.threads)
-        write_json(os.path.join(out, "rademacher.json"), est.to_json())
-        return True, ["rademacher.json"]
+        return True, {"rademacher.json": est}
     if args.check == "coordinatewise":
         from .hilbert import OrthonormalBasis
         basis = OrthonormalBasis.identity(cls.d_y)
@@ -464,25 +451,19 @@ def _run_rademacher(args, out):
         for normalized, key in ((False, "pattern_sum"), (True, "normalized")):
             if args.mode == "mc" and not normalized:
                 continue  # pattern sums require exact enumeration
-            est = rad.coordinatewise_rademacher(cls, design, basis,
-                                                normalized=normalized,
-                                                mode=args.mode,
-                                                reps=args.reps,
-                                                seed=args.seed)
-            out_obj[key] = est.to_json()
-        write_json(os.path.join(out, "rademacher.json"), out_obj)
-        return True, ["rademacher.json"]
+            out_obj[key] = rad.coordinatewise_rademacher(
+                cls, design, basis, normalized=normalized, mode=args.mode,
+                reps=args.reps, seed=args.seed)
+        return True, {"rademacher.json": out_obj}
     rep = rad.rademacher_entropy_bound_check(cls, design, args.levels,
                                              mode=args.mode, reps=args.reps,
                                              seed=args.seed)
-    write_json(os.path.join(out, "rademacher.json"), rep.to_json())
-    return rep.ok, ["rademacher.json"]
+    return rep.ok, {"rademacher.json": rep}
 
 
-def _run_demo(args, out):
+def _run_demo(args):
     rep = rad.basis_dependence_demo()
-    write_json(os.path.join(out, "counterexample.json"), rep.to_json())
-    return rep.dependent, ["counterexample.json"]
+    return rep.dependent, {"counterexample.json": rep}
 
 
 _RUNNERS = {
@@ -513,8 +494,11 @@ def main(argv=None) -> int:
     out = args.out or os.path.join("runs", f"{args.command}-{args.seed}")
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
+        ok, artifacts = _RUNNERS[args.command](args)
         os.makedirs(out, exist_ok=True)
-        ok, artifacts = _RUNNERS[args.command](args, out)
+        for name, payload in artifacts.items():
+            write = write_csv if name.endswith(".csv") else write_json
+            write(os.path.join(out, name), payload)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -529,7 +513,7 @@ def main(argv=None) -> int:
         "version": __version__,
         "started": started,
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": [os.path.join(out, a) for a in artifacts],
+        "outputs": [os.path.join(out, name) for name in artifacts],
         "ok": bool(ok),
     }
     write_json(os.path.join(out, "manifest.json"), manifest)

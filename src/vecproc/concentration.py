@@ -12,13 +12,13 @@ counter-derived seeds and combined in block order, so results depend only on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hilbert import OrthonormalBasis
-from .reports import TailReport, binomial_report
-from .rng import map_blocks, substream
+from .reports import TailReport, binomial_report, fields_json
+from .rng import map_blocks, rademacher_signs, substream
 
 _TAG_REAL = 301
 _TAG_HILBERT = 302
@@ -88,7 +88,7 @@ def _per_sample_bounds(c, n: int) -> np.ndarray:
     c = np.asarray(c, float)
     if c.ndim == 0:
         c = np.full(n, float(c))
-    if c.shape != (n,) or np.any(c <= 0):
+    if c.shape != (n,) or not np.all(c > 0):
         raise ValueError("need n positive bounds c_i")
     return c
 
@@ -103,7 +103,7 @@ def hoeffding_real_check(c, n: int, t_grid, reps: int, seed: int,
 
     def block(idx, size):
         rng = substream(seed, _TAG_REAL, idx)
-        signs = rng.choice([-1.0, 1.0], size=(size, n))
+        signs = rademacher_signs(rng, (size, n))
         s = signs @ c
         return (s[:, None] >= thresholds[None, :]).sum(axis=0)
 
@@ -116,7 +116,7 @@ def _bounded_vector_sum(rng, size, n, d_y, c):
     uniform random unit direction: zero mean, ||Y_i|| = c_i surely."""
     dirs = rng.standard_normal((size, n, d_y))
     dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-    dirs *= rng.choice([-1.0, 1.0], size=(size, n, 1))
+    dirs *= rademacher_signs(rng, (size, n, 1))
     dirs *= c[None, :, None]
     return np.sum(dirs, axis=1)
 
@@ -140,7 +140,7 @@ def hoeffding_hilbert_check(c, n: int, d_y: int, t_grid, reps: int, seed: int,
 
 @dataclass(frozen=True)
 class MomentRow:
-    lam: float
+    lam: float = field(metadata={"json": "lambda"})
     lhs: float
     rel_se: float
     rhs: float
@@ -158,9 +158,7 @@ class MomentReport:
         return all(r.status != "fail" for r in self.rows)
 
     def to_json(self):
-        return {"reps": self.reps, "seed": self.seed, "all_ok": self.all_ok,
-                "rows": [{"lambda": r.lam, "lhs": r.lhs, "rel_se": r.rel_se,
-                          "rhs": r.rhs, "status": r.status} for r in self.rows]}
+        return {**fields_json(self), "all_ok": self.all_ok}
 
 
 def cosh_moment_check(c, n: int, lambda_grid, reps: int, seed: int, d_y: int = 5,
@@ -203,7 +201,7 @@ def cosh_moment_check(c, n: int, lambda_grid, reps: int, seed: int, d_y: int = 5
 
 @dataclass(frozen=True)
 class MgfRow:
-    lam: float
+    lam: float = field(metadata={"json": "lambda"})
     product: float
     bound: float
     ok: bool

@@ -141,7 +141,7 @@ def greedy_cover(cloud: PointCloud, delta: float, start: int = 0) -> CoverResult
     prefix of the farthest-point traversal from `start`, so one fine cover
     answers every coarser radius through `size_at`.
     """
-    if delta <= 0:
+    if not delta > 0:     # rejects NaN too
         raise ValueError("delta must be positive")
     if cloud.size == 0:
         raise ValueError("cloud must be nonempty")
@@ -171,7 +171,7 @@ def exact_cover_number(cloud: PointCloud, delta: float) -> int:
     Branch and bound over cover bitmasks; exponential, so the cloud is
     capped at 20 points.
     """
-    if delta <= 0:
+    if not delta > 0:     # rejects NaN too
         raise ValueError("delta must be positive")
     n = cloud.size
     if n == 0:

@@ -10,11 +10,12 @@ but never certify it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .covering import PointCloud, exact_cover_number, greedy_cover
+from .reports import fields_json
 from .rng import substream
 
 _TAG_TRIAL = 201
@@ -30,12 +31,6 @@ class DimensionFit:
     slope: float
     intercept: float
     fit_range: tuple
-
-    def to_json(self):
-        return {"delta_grid": [float(d) for d in self.delta_grid],
-                "entropies": [float(h) for h in self.entropies],
-                "slope": self.slope, "intercept": self.intercept,
-                "fit_range": list(self.fit_range)}
 
 
 def _spread_starts(cloud: PointCloud, n_starts: int) -> np.ndarray:
@@ -120,8 +115,8 @@ def approx_diameter(cloud: PointCloud) -> float:
 @dataclass(frozen=True)
 class HomogeneityTrial:
     center: int
-    radius_big: float
-    radius_small: float
+    radius_big: float = field(metadata={"json": "R"})
+    radius_small: float = field(metadata={"json": "r"})
     local_size: int
     measured: int
     bound: float
@@ -140,11 +135,7 @@ class HomogeneityReport:
         return all(t.ok for t in self.trials)
 
     def to_json(self):
-        return {"m": self.m, "tau": self.tau, "all_ok": self.all_ok,
-                "trials": [{"center": t.center, "R": t.radius_big,
-                            "r": t.radius_small, "local_size": t.local_size,
-                            "measured": t.measured, "bound": t.bound,
-                            "exact": t.exact, "ok": t.ok} for t in self.trials]}
+        return {**fields_json(self), "all_ok": self.all_ok}
 
 
 def _sample_trials(cloud: PointCloud, n_trials: int, seed: int,

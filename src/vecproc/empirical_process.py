@@ -18,19 +18,14 @@ import numpy as np
 from .covering import PointCloud, greedy_cover
 from .function_class import (EmpiricalDesign, FunctionClass, GridFunction,
                              l2_distance_uniform, mean_uniform)
-from .reports import TailReport, binomial_report
-from .rng import map_blocks, substream
+from .reports import TailReport, binomial_report, fields_json
+from .rng import map_blocks, rademacher_signs, substream
 
 _TAG_SYM = 401
 _TAG_GC = 402
 _TAG_CHAIN = 403
 _TAG_EQUI = 404
 _TAG_SYMPROB = 405
-
-
-def _require_uniform(law: str):
-    if law != "uniform":
-        raise ValueError("only the uniform input law on [0,1]^d is supported")
 
 
 def empirical_mean(g: GridFunction, design: EmpiricalDesign) -> np.ndarray:
@@ -89,15 +84,12 @@ class SymmetrizationReport:
         return self.ok_pair and self.ok_rad
 
     def to_json(self):
-        return {"mean_dev": self.mean_dev, "mean_pair": self.mean_pair,
-                "mean_rad": self.mean_rad, "se_dev": self.se_dev,
-                "se_pair": self.se_pair, "se_rad": self.se_rad,
-                "reps": self.reps, "seed": self.seed,
-                "ok_pair": self.ok_pair, "ok_rad": self.ok_rad}
+        return {**fields_json(self), "ok_pair": self.ok_pair,
+                "ok_rad": self.ok_rad}
 
 
 def symmetrization_check(cls: FunctionClass, n: int, reps: int, seed: int,
-                         law: str = "uniform", threads: int = 1) -> SymmetrizationReport:
+                         threads: int = 1) -> SymmetrizationReport:
     """Monte-Carlo check of both symmetrization inequalities.
 
     E||P_n - P||_G <= E||P_n - P'_n||_G and <= 2 E||P_n^sigma||_G, with
@@ -105,7 +97,6 @@ def symmetrization_check(cls: FunctionClass, n: int, reps: int, seed: int,
     time and folded into running suprema, so a block holds one member's
     (B, n, d_Y) values, not the whole class.
     """
-    _require_uniform(law)
     if reps < 2:
         raise ValueError("reps must be at least 2")
     means = true_means(cls)
@@ -114,7 +105,7 @@ def symmetrization_check(cls: FunctionClass, n: int, reps: int, seed: int,
         rng = substream(seed, _TAG_SYM, idx)
         x = rng.uniform(size=(size, n, cls.d)).reshape(-1, cls.d)
         x2 = rng.uniform(size=(size, n, cls.d)).reshape(-1, cls.d)
-        signs = rng.choice([-1.0, 1.0], size=(size, 1, n, 1))[:, 0]
+        signs = rademacher_signs(rng, (size, n, 1))
         dev, pair, rad = np.zeros(size), np.zeros(size), np.zeros(size)
         for g, mean in zip(cls.members, means):
             vals = g.evaluate(x).reshape(size, n, cls.d_y)
@@ -153,7 +144,7 @@ def symmetrization_probability_check(cls: FunctionClass, n: int, a_grid,
     def block(idx, size):
         rng = substream(seed, _TAG_SYMPROB, idx)
         x = rng.uniform(size=(size, n, cls.d)).reshape(-1, cls.d)
-        signs = rng.choice([-1.0, 1.0], size=(size, 1, n, 1))[:, 0]
+        signs = rademacher_signs(rng, (size, n, 1))
         per_member = np.empty((size, len(cls)))
         rad = np.zeros(size)
         for k, (g, mean) in enumerate(zip(cls.members, means)):
@@ -188,12 +179,11 @@ def symmetrization_probability_check(cls: FunctionClass, n: int, a_grid,
 
 
 def gc_decay_curve(cls: FunctionClass, n_grid, reps: int, seed: int,
-                   law: str = "uniform", threads: int = 1):
+                   threads: int = 1):
     """Median ||P_n - P||_G per sample size, with a log-log trend slope.
 
     Returns (rows, trend_slope); rows are (n, median deviation).
     """
-    _require_uniform(law)
     means = true_means(cls)
     rows = []
     for pos, n in enumerate(n_grid):
@@ -251,11 +241,7 @@ class ChainingPlan:
         return bool(np.all(self.link_dist <= self.link_radii()[None, :] * (1 + 1e-9)))
 
     def to_json(self):
-        return {"s_levels": self.s_levels, "r_n": self.r_n, "j_n": self.j_n,
-                "n_s": [int(v) for v in self.n_s],
-                "h_s": [float(v) for v in self.h_s],
-                "level_centers": [[int(i) for i in lv] for lv in self.level_centers],
-                "chains": self.chains.tolist()}
+        return {k: v for k, v in fields_json(self).items() if k != "link_dist"}
 
 
 def build_chaining_plan(cls: FunctionClass, design: EmpiricalDesign,
@@ -325,7 +311,7 @@ def chaining_tail_check(plan: ChainingPlan, cls: FunctionClass,
 
     def block(idx, size):
         rng = substream(seed, _TAG_CHAIN, idx)
-        signs = rng.choice([-1.0, 1.0], size=(size, n))
+        signs = rademacher_signs(rng, (size, n))
         sums = np.einsum("bn,tnd->btd", signs, top_vals) / n
         stat = np.linalg.norm(sums, axis=2).max(axis=1)
         return (stat[:, None] >= thresholds[None, :]).sum(axis=0)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import substream
+from .rng import rademacher_signs, substream
 
 _TAG_MEMBER = 101
 _TAG_SAMPLE_B = 102
@@ -252,6 +252,11 @@ class GridFunction:
                                        self.amps * factor, self.dirs)
 
 
+# points per chunk of the (n, J, d) angle tensor in _eval_terms; the (n, J)
+# cosine product is filled chunk by chunk and multiplied in one GEMM
+_EVAL_CHUNK = 1 << 14
+
+
 def _eval_terms(x, freqs, phases, amps, dirs, p) -> np.ndarray:
     """D^p of the trig sum at points x: (n, d_Y)."""
     n = x.shape[0]
@@ -262,9 +267,11 @@ def _eval_terms(x, freqs, phases, amps, dirs, p) -> np.ndarray:
     base = TWO_PI * freqs.astype(float)
     with np.errstate(divide="ignore"):
         factors = np.prod(np.where(p[None, :] > 0, base ** p[None, :], 1.0), axis=1)
-    angle = base[None, :, :] * x[:, None, :] + phases[None, :, :] \
-        + 0.5 * math.pi * p[None, None, :]
-    cosprod = np.prod(np.cos(angle), axis=2)            # (n, J)
+    cosprod = np.empty((n, amps.size))
+    for lo in range(0, n, _EVAL_CHUNK):
+        angle = base[None, :, :] * x[lo:lo + _EVAL_CHUNK, None, :] \
+            + phases[None, :, :] + 0.5 * math.pi * p[None, None, :]
+        np.prod(np.cos(angle), axis=2, out=cosprod[lo:lo + _EVAL_CHUNK])
     return cosprod @ ((amps * factors)[:, None] * dirs)  # (n, d_Y)
 
 
@@ -355,7 +362,7 @@ def _draw_terms(rng, n_terms, d, max_freq, min_freq=0):
     if np.all(freqs == 0):
         freqs[0, rng.integers(0, d)] = 1 + rng.integers(0, max_freq)
     phases = rng.uniform(0.0, TWO_PI, size=(n_terms, d))
-    raw = rng.uniform(0.3, 1.0, size=n_terms) * rng.choice([-1.0, 1.0], size=n_terms)
+    raw = rng.uniform(0.3, 1.0, size=n_terms) * rademacher_signs(rng, n_terms)
     return freqs, phases, raw
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .empirical_process import build_chaining_plan
 from .function_class import EmpiricalDesign, FunctionClass
 from .hilbert import OrthonormalBasis
-from .rng import map_blocks, substream
+from .rng import map_blocks, rademacher_signs, substream
 
 _TAG_NORM_MC = 601
 _TAG_COORD_MC = 602
@@ -39,10 +39,6 @@ class RademacherEstimate:
     form: str                 # "norm" | "coordinatewise" | "pattern_sum_coordinatewise"
     n_patterns: int = 0       # patterns enumerated (exact) or sampled (MC)
     se: float = 0.0
-
-    def to_json(self):
-        return {"value": self.value, "mode": self.mode, "form": self.form,
-                "n_patterns": self.n_patterns, "se": self.se}
 
 
 def _sign_matrix(start: int, count: int, n_bits: int) -> np.ndarray:
@@ -78,7 +74,7 @@ def norm_rademacher_values(values: np.ndarray, mode: str = "exact",
 
     def block(idx, size):
         rng = substream(seed, _TAG_NORM_MC, idx)
-        signs = rng.choice([-1.0, 1.0], size=(size, n))
+        signs = rademacher_signs(rng, (size, n))
         sums = np.einsum("cn,knd->ckd", signs, values) / n
         stat = np.linalg.norm(sums, axis=2).max(axis=1)
         return stat.sum(), (stat ** 2).sum()
@@ -154,7 +150,7 @@ def coordinatewise_rademacher_values(coords: np.ndarray, normalized: bool,
 
     def block(idx, size):
         rng = substream(seed, _TAG_COORD_MC, idx)
-        signs = rng.choice([-1.0, 1.0], size=(size, n_eff))
+        signs = rademacher_signs(rng, (size, n_eff))
         stat = (signs @ eff.T).max(axis=1) / n
         return stat.sum(), (stat ** 2).sum()
 
@@ -205,14 +201,6 @@ class CounterexampleReport:
     norm_form_rotated: float
     dependent: bool
 
-    def to_json(self):
-        return {"standard": self.standard, "rotated": self.rotated,
-                "normalized_standard": self.normalized_standard,
-                "normalized_rotated": self.normalized_rotated,
-                "norm_form_standard": self.norm_form_standard,
-                "norm_form_rotated": self.norm_form_rotated,
-                "dependent": self.dependent}
-
 
 def basis_dependence_demo() -> CounterexampleReport:
     """Exact enumeration of the two-projection counterexample.
@@ -252,10 +240,6 @@ class EntropyBoundReport:
     j_n: float
     s_levels: int
     ok: bool
-
-    def to_json(self):
-        return {"estimate": self.estimate, "bound": self.bound, "r_n": self.r_n,
-                "j_n": self.j_n, "s_levels": self.s_levels, "ok": self.ok}
 
 
 def rademacher_entropy_bound_check(cls: FunctionClass, design: EmpiricalDesign,

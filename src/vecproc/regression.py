@@ -19,8 +19,8 @@ from .covering import PointCloud, greedy_cover
 from .covering import greedy_cover as greedy_cover_from  # former name, kept for callers
 from .empirical_process import build_chaining_plan
 from .function_class import EmpiricalDesign, FunctionClass, SmoothOutputDescriptor
-from .reports import TailReport, binomial_report
-from .rng import map_blocks, substream
+from .reports import TailReport, binomial_report, fields_json, jsonable
+from .rng import map_blocks, rademacher_signs, substream
 
 _TAG_LS = 501
 _TAG_RATE = 502
@@ -184,23 +184,14 @@ class RateFit:
         return self.coverage_fail <= self.coverage_bound + 3.0 * se
 
     def rows(self):
-        return [(int(n), float(m), float(dn), float(cf), int(ns))
+        return [{"n": int(n), "median_error": float(m), "delta_n": float(dn),
+                 "coverage_fail": float(cf), "net_size": int(ns)}
                 for n, m, dn, cf, ns in zip(self.n_values, self.median_errors,
                                             self.delta_n, self.coverage_fail,
                                             self.net_sizes)]
 
     def to_json(self):
-        return {"n_values": [int(v) for v in self.n_values],
-                "median_errors": [float(v) for v in self.median_errors],
-                "slope": self.slope,
-                "theoretical_exponent": self.theoretical_exponent,
-                "delta_n": [float(v) for v in self.delta_n],
-                "coverage_fail": [float(v) for v in self.coverage_fail],
-                "coverage_bound": self.coverage_bound,
-                "coverage_ok": [bool(v) for v in self.coverage_ok],
-                "basic_ok": self.basic_ok,
-                "net_sizes": [int(v) for v in self.net_sizes],
-                "reps": self.reps, "seed": self.seed}
+        return {**fields_json(self), "coverage_ok": jsonable(self.coverage_ok)}
 
 
 def smoothness_exponent(cls: FunctionClass) -> float:
@@ -371,6 +362,8 @@ def gaussian_chaining_check(cls: FunctionClass, design: EmpiricalDesign,
     """
     if abs(noise.trace - 1.0) > 1e-9:
         raise ValueError("noise covariance must have trace 1")
+    if noise.d_y != cls.d_y:
+        raise ValueError("noise dimension must match the output space")
     plan = build_chaining_plan(cls, design, s_levels)
     n = design.n
     ts = np.asarray(t_grid, float)
@@ -441,14 +434,7 @@ class ErmReport:
         return all(r.ok and r.decomposition_ok for r in self.rows)
 
     def to_json(self):
-        return {"g_star": self.g_star, "risk_se": self.risk_se,
-                "reps": self.reps, "seed": self.seed, "all_ok": self.all_ok,
-                "risks": [float(v) for v in self.risks],
-                "rows": [{"n": r.n, "median_excess": r.median_excess,
-                          "q95_excess": r.q95_excess, "rad_mean": r.rad_mean,
-                          "rad_se": r.rad_se, "bound": r.bound,
-                          "decomposition_ok": r.decomposition_ok, "ok": r.ok}
-                         for r in self.rows]}
+        return {**fields_json(self), "all_ok": self.all_ok}
 
 
 def population_risks(cls: FunctionClass, noise: CovarianceSpectrum,
@@ -537,7 +523,7 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
                 excesses[b] = excess
                 decomp[b] = excess <= (np.max(risks - emp)
                                        + emp[g_star] - risks[g_star] + 1e-12)
-                signs = rng.choice([-1.0, 1.0], size=(rad_patterns, n))
+                signs = rademacher_signs(rng, (rad_patterns, n))
                 rads[b] = np.abs(signs @ loss.T / n).max(axis=1).mean()
             return excesses, rads, decomp
 

@@ -1,5 +1,7 @@
 """Shared report containers and CSV/JSON emission.
 
+One converter, `jsonable`, feeds both writers. A CSV body is a list of row
+dicts whose keys are the header, so a CSV row is the JSON row it came from.
 CSV files are RFC-4180 with a header row, LF line endings and UTF-8; floats
 are written with 17 significant digits so re-parsing round-trips exactly.
 """
@@ -7,6 +9,7 @@ are written with 17 significant digits so re-parsing round-trips exactly.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -14,26 +17,58 @@ import numpy as np
 
 
 def fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    """One CSV cell of a `jsonable` value."""
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+    if isinstance(value, float):
+        return format(value, ".17g")
     return str(value)
 
 
-def write_csv(path, header, rows) -> None:
+def jsonable(obj):
+    """JSON-ready form: to_json() where the class defines one, otherwise the
+    dataclass fields; numpy arrays and scalars become Python lists and
+    numbers."""
+    to_json = getattr(obj, "to_json", None)
+    if callable(to_json):
+        return jsonable(to_json())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return fields_json(obj)
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    return obj
+
+
+def fields_json(obj) -> dict:
+    """A dataclass's fields, JSON-ready, in declaration order; a field's
+    "json" metadata entry, where it has one, renames its key."""
+    return {f.metadata.get("json", f.name): jsonable(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)}
+
+
+def write_csv(path, rows) -> None:
+    """Rows (dicts, or objects `jsonable` turns into dicts) under the first
+    row's keys as header; every row must carry exactly those keys."""
+    rows = jsonable(rows)
+    if not rows:
+        raise ValueError("a CSV body needs at least one row")
+    header = list(rows[0])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([fmt(v) for v in row])
+            if list(row) != header:
+                raise ValueError("CSV rows disagree on their keys")
+            writer.writerow([fmt(v) for v in row.values()])
 
 
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(jsonable(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -62,18 +97,14 @@ class TailReport:
         return bool(np.all(self.ok))
 
     def rows(self):
-        return [(float(t), float(f), float(s), float(b), bool(o))
+        return [{"threshold": float(t), "freq": float(f), "se": float(s),
+                 "bound": float(b), "ok": bool(o)}
                 for t, f, s, b, o in zip(self.thresholds, self.freqs,
                                          self.ses, self.bounds, self.ok)]
 
-    def write_csv(self, path):
-        write_csv(path, ["threshold", "freq", "se", "bound", "ok"], self.rows())
-
     def to_json(self):
         return {"label": self.label, "reps": self.reps, "seed": self.seed,
-                "all_ok": self.all_ok,
-                "rows": [{"threshold": t, "freq": f, "se": s, "bound": b, "ok": o}
-                         for t, f, s, b, o in self.rows()]}
+                "all_ok": self.all_ok, "rows": self.rows()}
 
 
 def binomial_report(thresholds, counts, bounds, reps, seed, label="t") -> TailReport:

@@ -45,6 +45,12 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def rademacher_signs(gen: np.random.Generator, shape) -> np.ndarray:
+    """Independent +-1.0 signs of the given shape: the package's one sign
+    sampler, so every Rademacher draw consumes the stream the same way."""
+    return gen.choice([-1.0, 1.0], size=shape)
+
+
 def block_sizes(reps: int, block: int = BLOCK_SIZE):
     """Split `reps` into fixed blocks; the split ignores worker count."""
     if reps <= 0:

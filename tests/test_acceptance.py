@@ -8,7 +8,9 @@ not 0), so that single assertion fails and is expected to fail until the
 reference value is corrected. Everything else passes.
 """
 
+import csv
 import itertools
+import json
 import math
 import time
 
@@ -23,6 +25,7 @@ from vecproc import function_class as fc
 from vecproc import rademacher as rad
 from vecproc import regression as reg
 from vecproc.cli import main as cli_main
+from vecproc.reports import fmt
 from vecproc.rng import substream
 
 
@@ -285,12 +288,12 @@ def run_cli_pair(tmp_path, name, args):
     return outs
 
 
-def test_c11_determinism(tmp_path):
-    c = Criterion("C11 determinism", 600.0)
+def c11_battery(tmp_path):
+    """One small run of every subcommand; pts.csv is written into tmp_path."""
     pts = tmp_path / "pts.csv"
     rng = substream(11, 0)
     np.savetxt(pts, rng.uniform(size=(60, 2)), delimiter=",")
-    battery = [
+    return [
         ("demo", ["demo-counterexample", "--seed", "3"]),
         ("conc-hh", ["concentration", "--check", "hoeffding-hilbert",
                      "--n", "20", "--dy", "5", "--t", "0.5,1,2",
@@ -320,8 +323,43 @@ def test_c11_determinism(tmp_path):
                         "--count", "10", "--n", "12", "--levels", "4",
                         "--resolution", "65", "--seed", "3"]),
     ]
-    for name, args in battery:
+
+
+def test_c11_determinism(tmp_path):
+    c = Criterion("C11 determinism", 600.0)
+    for name, args in c11_battery(tmp_path):
         a, b = run_cli_pair(tmp_path, name, args)
         c.check(f"{name}: csv bodies byte-identical across --threads",
                 a == b and (len(a) > 0 or name in ("demo", "rademacher")))
     c.finish()
+
+
+def assert_csv_holds_rows(path, rows):
+    """The CSV header is the row keys and every cell is its row's value."""
+    header, *body = list(csv.reader(path.read_text().splitlines()))
+    assert sorted(header) == sorted(rows[0])
+    assert body == [[fmt(row[k]) for k in header] for row in rows]
+
+
+def test_report_protocol(tmp_path):
+    """Manifest outputs are exactly the files a run wrote, and each CSV
+    whose JSON carries rows holds exactly those rows."""
+    runs = c11_battery(tmp_path) + [
+        ("cosh", ["concentration", "--check", "cosh", "--n", "5", "--dy", "3",
+                  "--lambdas", "0.1,0.3", "--reps", "10000", "--seed", "3"]),
+        ("homogeneity", ["dimension", "--input", str(tmp_path / "pts.csv"),
+                         "--check", "homogeneity", "--trials", "10"]),
+    ]
+    for name, args in runs:
+        out = tmp_path / name
+        assert cli_main(args + ["--out", str(out)]) in (0, 1)
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        written = [p.name for p in out.iterdir() if p.name != "manifest.json"]
+        assert sorted(outputs) == sorted(str(out / f) for f in written), name
+    for name, key in (("cosh", "rows"), ("homogeneity", "trials"),
+                      ("erm", "rows")):
+        rows = json.loads((tmp_path / name / f"{name}.json").read_text())[key]
+        assert_csv_holds_rows(tmp_path / name / f"{name}.csv", rows)
+    tail = conc.hoeffding_hilbert_check(1.0, 20, 5, [0.5, 1.0, 2.0], 40000, 3)
+    assert_csv_holds_rows(tmp_path / "conc-hh" / "tail_report.csv",
+                          tail.to_json()["rows"])

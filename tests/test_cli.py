@@ -176,3 +176,40 @@ def test_invalid_monte_carlo_input_exits_2(tmp_path, capsys, argv, message):
     assert code == 2
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gc", "--n-grid", ","], "needs at least one value"),
+    (["regress", "--n-grid", ","], "needs at least one value"),
+    (["erm", "--n-grid", ","], "needs at least one value"),
+    (["concentration", "--check", "cosh", "--lambdas", ","],
+     "needs at least one value"),
+    (["smooth-cover", "--delta", ","], "needs at least one value"),
+    (["concentration", "--check", "hoeffding-real", "--t", "-1"],
+     "must be at least 0"),
+    (["concentration", "--check", "gaussian-tail", "--spectrum", "uniform:0"],
+     "must be at least 1"),
+    (["chain", "--n", "0"], "must be at least 1"),
+    (["symmetrize", "--n", "0"], "must be at least 1"),
+    (["rademacher", "--n", "0"], "must be at least 1"),
+    (["demo-counterexample", "--threads", "0"], "must be at least 1"),
+    (["dimension", "--input", "EMPTY"], "holds no points"),
+    (["cover", "--input", "POINTS", "--delta", "nan"], "delta must be positive"),
+    (["concentration", "--check", "hoeffding-real", "--c", "nan"],
+     "need n positive bounds"),
+    (["bounds", "--deltas", "0.1,nan"], "must be a number"),
+    (["chain", "--kind", "gaussian", "--spectrum", "uniform:2"],
+     "noise dimension must match the output space"),
+])
+def test_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
+                                                  message):
+    files = {"EMPTY": tmp_path / "empty.csv", "POINTS": tmp_path / "points.csv"}
+    files["EMPTY"].write_text("")
+    files["POINTS"].write_text("0,0\n1,0\n0,1\n")
+    argv = [str(files.get(a, a)) for a in argv]
+    code, out = run_cli(argv, tmp_path, "out")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())

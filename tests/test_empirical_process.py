@@ -106,11 +106,6 @@ def test_symmetrization_generated_class():
     assert rep.ok_pair and rep.ok_rad
 
 
-def test_symmetrization_rejects_other_laws():
-    with pytest.raises(ValueError):
-        ep.symmetrization_check(zero_class(), 10, 100, seed=0, law="gauss")
-
-
 def stacked_symmetrization(cls, n, reps, seed):
     """symmetrization_check with every member stacked into (B, K, n, d_Y)."""
     means = ep.true_means(cls)

@@ -358,3 +358,24 @@ def test_blend_members_stays_in_class():
 def test_design_validation():
     with pytest.raises(ValueError):
         fc.EmpiricalDesign(np.array([[1.5]]))
+
+
+def one_shot_terms(x, g, p):
+    """D^p g with the whole (n, J, d) angle tensor formed at once."""
+    p = np.asarray(p, int)
+    base = 2.0 * math.pi * g.freqs.astype(float)
+    with np.errstate(divide="ignore"):
+        factors = np.prod(np.where(p[None, :] > 0, base ** p[None, :], 1.0), axis=1)
+    angle = base[None, :, :] * x[:, None, :] + g.phases[None, :, :] \
+        + 0.5 * math.pi * p[None, None, :]
+    return np.prod(np.cos(angle), axis=2) @ ((g.amps * factors)[:, None] * g.dirs)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_chunked_evaluation_matches_one_shot_formula(d):
+    cls = fc.generate_finite_dim_ball_class(d=d, m=1, d_y=3, k_b=1.0, count=2,
+                                            seed=5, resolution=9)
+    x = substream(5, d).uniform(size=(fc._EVAL_CHUNK + 1, d))
+    for g in cls.members:
+        for p in fc.multi_indices(d, 1):
+            assert np.array_equal(g.evaluate_deriv(x, p), one_shot_terms(x, g, p))

@@ -62,6 +62,7 @@ def _grid(kind, low=-math.inf):
 
 
 _positive = _number(int, 1)
+_real = _number(float, -math.inf)   # any number; the library checks its range
 _floats = _grid(float)
 _times = _grid(float, 0)       # the t of a tail bound e^-t
 _sizes = _grid(int, 1)         # sample sizes
@@ -110,7 +111,7 @@ def _add_class_flags(sub, count=20, d=1, m=1, dy=3, kb=1.0, resolution=None):
     sub.add_argument("--d", type=int, default=d)
     sub.add_argument("--m", type=int, default=m)
     sub.add_argument("--dy", type=int, default=dy)
-    sub.add_argument("--kb", type=float, default=kb)
+    sub.add_argument("--kb", type=_real, default=kb)
     sub.add_argument("--count", type=int, default=count)
     sub.add_argument("--resolution", type=_positive, default=resolution)
 
@@ -143,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", choices=["box", "homogeneity", "assouad"],
                    default="box")
     p.add_argument("--deltas", type=_floats, default=None)
-    p.add_argument("--big-m", type=float, default=2.0)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--big-m", type=_real, default=2.0)
+    p.add_argument("--tau", type=_real, default=1.0)
     p.add_argument("--trials", type=_positive, default=50)
     common(p)
 
@@ -153,11 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default="assouad")
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--kb", type=float, default=1.0)
+    p.add_argument("--kb", type=_real, default=1.0)
     p.add_argument("--deltas", type=_floats, default=[0.1, 0.05, 0.02, 0.01])
-    p.add_argument("--big-m", type=float, default=2.0)
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--h", type=float, default=None, help="rkhs smoothness, > d")
+    p.add_argument("--big-m", type=_real, default=2.0)
+    p.add_argument("--tau", type=_real, default=1.0)
+    p.add_argument("--h", type=_real, default=None, help="rkhs smoothness, > d")
     p.add_argument("--measure-count", type=int, default=0,
                    help="members of a generated class to measure entropy on")
     p.add_argument("--dy", type=int, default=3)
@@ -205,12 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regress", help="fixed-design least-squares rate study")
     p.add_argument("--dy", type=int, default=3)
-    p.add_argument("--kb", type=float, default=250.0)
+    p.add_argument("--kb", type=_real, default=250.0)
     p.add_argument("--base-count", type=int, default=150)
     p.add_argument("--n-grid", type=_sizes, default=[64, 256, 1024, 4096])
     p.add_argument("--reps", type=_positive, default=200)
     p.add_argument("--t", type=_number(float, 0), default=2.0)
-    p.add_argument("--net-fraction", type=float, default=1.0 / 64.0)
+    p.add_argument("--net-fraction", type=_real, default=1.0 / 64.0)
     p.add_argument("--class-seed", type=int, default=11)
     common(p)
 
@@ -218,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_class_flags(p, count=10)
     p.add_argument("--n-grid", type=_sizes, default=[100, 400, 1600])
     p.add_argument("--reps", type=_positive, default=200)
-    p.add_argument("--cap", type=float, default=1.0)
-    p.add_argument("--lipschitz", type=float, default=1.0)
+    p.add_argument("--cap", type=_real, default=1.0)
+    p.add_argument("--lipschitz", type=_real, default=1.0)
     p.add_argument("--class-seed", type=int, default=3)
     common(p)
 
@@ -490,7 +491,12 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     env_seed = os.environ.get("VECPROC_SEED")
     if env_seed is not None:
-        args.seed = int(env_seed)
+        try:
+            args.seed = int(env_seed)
+        except ValueError:
+            print(f"error: VECPROC_SEED must be an integer, got {env_seed!r}",
+                  file=sys.stderr)
+            return 2
     out = args.out or os.path.join("runs", f"{args.command}-{args.seed}")
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:

@@ -111,11 +111,18 @@ def hoeffding_real_check(c, n: int, t_grid, reps: int, seed: int,
     return binomial_report(ts, counts, np.exp(-ts), reps, seed)
 
 
+# rows of the replicate axis normalised at a time in _bounded_vector_sum, so
+# the squared temporary of the norm is a chunk, not the whole block
+_NORM_ROWS = 1024
+
+
 def _bounded_vector_sum(rng, size, n, d_y, c):
     """Sums of n independent vectors, each a random sign times c_i times a
     uniform random unit direction: zero mean, ||Y_i|| = c_i surely."""
     dirs = rng.standard_normal((size, n, d_y))
-    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    for lo in range(0, size, _NORM_ROWS):
+        rows = dirs[lo:lo + _NORM_ROWS]
+        rows /= np.linalg.norm(rows, axis=2, keepdims=True)
     dirs *= rademacher_signs(rng, (size, n, 1))
     dirs *= c[None, :, None]
     return np.sum(dirs, axis=1)

@@ -351,9 +351,12 @@ def build_smooth_cover(cls: FunctionClass, delta: float, b_sample_count: int = 0
 
     p_list = multi_indices(d, m - 1)
     # exact derivative values of every member at every net point, per level
+    tables = cls.trig_tables(net)
     deriv_vals = {}
     for p in p_list:
-        deriv_vals[p] = np.stack([g.evaluate_deriv(net, p) for g in cls.members])
+        deriv_vals[p] = np.empty((len(cls), net.shape[0], cls.d_y))
+        for i, g in enumerate(cls.members):
+            deriv_vals[p][i] = g.evaluate_deriv(net, p, tables)
 
     level_covers = []
     level_cells = {}

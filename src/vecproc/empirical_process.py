@@ -106,11 +106,12 @@ def symmetrization_check(cls: FunctionClass, n: int, reps: int, seed: int,
         x = rng.uniform(size=(size, n, cls.d)).reshape(-1, cls.d)
         x2 = rng.uniform(size=(size, n, cls.d)).reshape(-1, cls.d)
         signs = rademacher_signs(rng, (size, n, 1))
+        tables, tables2 = cls.trig_tables(x), cls.trig_tables(x2)
         dev, pair, rad = np.zeros(size), np.zeros(size), np.zeros(size)
         for g, mean in zip(cls.members, means):
-            vals = g.evaluate(x).reshape(size, n, cls.d_y)
+            vals = g.evaluate(x, tables).reshape(size, n, cls.d_y)
             emp = vals.mean(axis=1)
-            emp2 = g.evaluate(x2).reshape(size, n, cls.d_y).mean(axis=1)
+            emp2 = g.evaluate(x2, tables2).reshape(size, n, cls.d_y).mean(axis=1)
             dev = np.maximum(dev, np.linalg.norm(emp - mean, axis=1))
             pair = np.maximum(pair, np.linalg.norm(emp - emp2, axis=1))
             vals *= signs
@@ -145,10 +146,11 @@ def symmetrization_probability_check(cls: FunctionClass, n: int, a_grid,
         rng = substream(seed, _TAG_SYMPROB, idx)
         x = rng.uniform(size=(size, n, cls.d)).reshape(-1, cls.d)
         signs = rademacher_signs(rng, (size, n, 1))
+        tables = cls.trig_tables(x)
         per_member = np.empty((size, len(cls)))
         rad = np.zeros(size)
         for k, (g, mean) in enumerate(zip(cls.members, means)):
-            vals = g.evaluate(x).reshape(size, n, cls.d_y)
+            vals = g.evaluate(x, tables).reshape(size, n, cls.d_y)
             per_member[:, k] = np.linalg.norm(vals.mean(axis=1) - mean, axis=1)
             vals *= signs
             rad = np.maximum(rad, np.linalg.norm(vals.mean(axis=1), axis=1))
@@ -190,9 +192,10 @@ def gc_decay_curve(cls: FunctionClass, n_grid, reps: int, seed: int,
         def block(idx, size, n=n, pos=pos):
             rng = substream(seed, _TAG_GC, pos, idx)
             x = rng.uniform(size=(size * n, cls.d))
+            tables = cls.trig_tables(x)
             dev = np.zeros(size)
             for g, mean in zip(cls.members, means):
-                emp = g.evaluate(x).reshape(size, n, cls.d_y).mean(axis=1)
+                emp = g.evaluate(x, tables).reshape(size, n, cls.d_y).mean(axis=1)
                 dev = np.maximum(dev, np.linalg.norm(emp - mean, axis=1))
             return dev
 
@@ -347,12 +350,14 @@ def equicontinuity_curve(cls: FunctionClass, g0_index: int, radius_grid, n_grid,
             def block(idx, size, n=n, pos=pos, in_ball=in_ball):
                 rng = substream(seed, _TAG_EQUI, pos, idx)
                 x = rng.uniform(size=(size * n, cls.d))
-                g0_vals = g0.evaluate(x).reshape(size, n, cls.d_y)
+                tables = cls.trig_tables(x)
+                g0_vals = g0.evaluate(x, tables).reshape(size, n, cls.d_y)
                 stat = np.zeros(size)
                 for k in in_ball:
                     if k == g0_index:
                         continue
-                    diff = cls[k].evaluate(x).reshape(size, n, cls.d_y) - g0_vals
+                    diff = cls[k].evaluate(x, tables).reshape(size, n, cls.d_y) \
+                        - g0_vals
                     dev = diff.mean(axis=1) - (means[k] - means[g0_index])[None]
                     stat = np.maximum(stat, np.linalg.norm(dev, axis=1))
                 return math.sqrt(n) * stat

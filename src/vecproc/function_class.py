@@ -14,10 +14,20 @@ Values and all partial derivatives up to order m are tabulated on a uniform
 grid (the declared sup-norm approximation); the term data doubles as the
 generator descriptor for exact off-grid evaluation, exact means and exact
 L2 inner products under the uniform law on [0,1]^d.
+
+Evaluation never forms a member's own cosines. By
+cos(2 pi k x + phi) = cos(phi) cos(2 pi k x) - sin(phi) sin(2 pi k x), with
+phi = theta + p pi/2 for D^p, a member is a small coefficient matrix over
+tables of cos/sin(2 pi k x_l), k = 1..W, one per axis of a point set. A
+class builds the tables once (`FunctionClass.trig_tables`) and every member
+is then a product of small GEMMs over them (one GEMM for d = 1); a lone
+member fills only the table rows of the frequencies it uses. Both give
+the same bits, whatever the table width W.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import json
@@ -198,6 +208,38 @@ def grid_nodes(d: int, resolution: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+# --------------------------------------------------------------------------
+# the shared trig basis (see the module docstring)
+
+
+def _axis_table(col, ks, width) -> np.ndarray:
+    """Rows [cos(2 pi x), sin(2 pi x), ..., cos(2 pi W x), sin(2 pi W x)] at
+    the points col, for W = width; the rows of a frequency not in ks are 0."""
+    table = np.zeros((2 * width, col.size))
+    for k in ks:
+        angle = (TWO_PI * k) * col
+        np.cos(angle, out=table[2 * k - 2])
+        np.sin(angle, out=table[2 * k - 1])
+    return table
+
+
+def trig_tables(x, width: int) -> tuple:
+    """One (2 width, n) table per axis of the points x (n, d), shared by
+    every member whose frequencies are at most width."""
+    x = np.atleast_2d(np.asarray(x, float))
+    return tuple(_axis_table(x[:, l], range(1, width + 1), width)
+                 for l in range(x.shape[1]))
+
+
+def _taylor_k(freqs, amps, dirs, m) -> float:
+    """Operator-norm bound for the (m+1)-st derivative: multinomial
+    expansion of the directional derivative plus Cauchy-Schwarz gives
+    sum_j |a_j| ||u_j|| (2 pi ||k_j||_2)^{m+1}."""
+    knorm = np.linalg.norm(freqs.astype(float), axis=1)
+    return float(np.sum(np.abs(amps) * np.linalg.norm(dirs, axis=1)
+                        * (TWO_PI * knorm) ** (m + 1)))
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """One member: trig-sum generator plus tabulated values and derivatives."""
@@ -210,40 +252,55 @@ class GridFunction:
     phases: np.ndarray   # (J, d)
     amps: np.ndarray     # (J,)
     dirs: np.ndarray     # (J, d_Y)
-    values: np.ndarray = field(repr=False)   # (res^d, d_Y)
     derivs: dict = field(repr=False)         # {p tuple: (res^d, d_Y)}, [p] <= m
     taylor_k: float = 0.0
+    # {p: _coefficients(p)}, filled on first evaluation; two threads filling
+    # the same p store equal values
+    _coefs: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @classmethod
-    def from_terms(cls, d, m, d_y, resolution, freqs, phases, amps, dirs):
+    def from_terms(cls, d, m, d_y, resolution, freqs, phases, amps, dirs,
+                   tables=None):
+        """The member with these terms, tabulated on its grid; `tables` are
+        the grid's trig_tables, shared by a generator's members."""
         freqs = np.asarray(freqs, int)
-        phases = np.asarray(phases, float)
         amps = np.asarray(amps, float)
         dirs = np.asarray(dirs, float)
+        g = cls(d=d, m=m, d_y=d_y, resolution=resolution, freqs=freqs,
+                phases=np.asarray(phases, float), amps=amps, dirs=dirs,
+                derivs={}, taylor_k=_taylor_k(freqs, amps, dirs, m))
         nodes = grid_nodes(d, resolution)
-        derivs = {}
+        tables = g._fit_tables(nodes, tables)
         for p in multi_indices(d, m):
-            derivs[p] = _eval_terms(nodes, freqs, phases, amps, dirs, p)
-        values = derivs[(0,) * d]
-        # Operator-norm bound for the (m+1)-st derivative: multinomial
-        # expansion of the directional derivative plus Cauchy-Schwarz gives
-        # sum_j |a_j| ||u_j|| (2 pi ||k_j||_2)^{m+1}.
-        knorm = np.linalg.norm(freqs.astype(float), axis=1)
-        taylor_k = float(np.sum(np.abs(amps) * np.linalg.norm(dirs, axis=1)
-                                * (TWO_PI * knorm) ** (m + 1)))
-        return cls(d=d, m=m, d_y=d_y, resolution=resolution, freqs=freqs,
-                   phases=phases, amps=amps, dirs=dirs, values=values,
-                   derivs=derivs, taylor_k=taylor_k)
+            g.derivs[p] = g._combine(tables, g._coefficients(p))
+        return g
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
+    @property
+    def values(self) -> np.ndarray:
+        """Tabulated values on the grid, (res^d, d_Y)."""
+        return self.derivs[(0,) * self.d]
+
+    @property
+    def width(self) -> int:
+        """Highest frequency of any term: the trig-table width it needs."""
+        return int(self.freqs.max()) if self.freqs.size else 0
+
+    def evaluate(self, x: np.ndarray, tables=None) -> np.ndarray:
         """Exact values at arbitrary points x of shape (n, d); (n, d_Y)."""
-        return self.evaluate_deriv(x, (0,) * self.d)
+        return self.evaluate_deriv(x, (0,) * self.d, tables)
 
-    def evaluate_deriv(self, x: np.ndarray, p) -> np.ndarray:
+    def evaluate_deriv(self, x: np.ndarray, p, tables=None) -> np.ndarray:
+        """Exact D^p at the points x; `tables` are trig_tables(x, W) for any
+        W >= width, shared across members (the result does not depend on W)."""
         x = np.atleast_2d(np.asarray(x, float))
         if x.shape[1] != self.d:
             raise ValueError(f"points must have {self.d} coordinates")
-        return _eval_terms(x, self.freqs, self.phases, self.amps, self.dirs, tuple(p))
+        p = tuple(p)
+        coef = self._coefs.get(p)
+        if coef is None:
+            coef = self._coefs[p] = self._coefficients(p)
+        return self._combine(self._fit_tables(x, tables), coef)
 
     def scaled(self, factor: float) -> "GridFunction":
         """The member factor*g (same generator family)."""
@@ -251,28 +308,55 @@ class GridFunction:
                                        self.freqs, self.phases,
                                        self.amps * factor, self.dirs)
 
+    def _fit_tables(self, x, tables) -> tuple:
+        """The shared tables, checked against x; else this member's own, with
+        only the frequencies it uses filled (O(J d) trig values per point)."""
+        if tables is None:
+            used = [set(col.tolist()) - {0} for col in self.freqs.T]
+            return tuple(_axis_table(x[:, l], ks, self.width)
+                         for l, ks in enumerate(used))
+        if (len(tables) != self.d or tables[0].shape[1] != x.shape[0]
+                or tables[0].shape[0] < 2 * self.width):
+            raise ValueError("trig tables do not fit these points and this member")
+        return tables
 
-# points per chunk of the (n, J, d) angle tensor in _eval_terms; the (n, J)
-# cosine product is filled chunk by chunk and multiplied in one GEMM
-_EVAL_CHUNK = 1 << 14
+    def _coefficients(self, p) -> tuple:
+        """D^p over the tables. Per axis a (2W+1, J) matrix: row 0 is each
+        term's constant factor, row 2k-1 (2k) its cos (sin) coefficient at
+        frequency k. Then the (J, d_Y) term weights; for d = 1 the product
+        of the two, one (2W+1, d_Y) matrix."""
+        pa = np.asarray(p, int)
+        # factor per term: prod_l (2 pi k_l)^{p_l}, with 0^0 == 1
+        factors = np.prod((TWO_PI * self.freqs.astype(float)) ** pa, axis=1)
+        weights = (self.amps * factors)[:, None] * self.dirs
+        phi = self.phases + 0.5 * math.pi * pa
+        terms = np.arange(self.amps.size)
+        axes = []
+        for l in range(self.d):
+            k = self.freqs[:, l]
+            w = np.zeros((2 * self.width + 1, terms.size))
+            w[np.maximum(2 * k - 1, 0), terms] = np.cos(phi[:, l])
+            osc = k > 0
+            w[2 * k[osc], terms[osc]] = -np.sin(phi[osc, l])
+            axes.append(w)
+        return (axes[0] @ weights,) if self.d == 1 else (*axes, weights)
 
-
-def _eval_terms(x, freqs, phases, amps, dirs, p) -> np.ndarray:
-    """D^p of the trig sum at points x: (n, d_Y)."""
-    n = x.shape[0]
-    if amps.size == 0:
-        return np.zeros((n, dirs.shape[1] if dirs.ndim == 2 else 0))
-    p = np.asarray(p, int)
-    # factor per term: prod_l (2 pi k_l)^{p_l}; 0^0 == 1 by convention
-    base = TWO_PI * freqs.astype(float)
-    with np.errstate(divide="ignore"):
-        factors = np.prod(np.where(p[None, :] > 0, base ** p[None, :], 1.0), axis=1)
-    cosprod = np.empty((n, amps.size))
-    for lo in range(0, n, _EVAL_CHUNK):
-        angle = base[None, :, :] * x[lo:lo + _EVAL_CHUNK, None, :] \
-            + phases[None, :, :] + 0.5 * math.pi * p[None, None, :]
-        np.prod(np.cos(angle), axis=2, out=cosprod[lo:lo + _EVAL_CHUNK])
-    return cosprod @ ((amps * factors)[:, None] * dirs)  # (n, d_Y)
+    def _combine(self, tables, coef) -> np.ndarray:
+        """D^p from the tables and its _coefficients: per axis
+        table.T @ W[1:] + W[0], multiplied over the axes, then @ weights;
+        for d = 1 one GEMM plus a row."""
+        if tables[0].shape[1] == 1:
+            # one point would take BLAS's vector path, which rounds unlike
+            # the GEMM of a batch; doubled, it takes the GEMM too
+            return self._combine(tuple(np.repeat(t, 2, axis=1) for t in tables),
+                                 coef)[:1]
+        rows = 2 * self.width
+        out = None
+        for table, w in zip(tables, coef):
+            factor = table[:rows].T @ w[1:]
+            factor += w[0]
+            out = factor if out is None else np.multiply(out, factor, out=out)
+        return out if self.d == 1 else out @ coef[-1]
 
 
 # --------------------------------------------------------------------------
@@ -311,9 +395,24 @@ class FunctionClass:
                 return False
         return True
 
+    @functools.cached_property
+    def width(self) -> int:
+        """Highest frequency of any member: the shared table width."""
+        return max((g.width for g in self.members), default=0)
+
+    def trig_tables(self, x) -> tuple:
+        """trig_tables of the points x for every member of the class."""
+        return trig_tables(x, self.width)
+
     def values_on(self, design: "EmpiricalDesign") -> np.ndarray:
         """Member values at the design points, shape (K, n, d_Y)."""
-        return np.stack([g.evaluate(design.points) for g in self.members])
+        if not self.members:
+            raise ValueError("class must be nonempty")
+        tables = self.trig_tables(design.points)
+        out = np.empty((len(self), design.n, self.d_y))
+        for k, g in enumerate(self.members):
+            out[k] = g.evaluate(design.points, tables)
+        return out
 
 
 @dataclass(frozen=True)
@@ -390,6 +489,7 @@ def generate_finite_dim_ball_class(d, m, d_y, k_b, count, seed, resolution=None,
     if min(d, m, d_y) < 1 or k_b <= 0 or count < 0:
         raise ValueError("d, m, d_y must be >= 1, k_b > 0, count >= 0")
     resolution = resolution or default_resolution(d)
+    tables = trig_tables(grid_nodes(d, resolution), max_freq)
     members = []
     for i in range(count):
         rng = substream(seed, _TAG_MEMBER, i)
@@ -398,7 +498,8 @@ def generate_finite_dim_ball_class(d, m, d_y, k_b, count, seed, resolution=None,
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         amps = _split_budget(rng, raw, _term_cap(freqs, m + 1), k_b)
         members.append(GridFunction.from_terms(d, m, d_y, resolution,
-                                               freqs, phases, amps, dirs))
+                                               freqs, phases, amps, dirs,
+                                               tables))
     return FunctionClass(members=tuple(members), b_descriptor=BallDescriptor(k_b),
                          d=d, m=m, d_y=d_y, resolution=resolution, seed=seed)
 
@@ -417,6 +518,7 @@ def generate_span_class(d, m, psi_basis, radius, count, seed, d_y=None,
     if radius <= 0 or count < 0 or min(d, m) < 1:
         raise ValueError("invalid parameters")
     resolution = resolution or default_resolution(d)
+    tables = trig_tables(grid_nodes(d, resolution), max_freq)
     r = psi.shape[0]
     psi_norms = np.linalg.norm(psi, axis=1)
     members = []
@@ -428,7 +530,8 @@ def generate_span_class(d, m, psi_basis, radius, count, seed, d_y=None,
         amps = _split_budget(rng, raw, _term_cap(freqs, m + 1) * psi_norms[idx],
                              radius)
         members.append(GridFunction.from_terms(d, m, d_y, resolution,
-                                               freqs, phases, amps, dirs))
+                                               freqs, phases, amps, dirs,
+                                               tables))
     return FunctionClass(members=tuple(members),
                          b_descriptor=SpanDescriptor(psi=psi, radius=radius),
                          d=d, m=m, d_y=d_y, resolution=resolution, seed=seed)
@@ -450,6 +553,7 @@ def generate_smooth_output_class(d, m, d_out, m_out, bound, grid_out, count, see
     if min(d, m, d_out) < 1 or bound <= 0 or count < 0:
         raise ValueError("invalid parameters")
     resolution = resolution or default_resolution(d)
+    tables = trig_tables(grid_nodes(d, resolution), max_freq)
     d_y = grid_out ** d_out
     out_nodes = grid_nodes(d_out, grid_out)
     members = []
@@ -465,7 +569,8 @@ def generate_smooth_output_class(d, m, d_out, m_out, bound, grid_out, count, see
         amps = _split_budget(rng, raw, _term_cap(freqs, m + 1)
                              * _term_cap(out_freqs, m_out), bound)
         members.append(GridFunction.from_terms(d, m, d_y, resolution,
-                                               freqs, phases, amps, dirs))
+                                               freqs, phases, amps, dirs,
+                                               tables))
     descriptor = SmoothOutputDescriptor(d_out=d_out, m_out=m_out, bound=bound,
                                         grid_out=grid_out)
     return FunctionClass(members=tuple(members), b_descriptor=descriptor,
@@ -670,14 +775,10 @@ def load_class(path) -> FunctionClass:
         derivs = {}
         for p in order:
             derivs[p] = take(nodes * d_y).reshape(nodes, d_y)
-        values = derivs[(0,) * d]
-        knorm = np.linalg.norm(freqs.astype(float), axis=1)
-        taylor_k = float(np.sum(np.abs(amps) * np.linalg.norm(dirs, axis=1)
-                                * (TWO_PI * knorm) ** (m + 1)))
         members.append(GridFunction(d=d, m=m, d_y=d_y, resolution=resolution,
                                     freqs=freqs, phases=phases, amps=amps,
-                                    dirs=dirs, values=values, derivs=derivs,
-                                    taylor_k=taylor_k))
+                                    dirs=dirs, derivs=derivs,
+                                    taylor_k=_taylor_k(freqs, amps, dirs, m)))
     return FunctionClass(members=tuple(members),
                          b_descriptor=descriptor_from_json(header["b_descriptor"]),
                          d=d, m=m, d_y=d_y, resolution=resolution,

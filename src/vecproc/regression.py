@@ -388,6 +388,10 @@ def gaussian_chaining_check(cls: FunctionClass, design: EmpiricalDesign,
 # loss values per population-risk chunk (noise draws x quadrature points):
 # each temporary of clipped_loss is then 256 KB and stays in cache
 _LOSS_CHUNK = 1 << 15
+# sign patterns drawn at a time into the ERM replicate's sign matrix: the
+# draws continue one stream, so the matrix equals one (patterns, n) draw,
+# and it is refilled in place instead of allocated anew per replicate
+_SIGN_ROWS = 256
 
 
 def clipped_loss(y: np.ndarray, yhat: np.ndarray, cap: float,
@@ -510,6 +514,7 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
             excesses = np.empty(size)
             rads = np.empty(size)
             decomp = np.empty(size, dtype=bool)
+            signs = np.empty((rad_patterns, n))     # refilled per replicate
             for b in range(size):
                 x = rng.uniform(size=(n, cls.d))
                 eps = sample_gaussian_batch(noise, rng, n)
@@ -523,7 +528,9 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
                 excesses[b] = excess
                 decomp[b] = excess <= (np.max(risks - emp)
                                        + emp[g_star] - risks[g_star] + 1e-12)
-                signs = rademacher_signs(rng, (rad_patterns, n))
+                for lo in range(0, rad_patterns, _SIGN_ROWS):
+                    signs[lo:lo + _SIGN_ROWS] = rademacher_signs(
+                        rng, (min(_SIGN_ROWS, rad_patterns - lo), n))
                 rads[b] = np.abs(signs @ loss.T / n).max(axis=1).mean()
             return excesses, rads, decomp
 

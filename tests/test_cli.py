@@ -200,6 +200,20 @@ def test_invalid_monte_carlo_input_exits_2(tmp_path, capsys, argv, message):
     (["bounds", "--deltas", "0.1,nan"], "must be a number"),
     (["chain", "--kind", "gaussian", "--spectrum", "uniform:2"],
      "noise dimension must match the output space"),
+    (["bounds", "--kb", "nan", "--deltas", "0.1"], "must be a number, got nan"),
+    (["bounds", "--tau", "nan", "--deltas", "0.1"], "must be a number, got nan"),
+    (["bounds", "--big-m", "nan", "--deltas", "0.1"], "must be a number, got nan"),
+    (["bounds", "--variant", "rkhs", "--h", "nan", "--deltas", "0.1"],
+     "must be a number, got nan"),
+    (["dimension", "--input", "POINTS", "--check", "assouad", "--tau", "nan"],
+     "must be a number, got nan"),
+    (["symmetrize", "--kb", "nan", "--n", "5", "--reps", "10"],
+     "must be a number, got nan"),
+    (["erm", "--cap", "nan", "--n-grid", "10", "--reps", "2"],
+     "must be a number, got nan"),
+    (["erm", "--lipschitz", "nan", "--n-grid", "10", "--reps", "2"],
+     "must be a number, got nan"),
+    (["regress", "--net-fraction", "nan"], "must be a number, got nan"),
 ])
 def test_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
                                                   message):
@@ -213,3 +227,13 @@ def test_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
     assert message in err
     assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_invalid_seed_env_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("VECPROC_SEED", "x")
+    code, out = run_cli(["demo-counterexample"], tmp_path, "env")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "VECPROC_SEED must be an integer" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -5,7 +5,7 @@ import pytest
 
 from vecproc import concentration as conc
 from vecproc.hilbert import OrthonormalBasis
-from vecproc.rng import substream
+from vecproc.rng import rademacher_signs, substream
 
 
 def test_spectrum_validation():
@@ -178,3 +178,25 @@ def test_reports_deterministic_across_threads():
     d = conc.gaussian_tail_check(conc.CovarianceSpectrum.uniform(5), [1.0],
                                  20_000, seed=15, threads=1)
     assert np.array_equal(c.freqs, d.freqs)
+
+
+def one_shot_bounded_vector_sum(rng, size, n, d_y, c):
+    """_bounded_vector_sum with the whole block normalised at once."""
+    dirs = rng.standard_normal((size, n, d_y))
+    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    dirs *= rademacher_signs(rng, (size, n, 1))
+    dirs *= c[None, :, None]
+    return np.sum(dirs, axis=1)
+
+
+@pytest.mark.parametrize("size, n, d_y", [
+    (2 * conc._NORM_ROWS + 3, 7, 8),      # a short last chunk
+    (conc._NORM_ROWS, 3, 1),
+    (conc._NORM_ROWS + 1, 5, 20),         # a one-row last chunk
+    (300, 50, 5),                          # one chunk
+])
+def test_bounded_vector_sum_matches_one_shot_norm(size, n, d_y):
+    c = np.linspace(0.5, 1.5, n)
+    got = conc._bounded_vector_sum(substream(4, size, n), size, n, d_y, c)
+    ref = one_shot_bounded_vector_sum(substream(4, size, n), size, n, d_y, c)
+    assert np.array_equal(got, ref)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -360,8 +361,9 @@ def test_design_validation():
         fc.EmpiricalDesign(np.array([[1.5]]))
 
 
-def one_shot_terms(x, g, p):
-    """D^p g with the whole (n, J, d) angle tensor formed at once."""
+def cos_product_terms(x, g, p):
+    """D^p g as the product of the terms' own cosines, one angle per
+    point, term and axis."""
     p = np.asarray(p, int)
     base = 2.0 * math.pi * g.freqs.astype(float)
     with np.errstate(divide="ignore"):
@@ -371,11 +373,99 @@ def one_shot_terms(x, g, p):
     return np.prod(np.cos(angle), axis=2) @ ((g.amps * factors)[:, None] * g.dirs)
 
 
+def small_rate_pool():
+    from vecproc.regression import build_rate_pool
+    return build_rate_pool(d=1, m=1, d_y=3, k_b=250.0, base_count=6,
+                           shell_radii=(0.3, 0.1), shell_counts=(2, 2), seed=11)
+
+
+def kernel_cases():
+    """Members of every kind the evaluation kernel serves."""
+    for d, m in ((1, 2), (2, 2), (3, 1)):
+        cls = fc.generate_finite_dim_ball_class(d=d, m=m, d_y=3, k_b=1.0,
+                                                count=3, seed=5, resolution=5)
+        yield f"ball d={d}", cls
+    pool = small_rate_pool()
+    assert pool.width == 8
+    yield "rate pool", pool
+    base = fc.generate_finite_dim_ball_class(2, 1, 2, 1.0, 2, seed=8,
+                                             resolution=5)
+    blend = fc.blend_members(base[0], base[1], 0.3)
+    yield "blend", fc.FunctionClass(members=(blend,),
+                                    b_descriptor=base.b_descriptor, d=2, m=1,
+                                    d_y=2, resolution=5)
+
+
+def test_kernel_matches_cos_product_formula():
+    for name, cls in kernel_cases():
+        x = substream(6, cls.d).uniform(size=(257, cls.d))
+        for g in cls.members:
+            for p in fc.multi_indices(cls.d, cls.m):
+                np.testing.assert_allclose(g.evaluate_deriv(x, p),
+                                           cos_product_terms(x, g, p),
+                                           rtol=0, atol=1e-12, err_msg=name)
+            nodes = fc.grid_nodes(cls.d, cls.resolution)
+            for p, tabulated in g.derivs.items():
+                np.testing.assert_allclose(tabulated, cos_product_terms(nodes, g, p),
+                                           rtol=0, atol=1e-12, err_msg=name)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_chunked_evaluation_matches_one_shot_formula(d):
+    # a batch evaluated in pieces gives the bits of the batch at once, and
+    # both agree with the one-shot cosine-product formula
     cls = fc.generate_finite_dim_ball_class(d=d, m=1, d_y=3, k_b=1.0, count=2,
                                             seed=5, resolution=9)
-    x = substream(5, d).uniform(size=(fc._EVAL_CHUNK + 1, d))
+    x = substream(5, d).uniform(size=((1 << 14) + 1, d))
+    pieces = np.array_split(x, [1000, 1 << 14])
     for g in cls.members:
         for p in fc.multi_indices(d, 1):
-            assert np.array_equal(g.evaluate_deriv(x, p), one_shot_terms(x, g, p))
+            whole = g.evaluate_deriv(x, p)
+            chunked = np.concatenate([g.evaluate_deriv(c, p) for c in pieces])
+            assert np.array_equal(whole, chunked)
+            np.testing.assert_allclose(whole, cos_product_terms(x, g, p),
+                                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 5000])
+def test_class_tables_give_the_member_values_bitwise(n):
+    # a shared table wider than a member's own frequencies changes no bit
+    for name, cls in kernel_cases():
+        x = substream(7, cls.d, n).uniform(size=(n, cls.d))
+        wide = fc.trig_tables(x, cls.width + 3)
+        stacked = cls.values_on(fc.EmpiricalDesign(x))
+        for k, g in enumerate(cls.members):
+            assert np.array_equal(stacked[k], g.evaluate(x)), name
+            for p in fc.multi_indices(cls.d, cls.m):
+                alone = g.evaluate_deriv(x, p)
+                assert np.array_equal(alone, g.evaluate_deriv(x, p, wide)), name
+
+
+def test_trig_tables_must_fit_points_and_member():
+    g = small_rate_pool()[0]
+    x = np.linspace(0.0, 1.0, 10)[:, None]
+    with pytest.raises(ValueError, match="trig tables do not fit"):
+        g.evaluate(x, fc.trig_tables(x, g.width - 1))
+    with pytest.raises(ValueError, match="trig tables do not fit"):
+        g.evaluate(x, fc.trig_tables(x[:5], g.width))
+
+
+def test_save_load_v1_round_trip_evaluates_bitwise(tmp_path):
+    cls = fc.generate_finite_dim_ball_class(2, 2, 3, 1.0, 4, seed=31,
+                                            resolution=9)
+    path = tmp_path / "class.vpfc"
+    fc.save_class(cls, path)
+    raw = path.read_bytes()
+    hlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
+    assert json.loads(raw[8:8 + hlen])["version"] == 1
+    loaded = fc.load_class(path)
+    again = tmp_path / "again.vpfc"
+    fc.save_class(loaded, again)
+    assert again.read_bytes() == raw
+    x = substream(8).uniform(size=(100, 2))
+    assert np.array_equal(loaded.values_on(fc.EmpiricalDesign(x)),
+                          cls.values_on(fc.EmpiricalDesign(x)))
+    for ga, gb in zip(cls.members, loaded.members):
+        for p in fc.multi_indices(2, 2):
+            assert np.array_equal(ga.evaluate_deriv(x, p), gb.evaluate_deriv(x, p))
+            assert np.array_equal(gb.derivs[p], ga.derivs[p])

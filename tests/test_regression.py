@@ -6,7 +6,7 @@ import pytest
 from vecproc import function_class as fc
 from vecproc import regression as reg
 from vecproc.concentration import CovarianceSpectrum, sample_gaussian_batch
-from vecproc.rng import map_blocks, substream
+from vecproc.rng import map_blocks, rademacher_signs, substream
 
 
 def ball_class(count, seed, d_y=3, resolution=129, **kw):
@@ -253,3 +253,65 @@ def test_erm_ten_member_bound_and_trend():
     row = rep.rows[1]      # n = 500
     assert row.q95_excess <= row.bound + 3 * (2 * row.rad_se + rep.risk_se)
     assert row.decomposition_ok
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 40])
+@pytest.mark.parametrize("chunk", [1, 3, 256])
+def test_chunked_sign_draws_match_one_shot(n, chunk):
+    total = 2 * chunk + 1
+    gen = substream(12, n, chunk)
+    parts = [rademacher_signs(gen, (min(chunk, total - lo), n))
+             for lo in range(0, total, chunk)]
+    one = substream(12, n, chunk)
+    assert np.array_equal(np.concatenate(parts),
+                          rademacher_signs(one, (total, n)))
+    assert gen.uniform() == one.uniform()      # the stream continues alike
+
+
+def one_shot_erm(cls, noise, n_grid, reps, seed, rad_patterns, cap=1.0,
+                 lipschitz=1.0, g_true_index=0, x_quad=512, noise_quad=100_000):
+    """erm_lipschitz_experiment's replicate loop with one (patterns, n) sign
+    draw per replicate; returns (risks, per-n excesses, rads, decomp)."""
+    risks, _ = reg.population_risks(cls, noise, g_true_index, cap, lipschitz,
+                                    seed, x_quad=x_quad, noise_quad=noise_quad)
+    g_star = int(np.argmin(risks))
+    out = []
+    for pos, n in enumerate(n_grid):
+        def block(idx, size, n=n, pos=pos):
+            rng = substream(seed, reg._TAG_ERM_RAD, pos, idx)
+            excesses, rads, decomp = [], [], []
+            for _ in range(size):
+                x = rng.uniform(size=(n, cls.d))
+                eps = sample_gaussian_batch(noise, rng, n)
+                vals = cls.values_on(fc.EmpiricalDesign(x))
+                y = vals[g_true_index] + eps
+                loss = reg.clipped_loss(y[None], vals, cap, lipschitz)
+                emp = loss.mean(axis=1)
+                ghat = int(np.argmin(emp))
+                excesses.append(risks[ghat] - risks[g_star])
+                decomp.append(excesses[-1] <= (np.max(risks - emp) + emp[g_star]
+                                               - risks[g_star] + 1e-12))
+                signs = rademacher_signs(rng, (rad_patterns, n))
+                rads.append(np.abs(signs @ loss.T / n).max(axis=1).mean())
+            return excesses, rads, decomp
+
+        parts = map_blocks(block, reps, block=64)
+        out.append(tuple(sum((p[i] for p in parts), []) for i in range(3)))
+    return risks, out
+
+
+@pytest.mark.parametrize("rad_patterns", [2048, 513, 300])
+def test_erm_matches_one_shot_sign_reference(rad_patterns):
+    cls = ball_class(4, seed=6)
+    noise = CovarianceSpectrum.uniform(3)
+    kw = dict(x_quad=64, noise_quad=3000)
+    rep = reg.erm_lipschitz_experiment(cls, noise, [9, 40], reps=3, seed=2,
+                                       rad_patterns=rad_patterns, **kw)
+    risks, per_n = one_shot_erm(cls, noise, [9, 40], 3, 2, rad_patterns, **kw)
+    assert np.array_equal(rep.risks, risks)
+    for row, (n, (excess, rads, decomp)) in zip(rep.rows, zip([9, 40], per_n)):
+        assert row.median_excess == float(np.median(excess))
+        assert row.q95_excess == float(np.quantile(excess, 0.95))
+        assert row.rad_mean == float(np.mean(rads))
+        assert row.rad_se == float(np.std(rads, ddof=1) / math.sqrt(3))
+        assert row.decomposition_ok == all(decomp)

@@ -123,8 +123,11 @@ def _bounded_vector_sum(rng, size, n, d_y, c):
     for lo in range(0, size, _NORM_ROWS):
         rows = dirs[lo:lo + _NORM_ROWS]
         rows /= np.linalg.norm(rows, axis=2, keepdims=True)
-    dirs *= rademacher_signs(rng, (size, n, 1))
-    dirs *= c[None, :, None]
+    # one pass over dirs: +-c_i is exact and rounding is symmetric, so this
+    # equals scaling by the sign and then by c_i
+    scale = rademacher_signs(rng, (size, n, 1))
+    scale *= c[None, :, None]
+    dirs *= scale
     return np.sum(dirs, axis=1)
 
 

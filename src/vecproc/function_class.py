@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import rademacher_signs, substream
+from .rng import substream
 
 _TAG_MEMBER = 101
 _TAG_SAMPLE_B = 102
@@ -461,7 +461,11 @@ def _draw_terms(rng, n_terms, d, max_freq, min_freq=0):
     if np.all(freqs == 0):
         freqs[0, rng.integers(0, d)] = 1 + rng.integers(0, max_freq)
     phases = rng.uniform(0.0, TWO_PI, size=(n_terms, d))
-    raw = rng.uniform(0.3, 1.0, size=n_terms) * rademacher_signs(rng, n_terms)
+    # the amplitude signs are part of the seeded class definition, not a
+    # Rademacher process: drawn with choice, so a seed keeps naming the same
+    # class whatever rng.rademacher_signs does
+    raw = rng.uniform(0.3, 1.0, size=n_terms) * rng.choice([-1.0, 1.0],
+                                                           size=n_terms)
     return freqs, phases, raw
 
 

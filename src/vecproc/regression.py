@@ -386,30 +386,47 @@ def gaussian_chaining_check(cls: FunctionClass, design: EmpiricalDesign,
 
 
 # loss values per population-risk chunk (noise draws x quadrature points):
-# each temporary of clipped_loss is then 256 KB and stays in cache
+# each of the two loss buffers is then 256 KB and stays in cache
 _LOSS_CHUNK = 1 << 15
-# sign patterns drawn at a time into the ERM replicate's sign matrix: the
-# draws continue one stream, so the matrix equals one (patterns, n) draw,
-# and it is refilled in place instead of allocated anew per replicate
+# sign patterns drawn at a time into the ERM replicate's sign matrix: 256 n
+# signs are whole 32-bit words, so the draws continue one stream and the
+# matrix equals one (patterns, n) draw; it is refilled in place instead of
+# allocated anew per replicate
 _SIGN_ROWS = 256
 
 
 def clipped_loss(y: np.ndarray, yhat: np.ndarray, cap: float,
-                 lipschitz: float) -> np.ndarray:
+                 lipschitz: float, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
     """loss_c * min(||y - yhat||, cap): bounded by loss_c*cap and
     loss_c-Lipschitz in yhat. The one clipped loss of the package.
 
     y and yhat broadcast against each other over their leading axes; the
     last axis is the output space. ||y - yhat||^2 is summed coordinate by
-    coordinate, left to right, on broadcast slices, so the (..., d_Y)
+    coordinate, left to right, on broadcast slices into one buffer, and the
+    root, the cap and the scale are taken in place, so the (..., d_Y)
     difference is never formed. For d_Y <= 7 the result is bitwise
-    np.linalg.norm(y - yhat, axis=-1); above that numpy sums pairwise and
-    the two differ by a few ulp.
+    lipschitz * np.minimum(np.linalg.norm(y - yhat, axis=-1), cap); above
+    that numpy sums the norm pairwise and the two differ by a few ulp.
+
+    `out` and `scratch` are optional float64 buffers of the broadcast shape,
+    for callers that evaluate the loss many times; the result is `out`.
     """
-    sq = (y[..., 0] - yhat[..., 0]) ** 2
-    for j in range(1, np.shape(y)[-1]):
-        sq = sq + (y[..., j] - yhat[..., j]) ** 2
-    return lipschitz * np.minimum(np.sqrt(sq), cap)
+    shape = np.broadcast_shapes(np.shape(y)[:-1], np.shape(yhat)[:-1])
+    d_y = np.shape(y)[-1]
+    sq = np.empty(shape) if out is None else out
+    np.subtract(y[..., 0], yhat[..., 0], out=sq)
+    sq *= sq
+    if d_y > 1:
+        tmp = np.empty(shape) if scratch is None else scratch
+        for j in range(1, d_y):
+            np.subtract(y[..., j], yhat[..., j], out=tmp)
+            tmp *= tmp
+            sq += tmp
+    np.sqrt(sq, out=sq)
+    np.minimum(sq, cap, out=sq)
+    sq *= lipschitz
+    return sq if sq.ndim else sq[()]
 
 
 @dataclass(frozen=True)
@@ -452,27 +469,34 @@ def population_risks(cls: FunctionClass, noise: CovarianceSpectrum,
     The residual y - g(x) = (g_true(x) - g(x)) + eps is formed by
     clipped_loss as eps - (g(x) - g_true(x)), the same float. For each
     member the noise draws of a block run in row chunks of about
-    _LOSS_CHUNK loss values (x_quad per draw, at least one draw); each
-    chunk's per-draw means go into one buffer that is summed over the whole
-    block, so no sum depends on the chunk size and memory does not grow
-    with the block or the class.
+    _LOSS_CHUNK loss values (x_quad per draw, at least one draw) through
+    one pair of loss buffers per block; each chunk's per-draw means go into
+    one buffer that is summed over the whole block, so no sum depends on
+    the chunk size and memory does not grow with the block or the class.
+    The draws and g - g_true are held coordinate-major, so every coordinate
+    slice clipped_loss reads is contiguous.
     """
     xq = EmpiricalDesign.midpoint_grid(x_quad, cls.d)
     vals = cls.values_on(xq)                     # (K, xq, d_Y)
-    neg_diff = vals - vals[g_true_index][None]
+    neg_diff = np.ascontiguousarray(
+        (vals - vals[g_true_index][None]).transpose(0, 2, 1))  # (K, d_Y, xq)
     rows = max(1, _LOSS_CHUNK // x_quad)
 
     def block(idx, size):
         rng = substream(seed, _TAG_ERM, idx)
-        eps = sample_gaussian_batch(noise, rng, size)
+        eps = np.ascontiguousarray(sample_gaussian_batch(noise, rng, size).T)
         out_sum = np.zeros(len(cls))
         out_sq = np.zeros(len(cls))
         per_draw = np.empty(size)
+        work = np.empty((2, min(rows, size), x_quad))
         for k in range(len(cls)):
+            yhat = neg_diff[k].T[None]                   # (1, xq, d_Y)
             for lo in range(0, size, rows):
-                loss = clipped_loss(eps[lo:lo + rows, None, :], neg_diff[k][None],
-                                    cap, lipschitz)
-                per_draw[lo:lo + rows] = loss.mean(axis=1)
+                hi = min(lo + rows, size)
+                loss = clipped_loss(eps[:, lo:hi].T[:, None], yhat, cap,
+                                    lipschitz, out=work[0, :hi - lo],
+                                    scratch=work[1, :hi - lo])  # (rows, xq)
+                np.mean(loss, axis=1, out=per_draw[lo:hi])
             out_sum[k] = per_draw.sum()
             out_sq[k] = (per_draw ** 2).sum()
         return out_sum, out_sq

@@ -5,6 +5,11 @@ generator keyed by a 64-bit seed plus a small integer path, so replicate
 streams can be split deterministically (per check, per threshold, per
 Monte-Carlo block) without any stream ever overlapping. Results are a
 function of (seed, path) only, never of execution order or worker count.
+
+Every Rademacher sign comes from `rademacher_signs`, which spends one
+random bit per sign. Generated function classes draw their amplitude signs
+with `Generator.choice` instead, since those are part of the seeded class
+definition, not a Rademacher process.
 """
 
 from __future__ import annotations
@@ -45,10 +50,24 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# row v: the 8 signs of byte v, most significant bit first (np.unpackbits
+# order), bit b giving the sign 2b - 1
+_BYTE_SIGNS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                            axis=1) * 2.0 - 1.0
+
+
 def rademacher_signs(gen: np.random.Generator, shape) -> np.ndarray:
-    """Independent +-1.0 signs of the given shape: the package's one sign
-    sampler, so every Rademacher draw consumes the stream the same way."""
-    return gen.choice([-1.0, 1.0], size=shape)
+    """Independent +-1.0 float64 signs of the given shape: the package's one
+    sign sampler, so every Rademacher draw consumes the stream the same way.
+
+    One random bit per sign: N signs take the first N bits of
+    gen.bytes(ceil(N / 8)) in np.unpackbits order. gen.bytes consumes whole
+    32-bit words, so consecutive draws of whole words each (N a multiple of
+    32) continue the stream exactly as one draw of their total would.
+    """
+    count = int(np.prod(shape, dtype=np.int64))
+    raw = np.frombuffer(gen.bytes((count + 7) // 8), dtype=np.uint8)
+    return np.take(_BYTE_SIGNS, raw, axis=0).reshape(-1)[:count].reshape(shape)
 
 
 def block_sizes(reps: int, block: int = BLOCK_SIZE):

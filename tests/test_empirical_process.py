@@ -7,7 +7,7 @@ import pytest
 from vecproc import empirical_process as ep
 from vecproc import function_class as fc
 from vecproc.covering import PointCloud, greedy_cover
-from vecproc.rng import map_blocks, substream
+from vecproc.rng import map_blocks, rademacher_signs, substream
 
 
 def ball_class(count, seed, d_y=3, m=1, resolution=129, **kw):
@@ -114,7 +114,7 @@ def stacked_symmetrization(cls, n, reps, seed):
         rng = substream(seed, ep._TAG_SYM, idx)
         x = rng.uniform(size=(size, n, cls.d))
         x2 = rng.uniform(size=(size, n, cls.d))
-        signs = rng.choice([-1.0, 1.0], size=(size, 1, n, 1))
+        signs = rademacher_signs(rng, (size, 1, n, 1))
         vals = np.stack([g.evaluate(x.reshape(-1, cls.d)).reshape(size, n, cls.d_y)
                          for g in cls.members], axis=1)
         vals2 = np.stack([g.evaluate(x2.reshape(-1, cls.d)).reshape(size, n, cls.d_y)

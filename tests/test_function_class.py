@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from vecproc import function_class as fc
+from vecproc import regression as reg
 from vecproc.rng import substream
 
 
@@ -469,3 +471,18 @@ def test_save_load_v1_round_trip_evaluates_bitwise(tmp_path):
         for p in fc.multi_indices(2, 2):
             assert np.array_equal(ga.evaluate_deriv(x, p), gb.evaluate_deriv(x, p))
             assert np.array_equal(gb.derivs[p], ga.derivs[p])
+
+
+@pytest.mark.parametrize("name, make, sha", [
+    ("ball", lambda: fc.generate_finite_dim_ball_class(2, 1, 3, 1.0, 12, seed=7,
+                                                       resolution=17),
+     "d3145d714d7f4f508868f5a48491a83a3249cea207b3e0b84a6316bb8d2b2e28"),
+    ("rate_pool", reg.default_rate_pool,
+     "1cf154fe71a576e8c3046205454d1c69a52e1ffa2ef3d594e0e2ee17205a01c8"),
+])
+def test_seeded_classes_keep_their_bytes(tmp_path, name, make, sha):
+    # a seed names one class: its draws, including the amplitude signs, must
+    # not follow changes to the Monte-Carlo samplers
+    path = tmp_path / f"{name}.vpfc"
+    fc.save_class(make(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha

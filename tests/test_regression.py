@@ -189,6 +189,31 @@ def test_clipped_loss_matches_linalg_norm(d_y):
     assert np.array_equal(reg.clipped_loss(y, yhat, cap=0.8, lipschitz=1.5), ref)
 
 
+def formula_clipped_loss(y, yhat, cap, lipschitz):
+    """clipped_loss as a fresh expression per coordinate, no buffers."""
+    sq = (y[..., 0] - yhat[..., 0]) ** 2
+    for j in range(1, np.shape(y)[-1]):
+        sq = sq + (y[..., j] - yhat[..., j]) ** 2
+    return lipschitz * np.minimum(np.sqrt(sq), cap)
+
+
+@pytest.mark.parametrize("d_y", [1, 2, 3, 5, 7])
+def test_in_place_clipped_loss_matches_formula(d_y):
+    rng = substream(5, 3, d_y)
+    a = rng.standard_normal((40, 1, d_y))
+    b = rng.standard_normal((1, 30, d_y))
+    for y, yhat in ((a, b), (b, a)):
+        ref = formula_clipped_loss(y, yhat, 0.8, 1.5)
+        assert np.array_equal(reg.clipped_loss(y, yhat, 0.8, 1.5), ref)
+        out, scratch = np.empty((2, 40, 30))
+        got = reg.clipped_loss(y, yhat, 0.8, 1.5, out=out, scratch=scratch)
+        assert got is out and np.array_equal(got, ref)
+    # one pair of vectors gives a scalar, as the formula does
+    got = reg.clipped_loss(a[0, 0], b[0, 0], 0.8, 1.5)
+    assert np.ndim(got) == 0 and got == formula_clipped_loss(a[0, 0], b[0, 0],
+                                                             0.8, 1.5)
+
+
 def stacked_population_risks(cls, noise, g_true_index, cap, lipschitz, seed,
                              x_quad, noise_quad):
     """population_risks as one (draws, x_quad, d_Y) tensor per member."""
@@ -256,7 +281,7 @@ def test_erm_ten_member_bound_and_trend():
 
 
 @pytest.mark.parametrize("n", [1, 6, 7, 40])
-@pytest.mark.parametrize("chunk", [1, 3, 256])
+@pytest.mark.parametrize("chunk", [32, 96, 256])   # whole 32-bit words
 def test_chunked_sign_draws_match_one_shot(n, chunk):
     total = 2 * chunk + 1
     gen = substream(12, n, chunk)

@@ -1,0 +1,39 @@
+import numpy as np
+import pytest
+
+from vecproc.rng import rademacher_signs, substream
+
+
+def test_signs_golden_vector():
+    # pins the bit order of np.unpackbits and the bytes gen.bytes yields
+    want = ("+++-+-++--++--++---++--+-+-+---++++++--+--+-++-------++-+-+++"
+            "------+-+")
+    got = rademacher_signs(substream(0, 1), 70)
+    assert "".join("+" if s > 0 else "-" for s in got) == want
+
+
+def test_signs_balanced_in_every_bit_position():
+    signs = rademacher_signs(substream(3, 9), 10 ** 6).reshape(-1, 8)
+    se = 1.0 / np.sqrt(len(signs))
+    assert np.all(np.abs(signs.mean(axis=0)) < 5 * se)
+
+
+@pytest.mark.parametrize("shape, want", [
+    (13, (13,)), (0, (0,)), ((0, 5), (0, 5)), ((4, 7, 1), (4, 7, 1)),
+])
+def test_signs_shape_and_values(shape, want):
+    signs = rademacher_signs(substream(1, 2), shape)
+    assert signs.shape == want and signs.dtype == np.float64
+    assert np.all((signs == 1.0) | (signs == -1.0))
+
+
+@pytest.mark.parametrize("n", [1, 3, 32, 50])
+def test_whole_word_chunks_continue_one_draw(n):
+    # 32 rows of n signs are n whole 32-bit words; the last chunk is ragged
+    sizes = [32, 96, 64, 5]
+    gen = substream(6, n)
+    parts = [rademacher_signs(gen, (rows, n)) for rows in sizes]
+    one = substream(6, n)
+    assert np.array_equal(np.concatenate(parts),
+                          rademacher_signs(one, (sum(sizes), n)))
+    assert gen.uniform() == one.uniform()

@@ -172,12 +172,11 @@ class MomentReport:
 
 
 def cosh_moment_check(c, n: int, lambda_grid, reps: int, seed: int, d_y: int = 5,
-                      threads: int = 1, rel_se_limit: float = 0.2) -> MomentReport:
+                      threads: int = 1) -> MomentReport:
     """E[cosh(lambda ||S_n||)] <= prod_i exp(lambda^2 c_i^2).
 
     Thresholds where the Monte-Carlo estimator is too noisy (relative
-    standard error above `rel_se_limit`) are flagged inconclusive rather
-    than failed.
+    standard error above 0.2) are flagged inconclusive rather than failed.
     """
     c = _per_sample_bounds(c, n)
     lams = np.asarray(lambda_grid, float)
@@ -200,7 +199,7 @@ def cosh_moment_check(c, n: int, lambda_grid, reps: int, seed: int, d_y: int = 5
     rows = []
     for lam, lhs, s, r in zip(lams, mean, se, rhs):
         rel = s / lhs if lhs > 0 else 0.0
-        if rel > rel_se_limit:
+        if rel > 0.2:
             status = "inconclusive"
         else:
             status = "ok" if lhs <= r * (1.0 + 3.0 * rel) else "fail"

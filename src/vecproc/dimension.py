@@ -53,9 +53,8 @@ def greedy_entropy(cloud: PointCloud, delta: float, starts=None) -> float:
 
 
 def box_dimension_estimate(cloud: PointCloud, delta_grid,
-                           fit_range: tuple | None = None,
                            n_starts: int = 8) -> DimensionFit:
-    """Fit H(delta) against log(1/delta) over the declared radius window.
+    """Fit H(delta) against log(1/delta) over the whole radius grid.
 
     Entropies are greedy-cover entropies (smallest cover over n_starts
     deterministic spread starting points), all read off one cover per start
@@ -73,13 +72,10 @@ def box_dimension_estimate(cloud: PointCloud, delta_grid,
               for s in _spread_starts(cloud, n_starts)]
     entropies = np.array([math.log(min(c.size_at(d) for c in covers))
                           for d in deltas])
-    lo, hi = fit_range if fit_range is not None else (0, deltas.size)
-    x = np.log(1.0 / deltas[lo:hi])
-    y = entropies[lo:hi]
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = np.polyfit(np.log(1.0 / deltas), entropies, 1)
     return DimensionFit(delta_grid=deltas, entropies=entropies,
                         slope=float(slope), intercept=float(intercept),
-                        fit_range=(lo, hi))
+                        fit_range=(0, deltas.size))
 
 
 def default_radius_window(cloud: PointCloud):

@@ -10,19 +10,21 @@ shifts the phase by pi/2. Amplitudes are scaled analytically so that all
 derivative values up to total order m+1 stay inside the declared range set B;
 no numerical differentiation happens anywhere in the class itself.
 
-Values and all partial derivatives up to order m are tabulated on a uniform
-grid (the declared sup-norm approximation); the term data doubles as the
-generator descriptor for exact off-grid evaluation, exact means and exact
-L2 inner products under the uniform law on [0,1]^d.
+A member is its terms: they give exact values and derivatives anywhere,
+exact means and exact L2 inner products under the uniform law on [0,1]^d.
+Values and all partial derivatives up to order m on a uniform grid (the
+declared sup-norm approximation) are tabulated on first use, by the same
+evaluation as any other points; only the sup-norm consumers (covers of the
+class under the sup norm, membership checks, serialization) ask for them.
 
 Evaluation never forms a member's own cosines. By
 cos(2 pi k x + phi) = cos(phi) cos(2 pi k x) - sin(phi) sin(2 pi k x), with
 phi = theta + p pi/2 for D^p, a member is a small coefficient matrix over
-tables of cos/sin(2 pi k x_l), k = 1..W, one per axis of a point set. A
-class builds the tables once (`FunctionClass.trig_tables`) and every member
-is then a product of small GEMMs over them (one GEMM for d = 1); a lone
-member fills only the table rows of the frequencies it uses. Both give
-the same bits, whatever the table width W.
+tables of cos/sin(2 pi k x_l), k = 1..W, one per axis of a point set
+(`trig_tables`, the one table builder). A class builds the tables once
+(`FunctionClass.trig_tables`) and every member is then a product of small
+GEMMs over them (one GEMM for d = 1); a lone member builds them at its own
+width. Both give the same bits, whatever the table width W.
 """
 
 from __future__ import annotations
@@ -212,11 +214,11 @@ def grid_nodes(d: int, resolution: int) -> np.ndarray:
 # the shared trig basis (see the module docstring)
 
 
-def _axis_table(col, ks, width) -> np.ndarray:
+def _axis_table(col, width) -> np.ndarray:
     """Rows [cos(2 pi x), sin(2 pi x), ..., cos(2 pi W x), sin(2 pi W x)] at
-    the points col, for W = width; the rows of a frequency not in ks are 0."""
-    table = np.zeros((2 * width, col.size))
-    for k in ks:
+    the points col, for W = width."""
+    table = np.empty((2 * width, col.size))
+    for k in range(1, width + 1):
         angle = (TWO_PI * k) * col
         np.cos(angle, out=table[2 * k - 2])
         np.sin(angle, out=table[2 * k - 1])
@@ -227,8 +229,7 @@ def trig_tables(x, width: int) -> tuple:
     """One (2 width, n) table per axis of the points x (n, d), shared by
     every member whose frequencies are at most width."""
     x = np.atleast_2d(np.asarray(x, float))
-    return tuple(_axis_table(x[:, l], range(1, width + 1), width)
-                 for l in range(x.shape[1]))
+    return tuple(_axis_table(x[:, l], width) for l in range(x.shape[1]))
 
 
 def _taylor_k(freqs, amps, dirs, m) -> float:
@@ -242,7 +243,7 @@ def _taylor_k(freqs, amps, dirs, m) -> float:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """One member: trig-sum generator plus tabulated values and derivatives."""
+    """One member: its trig-sum terms, with the grid tabulated on first use."""
 
     d: int
     m: int
@@ -252,29 +253,35 @@ class GridFunction:
     phases: np.ndarray   # (J, d)
     amps: np.ndarray     # (J,)
     dirs: np.ndarray     # (J, d_Y)
-    derivs: dict = field(repr=False)         # {p tuple: (res^d, d_Y)}, [p] <= m
     taylor_k: float = 0.0
-    # {p: _coefficients(p)}, filled on first evaluation; two threads filling
-    # the same p store equal values
+    # {p: _coefficients(p)} and {p: D^p on the grid}, filled on first use;
+    # two threads filling the same entry store equal values
     _coefs: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+    _grids: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     @classmethod
-    def from_terms(cls, d, m, d_y, resolution, freqs, phases, amps, dirs,
-                   tables=None):
-        """The member with these terms, tabulated on its grid; `tables` are
-        the grid's trig_tables, shared by a generator's members."""
+    def from_terms(cls, d, m, d_y, resolution, freqs, phases, amps, dirs):
+        """The member with these terms; nothing is tabulated until `derivs`
+        is read."""
         freqs = np.asarray(freqs, int)
         amps = np.asarray(amps, float)
         dirs = np.asarray(dirs, float)
-        g = cls(d=d, m=m, d_y=d_y, resolution=resolution, freqs=freqs,
-                phases=np.asarray(phases, float), amps=amps, dirs=dirs,
-                derivs={}, taylor_k=_taylor_k(freqs, amps, dirs, m))
-        nodes = grid_nodes(d, resolution)
-        tables = g._fit_tables(nodes, tables)
-        for p in multi_indices(d, m):
-            g.derivs[p] = g._combine(tables, g._coefficients(p))
-        return g
+        return cls(d=d, m=m, d_y=d_y, resolution=resolution, freqs=freqs,
+                   phases=np.asarray(phases, float), amps=amps, dirs=dirs,
+                   taylor_k=_taylor_k(freqs, amps, dirs, m))
+
+    @property
+    def derivs(self) -> dict:
+        """{p: D^p on the grid, (res^d, d_Y)} for every [p] <= m, tabulated
+        on first use through evaluate_deriv."""
+        if not self._grids:
+            nodes = grid_nodes(self.d, self.resolution)
+            tables = trig_tables(nodes, self.width)
+            self._grids.update({p: self.evaluate_deriv(nodes, p, tables)
+                                for p in multi_indices(self.d, self.m)})
+        return self._grids
 
     @property
     def values(self) -> np.ndarray:
@@ -292,15 +299,22 @@ class GridFunction:
 
     def evaluate_deriv(self, x: np.ndarray, p, tables=None) -> np.ndarray:
         """Exact D^p at the points x; `tables` are trig_tables(x, W) for any
-        W >= width, shared across members (the result does not depend on W)."""
+        W >= width, shared across members (the result does not depend on W),
+        and default to trig_tables(x, width)."""
         x = np.atleast_2d(np.asarray(x, float))
         if x.shape[1] != self.d:
             raise ValueError(f"points must have {self.d} coordinates")
+        if tables is None:
+            tables = trig_tables(x, self.width)
+        elif (len(tables) != self.d or tables[0].shape[1] != x.shape[0]
+                or tables[0].shape[0] < 2 * self.width):
+            raise ValueError(
+                "trig tables do not fit these points and this member")
         p = tuple(p)
         coef = self._coefs.get(p)
         if coef is None:
             coef = self._coefs[p] = self._coefficients(p)
-        return self._combine(self._fit_tables(x, tables), coef)
+        return self._combine(tables, coef)
 
     def scaled(self, factor: float) -> "GridFunction":
         """The member factor*g (same generator family)."""
@@ -308,23 +322,13 @@ class GridFunction:
                                        self.freqs, self.phases,
                                        self.amps * factor, self.dirs)
 
-    def _fit_tables(self, x, tables) -> tuple:
-        """The shared tables, checked against x; else this member's own, with
-        only the frequencies it uses filled (O(J d) trig values per point)."""
-        if tables is None:
-            used = [set(col.tolist()) - {0} for col in self.freqs.T]
-            return tuple(_axis_table(x[:, l], ks, self.width)
-                         for l, ks in enumerate(used))
-        if (len(tables) != self.d or tables[0].shape[1] != x.shape[0]
-                or tables[0].shape[0] < 2 * self.width):
-            raise ValueError("trig tables do not fit these points and this member")
-        return tables
-
     def _coefficients(self, p) -> tuple:
         """D^p over the tables. Per axis a (2W+1, J) matrix: row 0 is each
         term's constant factor, row 2k-1 (2k) its cos (sin) coefficient at
         frequency k. Then the (J, d_Y) term weights; for d = 1 the product
-        of the two, one (2W+1, d_Y) matrix."""
+        of the two, one (2W+1, d_Y) matrix. For d_Y = 1 the last matrix has
+        its column twice: one column would take BLAS's vector path, which
+        rounds a row depending on how many points the call has."""
         pa = np.asarray(p, int)
         # factor per term: prod_l (2 pi k_l)^{p_l}, with 0^0 == 1
         factors = np.prod((TWO_PI * self.freqs.astype(float)) ** pa, axis=1)
@@ -339,12 +343,16 @@ class GridFunction:
             osc = k > 0
             w[2 * k[osc], terms[osc]] = -np.sin(phi[osc, l])
             axes.append(w)
-        return (axes[0] @ weights,) if self.d == 1 else (*axes, weights)
+        mats = [axes[0] @ weights] if self.d == 1 else [*axes, weights]
+        if self.d_y == 1:
+            mats[-1] = np.repeat(mats[-1], 2, axis=1)
+        return tuple(mats)
 
     def _combine(self, tables, coef) -> np.ndarray:
         """D^p from the tables and its _coefficients: per axis
         table.T @ W[1:] + W[0], multiplied over the axes, then @ weights;
-        for d = 1 one GEMM plus a row."""
+        for d = 1 one GEMM plus a row. For d_Y = 1 the first of the two
+        equal columns is kept."""
         if tables[0].shape[1] == 1:
             # one point would take BLAS's vector path, which rounds unlike
             # the GEMM of a batch; doubled, it takes the GEMM too
@@ -356,7 +364,8 @@ class GridFunction:
             factor = table[:rows].T @ w[1:]
             factor += w[0]
             out = factor if out is None else np.multiply(out, factor, out=out)
-        return out if self.d == 1 else out @ coef[-1]
+        out = out if self.d == 1 else out @ coef[-1]
+        return out if self.d_y > 1 else out[:, :1].copy()
 
 
 # --------------------------------------------------------------------------
@@ -384,16 +393,10 @@ class FunctionClass:
     def __getitem__(self, i) -> GridFunction:
         return self.members[i]
 
-    def validate_membership(self, tol: float = 1e-9) -> bool:
-        """Every stored derivative value of every member lies in B."""
-        for g in self.members:
-            stacked = np.concatenate([v for v in g.derivs.values()], axis=0)
-            if isinstance(self.b_descriptor, SmoothOutputDescriptor):
-                if not self.b_descriptor.contains(stacked):
-                    return False
-            elif not self.b_descriptor.contains(stacked, tol=tol):
-                return False
-        return True
+    def validate_membership(self) -> bool:
+        """Every tabulated derivative value of every member lies in B."""
+        return all(self.b_descriptor.contains(
+            np.concatenate(list(g.derivs.values()))) for g in self.members)
 
     @functools.cached_property
     def width(self) -> int:
@@ -493,7 +496,6 @@ def generate_finite_dim_ball_class(d, m, d_y, k_b, count, seed, resolution=None,
     if min(d, m, d_y) < 1 or k_b <= 0 or count < 0:
         raise ValueError("d, m, d_y must be >= 1, k_b > 0, count >= 0")
     resolution = resolution or default_resolution(d)
-    tables = trig_tables(grid_nodes(d, resolution), max_freq)
     members = []
     for i in range(count):
         rng = substream(seed, _TAG_MEMBER, i)
@@ -502,8 +504,7 @@ def generate_finite_dim_ball_class(d, m, d_y, k_b, count, seed, resolution=None,
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         amps = _split_budget(rng, raw, _term_cap(freqs, m + 1), k_b)
         members.append(GridFunction.from_terms(d, m, d_y, resolution,
-                                               freqs, phases, amps, dirs,
-                                               tables))
+                                               freqs, phases, amps, dirs))
     return FunctionClass(members=tuple(members), b_descriptor=BallDescriptor(k_b),
                          d=d, m=m, d_y=d_y, resolution=resolution, seed=seed)
 
@@ -522,7 +523,6 @@ def generate_span_class(d, m, psi_basis, radius, count, seed, d_y=None,
     if radius <= 0 or count < 0 or min(d, m) < 1:
         raise ValueError("invalid parameters")
     resolution = resolution or default_resolution(d)
-    tables = trig_tables(grid_nodes(d, resolution), max_freq)
     r = psi.shape[0]
     psi_norms = np.linalg.norm(psi, axis=1)
     members = []
@@ -534,8 +534,7 @@ def generate_span_class(d, m, psi_basis, radius, count, seed, d_y=None,
         amps = _split_budget(rng, raw, _term_cap(freqs, m + 1) * psi_norms[idx],
                              radius)
         members.append(GridFunction.from_terms(d, m, d_y, resolution,
-                                               freqs, phases, amps, dirs,
-                                               tables))
+                                               freqs, phases, amps, dirs))
     return FunctionClass(members=tuple(members),
                          b_descriptor=SpanDescriptor(psi=psi, radius=radius),
                          d=d, m=m, d_y=d_y, resolution=resolution, seed=seed)
@@ -557,7 +556,6 @@ def generate_smooth_output_class(d, m, d_out, m_out, bound, grid_out, count, see
     if min(d, m, d_out) < 1 or bound <= 0 or count < 0:
         raise ValueError("invalid parameters")
     resolution = resolution or default_resolution(d)
-    tables = trig_tables(grid_nodes(d, resolution), max_freq)
     d_y = grid_out ** d_out
     out_nodes = grid_nodes(d_out, grid_out)
     members = []
@@ -573,8 +571,7 @@ def generate_smooth_output_class(d, m, d_out, m_out, bound, grid_out, count, see
         amps = _split_budget(rng, raw, _term_cap(freqs, m + 1)
                              * _term_cap(out_freqs, m_out), bound)
         members.append(GridFunction.from_terms(d, m, d_y, resolution,
-                                               freqs, phases, amps, dirs,
-                                               tables))
+                                               freqs, phases, amps, dirs))
     descriptor = SmoothOutputDescriptor(d_out=d_out, m_out=m_out, bound=bound,
                                         grid_out=grid_out)
     return FunctionClass(members=tuple(members), b_descriptor=descriptor,
@@ -776,13 +773,12 @@ def load_class(path) -> FunctionClass:
         phases = take(j * d).reshape(j, d)
         amps = take(j)
         dirs = take(j * d_y).reshape(j, d_y)
-        derivs = {}
-        for p in order:
-            derivs[p] = take(nodes * d_y).reshape(nodes, d_y)
-        members.append(GridFunction(d=d, m=m, d_y=d_y, resolution=resolution,
-                                    freqs=freqs, phases=phases, amps=amps,
-                                    dirs=dirs, derivs=derivs,
-                                    taylor_k=_taylor_k(freqs, amps, dirs, m)))
+        g = GridFunction.from_terms(d, m, d_y, resolution, freqs, phases,
+                                    amps, dirs)
+        # the stored grids, so a loaded class saves to the same bytes
+        g._grids.update({p: take(nodes * d_y).reshape(nodes, d_y)
+                         for p in order})
+        members.append(g)
     return FunctionClass(members=tuple(members),
                          b_descriptor=descriptor_from_json(header["b_descriptor"]),
                          d=d, m=m, d_y=d_y, resolution=resolution,

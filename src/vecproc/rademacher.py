@@ -48,6 +48,36 @@ def _sign_matrix(start: int, count: int, n_bits: int) -> np.ndarray:
     return 2.0 * bits - 1.0
 
 
+def _enumerated_sum(stat, n_bits: int) -> float:
+    """Sum of stat(signs) (one value per sign row) over all 2^n_bits sign
+    patterns, enumerated in chunks of 2^14 rows."""
+    n_patterns = 1 << n_bits
+    chunk = min(n_patterns, 1 << 14)
+    total = 0.0
+    for start in range(0, n_patterns, chunk):
+        signs = _sign_matrix(start, min(chunk, n_patterns - start), n_bits)
+        total += float(stat(signs).sum())
+    return total
+
+
+def _sign_mean(stat, n_bits: int, reps: int, seed: int, tag: int,
+               threads: int):
+    """Monte-Carlo mean of stat(signs) over reps rows of n_bits Rademacher
+    signs, and its standard error."""
+
+    def block(idx, size):
+        rng = substream(seed, tag, idx)
+        values = stat(rademacher_signs(rng, (size, n_bits)))
+        return values.sum(), (values ** 2).sum()
+
+    parts = map_blocks(block, reps, threads)
+    total = sum(p[0] for p in parts)
+    total_sq = sum(p[1] for p in parts)
+    mean = total / reps
+    var = max(total_sq / reps - mean ** 2, 0.0)
+    return mean, math.sqrt(var / reps)
+
+
 def norm_rademacher_values(values: np.ndarray, mode: str = "exact",
                            reps: int = 100_000, seed: int = 0,
                            threads: int = 1) -> RademacherEstimate:
@@ -55,37 +85,22 @@ def norm_rademacher_values(values: np.ndarray, mode: str = "exact",
     k, n, d_y = values.shape
     if k == 0:
         raise ValueError("class must be nonempty")
+
+    def stat(signs):
+        sums = np.einsum("cn,knd->ckd", signs, values) / n
+        return np.linalg.norm(sums, axis=2).max(axis=1)
+
     if mode == "exact":
         if n > 20:
             raise ValueError("exact enumeration limited to n <= 20")
-        total = 0.0
-        n_patterns = 1 << n
-        chunk = min(n_patterns, 1 << 14)
-        for start in range(0, n_patterns, chunk):
-            count = min(chunk, n_patterns - start)
-            signs = _sign_matrix(start, count, n)
-            sums = np.einsum("cn,knd->ckd", signs, values) / n
-            total += float(np.linalg.norm(sums, axis=2).max(axis=1).sum())
-        return RademacherEstimate(value=total / n_patterns,
+        return RademacherEstimate(value=_enumerated_sum(stat, n) / (1 << n),
                                   mode="exact_enumeration", form="norm",
-                                  n_patterns=n_patterns)
+                                  n_patterns=1 << n)
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
-
-    def block(idx, size):
-        rng = substream(seed, _TAG_NORM_MC, idx)
-        signs = rademacher_signs(rng, (size, n))
-        sums = np.einsum("cn,knd->ckd", signs, values) / n
-        stat = np.linalg.norm(sums, axis=2).max(axis=1)
-        return stat.sum(), (stat ** 2).sum()
-
-    parts = map_blocks(block, reps, threads)
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    mean = total / reps
-    var = max(total_sq / reps - mean ** 2, 0.0)
+    mean, se = _sign_mean(stat, n, reps, seed, _TAG_NORM_MC, threads)
     return RademacherEstimate(value=mean, mode="monte_carlo", form="norm",
-                              n_patterns=reps, se=math.sqrt(var / reps))
+                              n_patterns=reps, se=se)
 
 
 def norm_rademacher(cls: FunctionClass, design: EmpiricalDesign,
@@ -125,16 +140,15 @@ def coordinatewise_rademacher_values(coords: np.ndarray, normalized: bool,
     flat, effective = _effective_signs(coords)
     eff = flat[:, effective]                      # (K, E)
     n_eff = effective.size
+
+    def pattern_sup(signs):
+        return (signs @ eff.T).max(axis=1)
+
     if mode == "exact":
         if 2 ** n_eff > EXACT_PATTERN_LIMIT:
             raise ValueError("exact enumeration limited to 2^20 sign patterns")
-        total = 0.0
+        total = _enumerated_sum(pattern_sup, n_eff)
         n_patterns = 1 << n_eff
-        chunk = min(n_patterns, 1 << 14)
-        for start in range(0, n_patterns, chunk):
-            count = min(chunk, n_patterns - start)
-            signs = _sign_matrix(start, count, n_eff)
-            total += float((signs @ eff.T).max(axis=1).sum())
         if normalized:
             return RademacherEstimate(value=total / n_patterns / n,
                                       mode="exact_enumeration",
@@ -147,21 +161,10 @@ def coordinatewise_rademacher_values(coords: np.ndarray, normalized: bool,
         raise ValueError("mode must be 'exact' or 'mc'")
     if not normalized:
         raise ValueError("the pattern-sum form requires exact enumeration")
-
-    def block(idx, size):
-        rng = substream(seed, _TAG_COORD_MC, idx)
-        signs = rademacher_signs(rng, (size, n_eff))
-        stat = (signs @ eff.T).max(axis=1) / n
-        return stat.sum(), (stat ** 2).sum()
-
-    parts = map_blocks(block, reps, threads)
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    mean = total / reps
-    var = max(total_sq / reps - mean ** 2, 0.0)
+    mean, se = _sign_mean(lambda signs: pattern_sup(signs) / n, n_eff, reps,
+                          seed, _TAG_COORD_MC, threads)
     return RademacherEstimate(value=mean, mode="monte_carlo",
-                              form="coordinatewise", n_patterns=reps,
-                              se=math.sqrt(var / reps))
+                              form="coordinatewise", n_patterns=reps, se=se)
 
 
 def coordinatewise_rademacher(cls: FunctionClass, design: EmpiricalDesign,

@@ -77,20 +77,18 @@ def least_squares_fit(cls: FunctionClass, g0_index: int, design: EmpiricalDesign
 # peeling threshold
 
 
-def solve_delta_n(j_curve, n: int, t: float, bracket=(1e-8, 10.0),
-                  rel_tol: float = 1e-6, check_grid=None) -> float:
+def solve_delta_n(j_curve, n: int, t: float, bracket=(1e-8, 10.0)) -> float:
     """Smallest delta with sqrt(n) delta^2 >= 8 (J(delta) + 4 delta sqrt(1+t)
-    + delta sqrt(8t/3)), located by bisection to relative precision.
+    + delta sqrt(8t/3)), located by bisection to relative precision 1e-6.
 
     The hypothesis that J(delta)/delta^2 is nonincreasing is checked on a
-    grid; under it the feasible set is an upper interval, so bisection finds
-    the boundary.
+    24-point log grid over the bracket; under it the feasible set is an
+    upper interval, so bisection finds the boundary.
     """
     if t < 3.0 / 8.0:
         raise ValueError("theorem requires t >= 3/8")
     lo, hi = bracket
-    if check_grid is None:
-        check_grid = np.geomspace(max(lo, 1e-6), hi, 24)
+    check_grid = np.geomspace(max(lo, 1e-6), hi, 24)
     ratios = np.array([j_curve(u) / u ** 2 for u in check_grid])
     if np.any(ratios < -1e-12):
         raise ValueError("J must be nonnegative")
@@ -105,7 +103,7 @@ def solve_delta_n(j_curve, n: int, t: float, bracket=(1e-8, 10.0),
         raise ValueError("no feasible delta below the bracket upper end")
     if feasible(lo):
         return lo
-    while hi / lo > 1.0 + rel_tol:
+    while hi / lo > 1.0 + 1e-6:
         mid = math.sqrt(lo * hi)
         if feasible(mid):
             hi = mid
@@ -114,12 +112,11 @@ def solve_delta_n(j_curve, n: int, t: float, bracket=(1e-8, 10.0),
     return hi
 
 
-def measured_entropy_integral(dist_matrix: np.ndarray, center: int,
-                              u_points: int = 20):
+def measured_entropy_integral(dist_matrix: np.ndarray, center: int):
     """Empirical J(delta) = 4 int_0^delta sqrt(2 H(u, ball(delta))) du.
 
     H is the greedy-cover entropy of the members within delta of `center`
-    (the class shifted by g0), integrated on a log grid in u with the
+    (the class shifted by g0), integrated on a 20-point log grid in u with the
     saturation value log(ball size) used below the grid; both choices only
     increase J, keeping any threshold solved from it valid. The returned
     callable is the nonincreasing-J/delta^2 envelope of the raw measurement,
@@ -136,7 +133,7 @@ def measured_entropy_integral(dist_matrix: np.ndarray, center: int,
         if inside.size <= 1:
             return 0.0
         sub = PointCloud(dist_matrix[np.ix_(inside, inside)], metric="matrix")
-        u_grid = np.geomspace(delta / 64.0, delta, u_points)
+        u_grid = np.geomspace(delta / 64.0, delta, 20)
         cover = greedy_cover(sub, u_grid[0])
         h_vals = np.array([math.log(cover.size_at(u)) for u in u_grid])
         head = u_grid[0] * math.sqrt(2.0 * math.log(inside.size))

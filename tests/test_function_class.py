@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -473,12 +474,23 @@ def test_save_load_v1_round_trip_evaluates_bitwise(tmp_path):
             assert np.array_equal(gb.derivs[p], ga.derivs[p])
 
 
+SPAN_PSI = np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, -0.5, 2.0]])
+
+
 @pytest.mark.parametrize("name, make, sha", [
     ("ball", lambda: fc.generate_finite_dim_ball_class(2, 1, 3, 1.0, 12, seed=7,
                                                        resolution=17),
      "d3145d714d7f4f508868f5a48491a83a3249cea207b3e0b84a6316bb8d2b2e28"),
     ("rate_pool", reg.default_rate_pool,
      "1cf154fe71a576e8c3046205454d1c69a52e1ffa2ef3d594e0e2ee17205a01c8"),
+    # taken while every generator still tabulated its grids when it built a
+    # member: tabulating on first use must store the same bits
+    ("span", lambda: fc.generate_span_class(2, 1, SPAN_PSI, radius=1.5,
+                                            count=6, seed=7, resolution=17),
+     "cd84b2234dc7684d187307476dd031d81f2638e3a95a62a86ecb4f40d9de1fd7"),
+    ("smooth_output", lambda: fc.generate_smooth_output_class(
+        1, 2, 1, 2, 1.0, 8, 6, seed=7, resolution=65),
+     "919400ee7ebe9ed5667cc8de95a9dbef46eae4f9da8edc1712836a6866596355"),
 ])
 def test_seeded_classes_keep_their_bytes(tmp_path, name, make, sha):
     # a seed names one class: its draws, including the amplitude signs, must
@@ -486,3 +498,34 @@ def test_seeded_classes_keep_their_bytes(tmp_path, name, make, sha):
     path = tmp_path / f"{name}.vpfc"
     fc.save_class(make(), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
+
+def test_building_a_class_tabulates_no_grid():
+    # 200 members' values and derivatives of order <= 2 on 1025 nodes would
+    # take 14.8 MB; a member holds only its terms until a grid is read
+    tracemalloc.start()
+    try:
+        cls = fc.generate_finite_dim_ball_class(1, 2, 3, 1.0, 200, seed=5,
+                                                resolution=1025)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cls) == 200
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_one_output_column_does_not_depend_on_the_batch(d):
+    # with d_Y = 1 a point's value must not depend on how many points its
+    # call has (BLAS's matrix-vector path rounds a row by the batch size)
+    cls = fc.generate_finite_dim_ball_class(d, 1, 1, 1.0, 3, seed=5,
+                                            resolution=5)
+    x = substream(9, d).uniform(size=(3001, d))
+    for g in cls.members:
+        for p in fc.multi_indices(d, 1):
+            whole = g.evaluate_deriv(x, p)
+            for row in (2, 3, 17, 256, 1000):
+                halves = [g.evaluate_deriv(c, p) for c in np.split(x, [row])]
+                assert np.array_equal(np.concatenate(halves), whole)
+            singles = [g.evaluate_deriv(x[i:i + 1], p) for i in range(50)]
+            assert np.array_equal(np.concatenate(singles), whole[:50])

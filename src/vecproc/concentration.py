@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import OrthonormalBasis
-from .reports import TailReport, binomial_report, fields_json
-from .rng import map_blocks, rademacher_signs, substream
+from .reports import TailReport, fields_json, tail_check
+from .rng import map_blocks, rademacher_signs
 
 _TAG_REAL = 301
 _TAG_HILBERT = 302
@@ -99,16 +99,12 @@ def hoeffding_real_check(c, n: int, t_grid, reps: int, seed: int,
     c = _per_sample_bounds(c, n)
     b = math.sqrt(float(np.sum(c ** 2)))
     ts = np.asarray(t_grid, float)
-    thresholds = b * np.sqrt(2.0 * ts)
 
-    def block(idx, size):
-        rng = substream(seed, _TAG_REAL, idx)
-        signs = rademacher_signs(rng, (size, n))
-        s = signs @ c
-        return (s[:, None] >= thresholds[None, :]).sum(axis=0)
+    def stat(rng, size):
+        return rademacher_signs(rng, (size, n)) @ c
 
-    counts = np.sum(map_blocks(block, reps, threads), axis=0)
-    return binomial_report(ts, counts, np.exp(-ts), reps, seed)
+    return tail_check(stat, b * np.sqrt(2.0 * ts), ts, np.exp(-ts), reps,
+                      threads, seed, _TAG_REAL)
 
 
 # rows of the replicate axis normalised at a time in _bounded_vector_sum, so
@@ -137,15 +133,12 @@ def hoeffding_hilbert_check(c, n: int, d_y: int, t_grid, reps: int, seed: int,
     c = _per_sample_bounds(c, n)
     b = math.sqrt(float(np.sum(c ** 2)))
     ts = np.asarray(t_grid, float)
-    thresholds = 2.0 * b * np.sqrt(ts)
 
-    def block(idx, size):
-        rng = substream(seed, _TAG_HILBERT, idx)
-        norms = np.linalg.norm(_bounded_vector_sum(rng, size, n, d_y, c), axis=1)
-        return (norms[:, None] >= thresholds[None, :]).sum(axis=0)
+    def stat(rng, size):
+        return np.linalg.norm(_bounded_vector_sum(rng, size, n, d_y, c), axis=1)
 
-    counts = np.sum(map_blocks(block, reps, threads), axis=0)
-    return binomial_report(ts, counts, 2.0 * np.exp(-ts), reps, seed)
+    return tail_check(stat, 2.0 * b * np.sqrt(ts), ts, 2.0 * np.exp(-ts), reps,
+                      threads, seed, _TAG_HILBERT)
 
 
 @dataclass(frozen=True)
@@ -183,15 +176,13 @@ def cosh_moment_check(c, n: int, lambda_grid, reps: int, seed: int, d_y: int = 5
     if np.any(lams <= 0):
         raise ValueError("lambda values must be positive")
 
-    def block(idx, size):
-        rng = substream(seed, _TAG_COSH, idx)
+    def block(rng, size):
         norms = np.linalg.norm(_bounded_vector_sum(rng, size, n, d_y, c), axis=1)
         vals = np.cosh(lams[None, :] * norms[:, None])
         return vals.sum(axis=0), (vals ** 2).sum(axis=0)
 
-    parts = map_blocks(block, reps, threads)
-    total = np.sum([p[0] for p in parts], axis=0)
-    total_sq = np.sum([p[1] for p in parts], axis=0)
+    parts = map_blocks(block, reps, threads, seed, _TAG_COSH)
+    total, total_sq = (np.sum(p, axis=0) for p in zip(*parts))
     mean = total / reps
     var = np.maximum(total_sq / reps - mean ** 2, 0.0)
     se = np.sqrt(var / reps)
@@ -244,13 +235,10 @@ def gaussian_tail_check(spectrum: CovarianceSpectrum, a_grid, reps: int,
     if reps < 10 ** 4:
         raise ValueError("need at least 10^4 replicates")
     a_vals = np.asarray(a_grid, float)
-    trace = spectrum.trace
 
-    def block(idx, size):
-        rng = substream(seed, _TAG_GAUSS_TAIL, idx)
-        norms = np.linalg.norm(sample_gaussian_batch(spectrum, rng, size), axis=1)
-        return (norms[:, None] >= a_vals[None, :]).sum(axis=0)
+    def stat(rng, size):
+        return np.linalg.norm(sample_gaussian_batch(spectrum, rng, size), axis=1)
 
-    counts = np.sum(map_blocks(block, reps, threads), axis=0)
-    bounds = 2.0 * np.exp(-3.0 * a_vals ** 2 / (8.0 * trace))
-    return binomial_report(a_vals, counts, bounds, reps, seed, label="a")
+    bounds = 2.0 * np.exp(-3.0 * a_vals ** 2 / (8.0 * spectrum.trace))
+    return tail_check(stat, a_vals, a_vals, bounds, reps, threads, seed,
+                      _TAG_GAUSS_TAIL, label="a")

@@ -18,8 +18,8 @@ import numpy as np
 from .covering import PointCloud, greedy_cover
 from .function_class import (EmpiricalDesign, FunctionClass, GridFunction,
                              l2_distance_uniform, mean_uniform)
-from .reports import TailReport, binomial_report, fields_json
-from .rng import map_blocks, rademacher_signs, substream
+from .reports import TailReport, fields_json, tail_check
+from .rng import map_blocks, rademacher_signs
 
 _TAG_SYM = 401
 _TAG_GC = 402
@@ -101,8 +101,7 @@ def symmetrization_check(cls: FunctionClass, n: int, reps: int, seed: int,
         raise ValueError("reps must be at least 2")
     means = true_means(cls)
 
-    def block(idx, size):
-        rng = substream(seed, _TAG_SYM, idx)
+    def block(rng, size):
         x = rng.uniform(size=(size, n, cls.d)).reshape(-1, cls.d)
         x2 = rng.uniform(size=(size, n, cls.d)).reshape(-1, cls.d)
         signs = rademacher_signs(rng, (size, n, 1))
@@ -118,10 +117,8 @@ def symmetrization_check(cls: FunctionClass, n: int, reps: int, seed: int,
             rad = np.maximum(rad, np.linalg.norm(vals.mean(axis=1), axis=1))
         return dev, pair, rad
 
-    parts = map_blocks(block, reps, threads)
-    dev = np.concatenate([p[0] for p in parts])
-    pair = np.concatenate([p[1] for p in parts])
-    rad = np.concatenate([p[2] for p in parts])
+    parts = map_blocks(block, reps, threads, seed, _TAG_SYM)
+    dev, pair, rad = (np.concatenate(p) for p in zip(*parts))
     return SymmetrizationReport(
         mean_dev=float(dev.mean()), mean_pair=float(pair.mean()),
         mean_rad=float(rad.mean()),
@@ -142,8 +139,7 @@ def symmetrization_probability_check(cls: FunctionClass, n: int, a_grid,
     means = true_means(cls)
     a_vals = np.asarray(a_grid, float)
 
-    def block(idx, size):
-        rng = substream(seed, _TAG_SYMPROB, idx)
+    def block(rng, size):
         x = rng.uniform(size=(size, n, cls.d)).reshape(-1, cls.d)
         signs = rademacher_signs(rng, (size, n, 1))
         tables = cls.trig_tables(x)
@@ -160,10 +156,9 @@ def symmetrization_probability_check(cls: FunctionClass, n: int, a_grid,
         rhs = (rad[:, None] > a_vals[None, :] / 4.0).sum(axis=0)
         return prem, lhs, rhs
 
-    parts = map_blocks(block, reps, threads)
-    prem = np.sum([p[0] for p in parts], axis=0) / reps      # (K, len(a))
-    lhs = np.sum([p[1] for p in parts], axis=0) / reps
-    rhs = np.sum([p[2] for p in parts], axis=0) / reps
+    parts = map_blocks(block, reps, threads, seed, _TAG_SYMPROB)
+    # prem is (K, len(a)); lhs and rhs are (len(a),)
+    prem, lhs, rhs = (np.sum(p, axis=0) / reps for p in zip(*parts))
     rows = []
     for j, a in enumerate(a_vals):
         premise_max = float(prem[:, j].max())
@@ -189,8 +184,7 @@ def gc_decay_curve(cls: FunctionClass, n_grid, reps: int, seed: int,
     means = true_means(cls)
     rows = []
     for pos, n in enumerate(n_grid):
-        def block(idx, size, n=n, pos=pos):
-            rng = substream(seed, _TAG_GC, pos, idx)
+        def block(rng, size, n=n):
             x = rng.uniform(size=(size * n, cls.d))
             tables = cls.trig_tables(x)
             dev = np.zeros(size)
@@ -199,7 +193,8 @@ def gc_decay_curve(cls: FunctionClass, n_grid, reps: int, seed: int,
                 dev = np.maximum(dev, np.linalg.norm(emp - mean, axis=1))
             return dev
 
-        devs = np.concatenate(map_blocks(block, reps, threads))
+        devs = np.concatenate(map_blocks(block, reps, threads, seed, _TAG_GC,
+                                         pos))
         rows.append((int(n), float(np.median(devs))))
     meds = np.array([r[1] for r in rows])
     ns = np.array([r[0] for r in rows], float)
@@ -312,15 +307,13 @@ def chaining_tail_check(plan: ChainingPlan, cls: FunctionClass,
     tops = np.unique(plan.chains[:, -1])
     top_vals = cls.values_on(design)[tops]    # (T, n, d_Y)
 
-    def block(idx, size):
-        rng = substream(seed, _TAG_CHAIN, idx)
+    def stat(rng, size):
         signs = rademacher_signs(rng, (size, n))
         sums = np.einsum("bn,tnd->btd", signs, top_vals) / n
-        stat = np.linalg.norm(sums, axis=2).max(axis=1)
-        return (stat[:, None] >= thresholds[None, :]).sum(axis=0)
+        return np.linalg.norm(sums, axis=2).max(axis=1)
 
-    counts = np.sum(map_blocks(block, reps, threads), axis=0)
-    return binomial_report(ts, counts, 2.0 * np.exp(-ts), reps, seed)
+    return tail_check(stat, thresholds, ts, 2.0 * np.exp(-ts), reps, threads,
+                      seed, _TAG_CHAIN)
 
 
 # --------------------------------------------------------------------------
@@ -331,38 +324,41 @@ def equicontinuity_curve(cls: FunctionClass, g0_index: int, radius_grid, n_grid,
                          reps: int, seed: int, threads: int = 1):
     """Median of sup_{||g-g0||_{2,P} <= delta} ||nu_n(g) - nu_n(g0)|| per (delta, n).
 
-    Distances to g0 are exact L2(P) distances under the uniform law. Rows:
-    (delta, n, members_in_ball, median statistic).
+    Distances to g0 are exact L2(P) distances under the uniform law. The
+    draws are keyed by (n position, block), so every radius sees the same
+    points: each member is evaluated once per block and its deviation norm
+    folded into the running supremum of every ball that holds it. Rows:
+    (delta, n, members_in_ball, median statistic), radius-major; a ball
+    holding at most one member has statistic 0.
     """
     if not 0 <= g0_index < len(cls):
         raise ValueError("g0_index out of range")
     g0 = cls[g0_index]
     dists = np.array([l2_distance_uniform(g, g0) for g in cls.members])
     means = true_means(cls)
-    rows = []
-    for radius in radius_grid:
-        in_ball = np.where(dists <= radius)[0]
-        for pos, n in enumerate(n_grid):
-            if in_ball.size <= 1:
-                rows.append((float(radius), int(n), int(in_ball.size), 0.0))
-                continue
+    radii = np.asarray(radius_grid, float)
+    in_ball = [int(np.sum(dists <= r)) for r in radii]
+    live = np.array(in_ball) > 1
+    members = [k for k in range(len(cls))
+               if k != g0_index and np.any(dists[k] <= radii[live])]
+    medians = np.zeros((len(radii), len(n_grid)))
+    for pos, n in enumerate(n_grid if members else ()):
+        def block(rng, size, n=n):
+            x = rng.uniform(size=(size * n, cls.d))
+            tables = cls.trig_tables(x)
+            g0_vals = g0.evaluate(x, tables).reshape(size, n, cls.d_y)
+            stat = np.zeros((len(radii), size))
+            for k in members:
+                diff = cls[k].evaluate(x, tables).reshape(size, n, cls.d_y) \
+                    - g0_vals
+                dev = diff.mean(axis=1) - (means[k] - means[g0_index])[None]
+                holds = dists[k] <= radii
+                stat[holds] = np.maximum(stat[holds], np.linalg.norm(dev, axis=1))
+            return math.sqrt(n) * stat
 
-            def block(idx, size, n=n, pos=pos, in_ball=in_ball):
-                rng = substream(seed, _TAG_EQUI, pos, idx)
-                x = rng.uniform(size=(size * n, cls.d))
-                tables = cls.trig_tables(x)
-                g0_vals = g0.evaluate(x, tables).reshape(size, n, cls.d_y)
-                stat = np.zeros(size)
-                for k in in_ball:
-                    if k == g0_index:
-                        continue
-                    diff = cls[k].evaluate(x, tables).reshape(size, n, cls.d_y) \
-                        - g0_vals
-                    dev = diff.mean(axis=1) - (means[k] - means[g0_index])[None]
-                    stat = np.maximum(stat, np.linalg.norm(dev, axis=1))
-                return math.sqrt(n) * stat
-
-            stats = np.concatenate(map_blocks(block, reps, threads))
-            rows.append((float(radius), int(n), int(in_ball.size),
-                         float(np.median(stats))))
-    return rows
+        stats = np.concatenate(
+            map_blocks(block, reps, threads, seed, _TAG_EQUI, pos), axis=1)
+        for i in np.flatnonzero(live):
+            medians[i, pos] = np.median(stats[i])
+    return [(float(r), int(n), in_ball[i], float(medians[i, pos]))
+            for i, r in enumerate(radii) for pos, n in enumerate(n_grid)]

@@ -12,10 +12,11 @@ no numerical differentiation happens anywhere in the class itself.
 
 A member is its terms: they give exact values and derivatives anywhere,
 exact means and exact L2 inner products under the uniform law on [0,1]^d.
-Values and all partial derivatives up to order m on a uniform grid (the
-declared sup-norm approximation) are tabulated on first use, by the same
-evaluation as any other points; only the sup-norm consumers (covers of the
-class under the sup norm, membership checks, serialization) ask for them.
+Values and partial derivatives up to order m on a uniform grid (the
+declared sup-norm approximation) are tabulated on first use, one grid at a
+time, by the same evaluation as any other points; only the sup-norm
+consumers ask for them: covers of the class under the sup norm read the
+values alone, membership checks and serialization every grid.
 
 Evaluation never forms a member's own cosines. By
 cos(2 pi k x + phi) = cos(phi) cos(2 pi k x) - sin(phi) sin(2 pi k x), with
@@ -274,19 +275,27 @@ class GridFunction:
 
     @property
     def derivs(self) -> dict:
-        """{p: D^p on the grid, (res^d, d_Y)} for every [p] <= m, tabulated
-        on first use through evaluate_deriv."""
-        if not self._grids:
-            nodes = grid_nodes(self.d, self.resolution)
-            tables = trig_tables(nodes, self.width)
-            self._grids.update({p: self.evaluate_deriv(nodes, p, tables)
-                                for p in multi_indices(self.d, self.m)})
-        return self._grids
+        """{p: D^p on the grid, (res^d, d_Y)} for every [p] <= m."""
+        order = multi_indices(self.d, self.m)
+        self._tabulate(order)
+        return {p: self._grids[p] for p in order}
 
     @property
     def values(self) -> np.ndarray:
-        """Tabulated values on the grid, (res^d, d_Y)."""
-        return self.derivs[(0,) * self.d]
+        """Values on the grid, (res^d, d_Y); tabulates no derivative."""
+        p = (0,) * self.d
+        if p not in self._grids:
+            self._tabulate([p])
+        return self._grids[p]
+
+    def _tabulate(self, order) -> None:
+        """Tabulate each grid D^p, p in order, on its first use."""
+        todo = [p for p in order if p not in self._grids]
+        if todo:
+            nodes = grid_nodes(self.d, self.resolution)
+            tables = trig_tables(nodes, self.width)
+            self._grids.update({p: self.evaluate_deriv(nodes, p, tables)
+                                for p in todo})
 
     @property
     def width(self) -> int:

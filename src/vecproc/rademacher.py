@@ -24,7 +24,7 @@ import numpy as np
 from .empirical_process import build_chaining_plan
 from .function_class import EmpiricalDesign, FunctionClass
 from .hilbert import OrthonormalBasis
-from .rng import map_blocks, rademacher_signs, substream
+from .rng import map_blocks, rademacher_signs
 
 _TAG_NORM_MC = 601
 _TAG_COORD_MC = 602
@@ -65,14 +65,12 @@ def _sign_mean(stat, n_bits: int, reps: int, seed: int, tag: int,
     """Monte-Carlo mean of stat(signs) over reps rows of n_bits Rademacher
     signs, and its standard error."""
 
-    def block(idx, size):
-        rng = substream(seed, tag, idx)
+    def block(rng, size):
         values = stat(rademacher_signs(rng, (size, n_bits)))
         return values.sum(), (values ** 2).sum()
 
-    parts = map_blocks(block, reps, threads)
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
+    parts = map_blocks(block, reps, threads, seed, tag)
+    total, total_sq = (sum(p) for p in zip(*parts))
     mean = total / reps
     var = max(total_sq / reps - mean ** 2, 0.0)
     return mean, math.sqrt(var / reps)

@@ -19,7 +19,7 @@ from .covering import PointCloud, greedy_cover
 from .covering import greedy_cover as greedy_cover_from  # former name, kept for callers
 from .empirical_process import build_chaining_plan
 from .function_class import EmpiricalDesign, FunctionClass, SmoothOutputDescriptor
-from .reports import TailReport, binomial_report, fields_json, jsonable
+from .reports import TailReport, fields_json, jsonable, tail_check
 from .rng import map_blocks, rademacher_signs, substream
 
 _TAG_LS = 501
@@ -311,8 +311,7 @@ def rate_experiment(pool: FunctionClass, g0_index: int, noise: CovarianceSpectru
         g_norm = np.sum(vc ** 2, axis=1)
         a_cross = vc @ truth
 
-        def block(idx, size, pos=pos):
-            rng = substream(seed, _TAG_RATE, pos, idx)
+        def block(rng, size):
             eps = sample_gaussian_batch(noise, rng, size * int(n)) \
                 .reshape(size, -1)
             cross = eps @ vc.T
@@ -323,9 +322,8 @@ def rate_experiment(pool: FunctionClass, g0_index: int, noise: CovarianceSpectru
             rhs = 2.0 * (cross[rows, pick] - cross[rows, 0]) / n
             return errs, errs ** 2 <= rhs + 1e-9
 
-        parts = map_blocks(block, reps, threads)
-        errs = np.concatenate([p[0] for p in parts])
-        basic = np.concatenate([p[1] for p in parts])
+        parts = map_blocks(block, reps, threads, seed, _TAG_RATE, pos)
+        errs, basic = (np.concatenate(p) for p in zip(*parts))
         basic_ok = basic_ok and bool(np.all(basic))
         medians.append(float(np.median(errs)))
         deltas.append(delta_n)
@@ -368,14 +366,12 @@ def gaussian_chaining_check(cls: FunctionClass, design: EmpiricalDesign,
     tops = np.unique(plan.chains[:, -1])
     top_flat = cls.values_on(design)[tops].reshape(len(tops), -1)
 
-    def block(idx, size):
-        rng = substream(seed, _TAG_GCHAIN, idx)
+    def stat(rng, size):
         eps = sample_gaussian_batch(noise, rng, size * n).reshape(size, -1)
-        stat = (eps @ top_flat.T / n).max(axis=1)
-        return (stat[:, None] >= thresholds[None, :]).sum(axis=0)
+        return (eps @ top_flat.T / n).max(axis=1)
 
-    counts = np.sum(map_blocks(block, reps, threads), axis=0)
-    return binomial_report(ts, counts, np.exp(-ts), reps, seed)
+    return tail_check(stat, thresholds, ts, np.exp(-ts), reps, threads, seed,
+                      _TAG_GCHAIN)
 
 
 # --------------------------------------------------------------------------
@@ -479,8 +475,7 @@ def population_risks(cls: FunctionClass, noise: CovarianceSpectrum,
         (vals - vals[g_true_index][None]).transpose(0, 2, 1))  # (K, d_Y, xq)
     rows = max(1, _LOSS_CHUNK // x_quad)
 
-    def block(idx, size):
-        rng = substream(seed, _TAG_ERM, idx)
+    def block(rng, size):
         eps = np.ascontiguousarray(sample_gaussian_batch(noise, rng, size).T)
         out_sum = np.zeros(len(cls))
         out_sq = np.zeros(len(cls))
@@ -498,9 +493,8 @@ def population_risks(cls: FunctionClass, noise: CovarianceSpectrum,
             out_sq[k] = (per_draw ** 2).sum()
         return out_sum, out_sq
 
-    parts = map_blocks(block, noise_quad, threads=1, block=4096)
-    risks = np.sum([p[0] for p in parts], axis=0) / noise_quad
-    risk_sq = np.sum([p[1] for p in parts], axis=0) / noise_quad
+    parts = map_blocks(block, noise_quad, 1, seed, _TAG_ERM, block=4096)
+    risks, risk_sq = (np.sum(p, axis=0) / noise_quad for p in zip(*parts))
     se = np.sqrt(np.maximum(risk_sq - risks ** 2, 0.0) / noise_quad)
     return risks, float(se.max())
 
@@ -530,8 +524,7 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
     c_bound = lipschitz * cap
     rows = []
     for pos, n in enumerate(np.asarray(n_grid, int)):
-        def block(idx, size, n=int(n), pos=pos):
-            rng = substream(seed, _TAG_ERM_RAD, pos, idx)
+        def block(rng, size, n=int(n)):
             excesses = np.empty(size)
             rads = np.empty(size)
             decomp = np.empty(size, dtype=bool)
@@ -555,10 +548,10 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
                 rads[b] = np.abs(signs @ loss.T / n).max(axis=1).mean()
             return excesses, rads, decomp
 
-        parts = map_blocks(block, reps, threads, block=64)
-        excess = np.concatenate([p[0] for p in parts])
-        rad = np.concatenate([p[1] for p in parts])
-        decomp_ok = bool(np.all(np.concatenate([p[2] for p in parts])))
+        parts = map_blocks(block, reps, threads, seed, _TAG_ERM_RAD, pos,
+                           block=64)
+        excess, rad, decomp = (np.concatenate(p) for p in zip(*parts))
+        decomp_ok = bool(np.all(decomp))
         rad_mean = float(rad.mean())
         rad_se = float(rad.std(ddof=1) / math.sqrt(reps))
         bound = 2.0 * rad_mean + 5.0 * c_bound * math.sqrt(

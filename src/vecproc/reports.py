@@ -1,4 +1,4 @@
-"""Shared report containers and CSV/JSON emission.
+"""Shared report containers, CSV/JSON emission and the one tail check.
 
 One converter, `jsonable`, feeds both writers. A CSV body is a list of row
 dicts whose keys are the header, so a CSV row is the JSON row it came from.
@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .rng import map_blocks
 
 
 def fmt(value) -> str:
@@ -107,9 +109,21 @@ class TailReport:
                 "all_ok": self.all_ok, "rows": self.rows()}
 
 
-def binomial_report(thresholds, counts, bounds, reps, seed, label="t") -> TailReport:
-    freqs = np.asarray(counts, float) / reps
+def tail_check(stat, levels, rows, bounds, reps: int, threads: int, seed: int,
+               *path: int, label: str = "t") -> TailReport:
+    """Row j: rows[j], the frequency of stat >= levels[j] and bounds[j].
+
+    stat(rng, size) gives `size` replicates of the statistic from a block's
+    generator; map_blocks(..., seed, *path) hands each block its own.
+    """
+    levels = np.asarray(levels, float)
+
+    def block(rng, size):
+        return (stat(rng, size)[:, None] >= levels[None, :]).sum(axis=0)
+
+    counts = np.sum(map_blocks(block, reps, threads, seed, *path), axis=0)
+    freqs = counts / reps
     ses = np.sqrt(freqs * (1.0 - freqs) / reps)
-    return TailReport(thresholds=np.asarray(thresholds, float), freqs=freqs,
+    return TailReport(thresholds=np.asarray(rows, float), freqs=freqs,
                       ses=ses, bounds=np.asarray(bounds, float), reps=reps,
                       seed=seed, label=label)

@@ -2,9 +2,11 @@
 
 Every stochastic routine in the package draws from a Philox counter-based
 generator keyed by a 64-bit seed plus a small integer path, so replicate
-streams can be split deterministically (per check, per threshold, per
+streams can be split deterministically (per check, per sample size, per
 Monte-Carlo block) without any stream ever overlapping. Results are a
-function of (seed, path) only, never of execution order or worker count.
+function of (seed, path) only, never of execution order or worker count:
+`map_blocks` hands Monte-Carlo block i the generator substream(seed, *path,
+i), so no block kernel keys its own stream.
 
 Every Rademacher sign comes from `rademacher_signs`, which spends one
 random bit per sign. Generated function classes draw their amplitude signs
@@ -74,25 +76,24 @@ def block_sizes(reps: int, block: int = BLOCK_SIZE):
     """Split `reps` into fixed blocks; the split ignores worker count."""
     if reps <= 0:
         raise ValueError("reps must be positive")
-    out = []
-    done = 0
-    while done < reps:
-        size = min(block, reps - done)
-        out.append(size)
-        done += size
-    return out
+    full, rest = divmod(reps, block)
+    return [block] * full + [rest] * (rest > 0)
 
 
-def map_blocks(fn, reps: int, threads: int = 1, block: int = BLOCK_SIZE):
-    """Run fn(block_index, block_size) for every block, in-order results.
+def map_blocks(fn, reps: int, threads: int, seed: int, *path: int,
+               block: int = BLOCK_SIZE):
+    """[fn(substream(seed, *path, i), size) for block i of block_sizes].
 
-    `fn` must derive its randomness from the block index alone. Results are
-    returned as a list ordered by block index regardless of `threads`, so any
+    Block i's generator is keyed by its index, never by the worker that
+    runs it, and the list is in block order whatever `threads` is, so any
     associative combination downstream is deterministic.
     """
-    sizes = block_sizes(reps, block)
-    if threads <= 1 or len(sizes) == 1:
-        return [fn(i, s) for i, s in enumerate(sizes)]
+    def run(job):
+        i, size = job
+        return fn(substream(seed, *path, i), size)
+
+    jobs = list(enumerate(block_sizes(reps, block)))
+    if threads <= 1 or len(jobs) == 1:
+        return [run(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, i, s) for i, s in enumerate(sizes)]
-        return [f.result() for f in futures]
+        return list(pool.map(run, jobs))

@@ -7,7 +7,7 @@ import pytest
 from vecproc import empirical_process as ep
 from vecproc import function_class as fc
 from vecproc.covering import PointCloud, greedy_cover
-from vecproc.rng import map_blocks, rademacher_signs, substream
+from vecproc.rng import block_sizes, rademacher_signs, substream
 
 
 def ball_class(count, seed, d_y=3, m=1, resolution=129, **kw):
@@ -126,7 +126,7 @@ def stacked_symmetrization(cls, n, reps, seed):
         rad = np.linalg.norm((vals * signs).mean(axis=2), axis=2).max(axis=1)
         return dev, pair, rad
 
-    parts = map_blocks(block, reps)
+    parts = [block(idx, size) for idx, size in enumerate(block_sizes(reps))]
     dev, pair, rad = (np.concatenate([p[i] for p in parts]) for i in range(3))
     return ep.SymmetrizationReport(
         mean_dev=float(dev.mean()), mean_pair=float(pair.mean()),
@@ -207,7 +207,8 @@ def stacked_gc_decay(cls, n_grid, reps, seed):
             emp = vals.mean(axis=2)
             return np.linalg.norm(emp - means[None], axis=2).max(axis=1)
 
-        out.append((int(n), float(np.median(np.concatenate(map_blocks(block, reps))))))
+        devs = [block(idx, size) for idx, size in enumerate(block_sizes(reps))]
+        out.append((int(n), float(np.median(np.concatenate(devs)))))
     return out
 
 
@@ -328,3 +329,45 @@ def test_equicontinuity_stable_in_n():
     rows = ep.equicontinuity_curve(cls, 0, [0.2], [1000, 10_000], 60, seed=10)
     med_small, med_large = rows[0][3], rows[1][3]
     assert med_large <= med_small * 1.5 + 1e-9
+
+
+def per_radius_equicontinuity(cls, g0_index, radius_grid, n_grid, reps, seed):
+    """equicontinuity_curve with one Monte-Carlo pass per radius."""
+    g0 = cls[g0_index]
+    dists = np.array([fc.l2_distance_uniform(g, g0) for g in cls.members])
+    means = ep.true_means(cls)
+    rows = []
+    for radius in radius_grid:
+        in_ball = np.where(dists <= radius)[0]
+        for pos, n in enumerate(n_grid):
+            if in_ball.size <= 1:
+                rows.append((float(radius), int(n), int(in_ball.size), 0.0))
+                continue
+            stats = []
+            for idx, size in enumerate(block_sizes(reps)):
+                x = substream(seed, ep._TAG_EQUI, pos, idx).uniform(
+                    size=(size * n, cls.d))
+                g0_vals = g0.evaluate(x).reshape(size, n, cls.d_y)
+                stat = np.zeros(size)
+                for k in in_ball[in_ball != g0_index]:
+                    diff = cls[k].evaluate(x).reshape(size, n, cls.d_y) - g0_vals
+                    dev = diff.mean(axis=1) - (means[k] - means[g0_index])
+                    stat = np.maximum(stat, np.linalg.norm(dev, axis=1))
+                stats.append(math.sqrt(n) * stat)
+            rows.append((float(radius), int(n), int(in_ball.size),
+                         float(np.median(np.concatenate(stats)))))
+    return rows
+
+
+@pytest.mark.parametrize("g0_index, radii, n_grid, reps, threads", [
+    (0, [0.05, 0.2, 1.0], [50, 200], 300, 1),
+    (3, [0.5, 0.1, 2.0, 0.0], [40], 9000, 2),    # unsorted radii, two blocks
+    (2, [1e-9, 0.3], [30, 60], 200, 1),          # a one-member ball
+])
+def test_equicontinuity_matches_per_radius_reference(g0_index, radii, n_grid,
+                                                     reps, threads):
+    cls = ball_class(12, seed=43, min_freq=1)
+    got = ep.equicontinuity_curve(cls, g0_index, radii, n_grid, reps, seed=4,
+                                  threads=threads)
+    assert got == per_radius_equicontinuity(cls, g0_index, radii, n_grid,
+                                            reps, seed=4)

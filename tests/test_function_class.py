@@ -515,6 +515,28 @@ def test_building_a_class_tabulates_no_grid():
 
 
 @pytest.mark.parametrize("d", [1, 2])
+def test_reading_values_tabulates_one_grid(monkeypatch, d):
+    # the sup-norm covers read only the values; the derivatives of order
+    # <= 2 are tabulated when derivs is read, each grid once
+    g = fc.generate_finite_dim_ball_class(d, 2, 3, 1.0, 1, seed=5,
+                                          resolution=9)[0]
+    tabulated = []
+    evaluate_deriv = fc.GridFunction.evaluate_deriv
+
+    def counted(self, x, p, tables=None):
+        tabulated.append(tuple(p))
+        return evaluate_deriv(self, x, p, tables)
+
+    monkeypatch.setattr(fc.GridFunction, "evaluate_deriv", counted)
+    values = g.values
+    assert tabulated == [(0,) * d]
+    derivs = g.derivs
+    assert list(derivs) == fc.multi_indices(d, 2)
+    assert sorted(tabulated) == fc.multi_indices(d, 2)
+    assert derivs[(0,) * d] is values
+
+
+@pytest.mark.parametrize("d", [1, 2])
 def test_one_output_column_does_not_depend_on_the_batch(d):
     # with d_Y = 1 a point's value must not depend on how many points its
     # call has (BLAS's matrix-vector path rounds a row by the batch size)

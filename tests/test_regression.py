@@ -6,7 +6,7 @@ import pytest
 from vecproc import function_class as fc
 from vecproc import regression as reg
 from vecproc.concentration import CovarianceSpectrum, sample_gaussian_batch
-from vecproc.rng import map_blocks, rademacher_signs, substream
+from vecproc.rng import block_sizes, rademacher_signs, substream
 
 
 def ball_class(count, seed, d_y=3, resolution=129, **kw):
@@ -233,7 +233,8 @@ def stacked_population_risks(cls, noise, g_true_index, cap, lipschitz, seed,
             out_sq[k] = (per_draw ** 2).sum()
         return out_sum, out_sq
 
-    parts = map_blocks(block, noise_quad, threads=1, block=4096)
+    parts = [block(idx, size)
+             for idx, size in enumerate(block_sizes(noise_quad, 4096))]
     risks = np.sum([p[0] for p in parts], axis=0) / noise_quad
     risk_sq = np.sum([p[1] for p in parts], axis=0) / noise_quad
     se = np.sqrt(np.maximum(risk_sq - risks ** 2, 0.0) / noise_quad)
@@ -320,7 +321,8 @@ def one_shot_erm(cls, noise, n_grid, reps, seed, rad_patterns, cap=1.0,
                 rads.append(np.abs(signs @ loss.T / n).max(axis=1).mean())
             return excesses, rads, decomp
 
-        parts = map_blocks(block, reps, block=64)
+        parts = [block(idx, size)
+                 for idx, size in enumerate(block_sizes(reps, 64))]
         out.append(tuple(sum((p[i] for p in parts), []) for i in range(3)))
     return risks, out
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vecproc.rng import rademacher_signs, substream
+from vecproc.rng import block_sizes, map_blocks, rademacher_signs, substream
 
 
 def test_signs_golden_vector():
@@ -37,3 +37,18 @@ def test_whole_word_chunks_continue_one_draw(n):
     assert np.array_equal(np.concatenate(parts),
                           rademacher_signs(one, (sum(sizes), n)))
     assert gen.uniform() == one.uniform()
+
+
+@pytest.mark.parametrize("reps, block", [(1, 8192), (20_000, 8192), (100, 7)])
+def test_map_blocks_hands_block_i_its_substream(reps, block):
+    def first_draws(rng, size):
+        return size, rng.uniform(size=3)
+
+    one = map_blocks(first_draws, reps, 1, 5, 40, 2, block=block)
+    assert [size for size, _ in one] == block_sizes(reps, block)
+    for i, (_, draws) in enumerate(one):
+        assert np.array_equal(draws, substream(5, 40, 2, i).uniform(size=3))
+    three = map_blocks(first_draws, reps, 3, 5, 40, 2, block=block)
+    assert len(three) == len(one)
+    assert all(a[0] == b[0] and np.array_equal(a[1], b[1])
+               for a, b in zip(one, three))

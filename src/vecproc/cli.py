@@ -61,6 +61,18 @@ def _grid(kind, low=-math.inf):
     return parse
 
 
+def _bound(text):
+    """argparse type: the bound c shared by every c_i, finite and positive."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("need n positive bounds c_i: c must "
+                                         f"be finite and positive, got {text}")
+    return value
+
+
+_bound.__name__ = "float"   # argparse names the type in its messages
+
+
 _positive = _number(int, 1)
 _real = _number(float, -math.inf)   # any number; the library checks its range
 _floats = _grid(float)
@@ -169,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["hoeffding-real", "hoeffding-hilbert", "cosh",
                             "gaussian-mgf", "gaussian-tail"])
     p.add_argument("--n", type=_positive, default=50)
-    p.add_argument("--dy", type=int, default=5)
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--dy", type=_positive, default=5)
+    p.add_argument("--c", type=_bound, default=1.0)
     p.add_argument("--t", type=_times, default=[0.5, 1.0, 2.0, 4.0])
     p.add_argument("--lambdas", type=_floats, default=[0.1, 0.25, 0.4])
     p.add_argument("--a", type=_floats, default=[1.0, 2.0, 3.0])

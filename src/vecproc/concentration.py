@@ -7,6 +7,12 @@ deterministically through their finite-spectrum product form, with no
 sampling noise at all. Replicates are partitioned into fixed blocks with
 counter-derived seeds and combined in block order, so results depend only on
 (seed, reps), never on the worker count.
+
+The bounded-vector checks read only ||S_n||, S_n = sum_i eps_i c_i U_i with
+U_i uniform on the unit sphere. The signs are absorbed into U_i, whose law
+they keep, and ||S_k||^2 = ||S_{k-1}||^2 + c_k^2 + 2 c_k ||S_{k-1}|| T_k
+exactly, where T_k = <U_k, S_{k-1}/||S_{k-1}||> is, by rotation invariance,
+independent of S_{k-1} with the law of one coordinate of U_k.
 """
 
 from __future__ import annotations
@@ -84,11 +90,13 @@ def sample_gaussian_batch(spectrum: CovarianceSpectrum, rng: np.random.Generator
     return draws
 
 
-def _per_sample_bounds(c, n: int) -> np.ndarray:
+def _per_sample_bounds(c, n: int, d_y: int = 1) -> np.ndarray:
+    if d_y < 1:
+        raise ValueError("d_y must be at least 1")
     c = np.asarray(c, float)
     if c.ndim == 0:
         c = np.full(n, float(c))
-    if c.shape != (n,) or not np.all(c > 0):
+    if c.shape != (n,) or not np.all((c > 0) & np.isfinite(c)):
         raise ValueError("need n positive bounds c_i")
     return c
 
@@ -107,37 +115,33 @@ def hoeffding_real_check(c, n: int, t_grid, reps: int, seed: int,
                       threads, seed, _TAG_REAL)
 
 
-# rows of the replicate axis normalised at a time in _bounded_vector_sum, so
-# the squared temporary of the norm is a chunk, not the whole block
-_NORM_ROWS = 1024
-
-
-def _bounded_vector_sum(rng, size, n, d_y, c):
-    """Sums of n independent vectors, each a random sign times c_i times a
-    uniform random unit direction: zero mean, ||Y_i|| = c_i surely."""
-    dirs = rng.standard_normal((size, n, d_y))
-    for lo in range(0, size, _NORM_ROWS):
-        rows = dirs[lo:lo + _NORM_ROWS]
-        rows /= np.linalg.norm(rows, axis=2, keepdims=True)
-    # one pass over dirs: +-c_i is exact and rounding is symmetric, so this
-    # equals scaling by the sign and then by c_i
-    scale = rademacher_signs(rng, (size, n, 1))
-    scale *= c[None, :, None]
-    dirs *= scale
-    return np.sum(dirs, axis=1)
+def _sum_norms(rng, size, n, d_y, c):
+    """||S_n|| for `size` replicates, by the radial recursion above: T_k is
+    g / sqrt(g^2 + 2 G), g from an (n, size) array of normals, then G from
+    one of Gamma((d_y - 1)/2) draws; a random sign when d_y = 1. No sign
+    eps_i is drawn: eps_i c_i U_i has the law of c_i U_i. Block memory is
+    O(n size), whatever d_y is."""
+    if d_y == 1:
+        cos = rademacher_signs(rng, (n, size))
+    else:
+        cos = rng.standard_normal((n, size))
+        cos /= np.sqrt(cos * cos
+                       + 2.0 * rng.standard_gamma((d_y - 1) / 2.0, (n, size)))
+    sq = np.zeros(size)
+    for ck, tk in zip(c, cos):
+        sq += ck * (ck + 2.0 * np.sqrt(sq) * tk)
+        np.maximum(sq, 0.0, out=sq)
+    return np.sqrt(sq)
 
 
 def hoeffding_hilbert_check(c, n: int, d_y: int, t_grid, reps: int, seed: int,
                             threads: int = 1) -> TailReport:
     """P(||S_n|| >= 2b sqrt(t)) <= 2 e^-t for bounded zero-mean vectors."""
-    c = _per_sample_bounds(c, n)
+    c = _per_sample_bounds(c, n, d_y)
     b = math.sqrt(float(np.sum(c ** 2)))
     ts = np.asarray(t_grid, float)
-
-    def stat(rng, size):
-        return np.linalg.norm(_bounded_vector_sum(rng, size, n, d_y, c), axis=1)
-
-    return tail_check(stat, 2.0 * b * np.sqrt(ts), ts, 2.0 * np.exp(-ts), reps,
+    return tail_check(lambda rng, size: _sum_norms(rng, size, n, d_y, c),
+                      2.0 * b * np.sqrt(ts), ts, 2.0 * np.exp(-ts), reps,
                       threads, seed, _TAG_HILBERT)
 
 
@@ -171,13 +175,13 @@ def cosh_moment_check(c, n: int, lambda_grid, reps: int, seed: int, d_y: int = 5
     Thresholds where the Monte-Carlo estimator is too noisy (relative
     standard error above 0.2) are flagged inconclusive rather than failed.
     """
-    c = _per_sample_bounds(c, n)
+    c = _per_sample_bounds(c, n, d_y)
     lams = np.asarray(lambda_grid, float)
     if np.any(lams <= 0):
         raise ValueError("lambda values must be positive")
 
     def block(rng, size):
-        norms = np.linalg.norm(_bounded_vector_sum(rng, size, n, d_y, c), axis=1)
+        norms = _sum_norms(rng, size, n, d_y, c)
         vals = np.cosh(lams[None, :] * norms[:, None])
         return vals.sum(axis=0), (vals ** 2).sum(axis=0)
 

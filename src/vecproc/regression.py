@@ -529,11 +529,12 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
             rads = np.empty(size)
             decomp = np.empty(size, dtype=bool)
             signs = np.empty((rad_patterns, n))     # refilled per replicate
-            for b in range(size):
-                x = rng.uniform(size=(n, cls.d))
-                eps = sample_gaussian_batch(noise, rng, n)
-                design = EmpiricalDesign(x)
-                vals = cls.values_on(design)
+            # every design and noise draw precedes the block's signs, so the
+            # sign sampler cannot move the excess risks
+            draws = [(rng.uniform(size=(n, cls.d)),
+                      sample_gaussian_batch(noise, rng, n)) for _ in range(size)]
+            for b, (x, eps) in enumerate(draws):
+                vals = cls.values_on(EmpiricalDesign(x))
                 y = vals[g_true_index] + eps
                 loss = clipped_loss(y[None], vals, cap, lipschitz)  # (K, n)
                 emp = loss.mean(axis=1)

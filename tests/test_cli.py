@@ -214,6 +214,13 @@ def test_invalid_monte_carlo_input_exits_2(tmp_path, capsys, argv, message):
     (["erm", "--lipschitz", "nan", "--n-grid", "10", "--reps", "2"],
      "must be a number, got nan"),
     (["regress", "--net-fraction", "nan"], "must be a number, got nan"),
+    (["concentration", "--check", "hoeffding-hilbert", "--dy", "0"],
+     "must be at least 1"),
+    (["concentration", "--check", "cosh", "--dy", "0"], "must be at least 1"),
+    (["concentration", "--check", "hoeffding-hilbert", "--c", "inf"],
+     "need n positive bounds"),
+    (["concentration", "--check", "cosh", "--c", "inf"],
+     "need n positive bounds"),
 ])
 def test_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
                                                   message):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,23 +181,80 @@ def test_reports_deterministic_across_threads():
     assert np.array_equal(c.freqs, d.freqs)
 
 
-def one_shot_bounded_vector_sum(rng, size, n, d_y, c):
-    """_bounded_vector_sum with the whole block normalised at once."""
-    dirs = rng.standard_normal((size, n, d_y))
-    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-    dirs *= rademacher_signs(rng, (size, n, 1))
-    dirs *= c[None, :, None]
-    return np.sum(dirs, axis=1)
+def explicit_vector_norms(rng, size, n, d_y, c, rows=1024):
+    """||sum_i eps_i c_i U_i|| built from the vectors: normalised Gaussian
+    directions, Rademacher signs and the bounds c_i, `rows` replicates at a
+    time."""
+    out = np.empty(size)
+    for lo in range(0, size, rows):
+        dirs = rng.standard_normal((min(rows, size - lo), n, d_y))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        dirs *= rademacher_signs(rng, (len(dirs), n, 1)) * c[None, :, None]
+        out[lo:lo + len(dirs)] = np.linalg.norm(dirs.sum(axis=1), axis=1)
+    return out
 
 
-@pytest.mark.parametrize("size, n, d_y", [
-    (2 * conc._NORM_ROWS + 3, 7, 8),      # a short last chunk
-    (conc._NORM_ROWS, 3, 1),
-    (conc._NORM_ROWS + 1, 5, 20),         # a one-row last chunk
-    (300, 50, 5),                          # one chunk
-])
-def test_bounded_vector_sum_matches_one_shot_norm(size, n, d_y):
+def ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    return float(np.max(np.abs(np.searchsorted(a, grid, side="right") / a.size
+                               - np.searchsorted(b, grid, side="right") / b.size)))
+
+
+@pytest.mark.parametrize("n, d_y", [(50, 20), (50, 5), (7, 2), (3, 20)])
+def test_sum_norms_has_the_law_of_the_vector_sum(n, d_y):
+    size = 20_000
     c = np.linspace(0.5, 1.5, n)
-    got = conc._bounded_vector_sum(substream(4, size, n), size, n, d_y, c)
-    ref = one_shot_bounded_vector_sum(substream(4, size, n), size, n, d_y, c)
-    assert np.array_equal(got, ref)
+    got = conc._sum_norms(substream(21, n, d_y), size, n, d_y, c)
+    ref = explicit_vector_norms(substream(22, n, d_y), size, n, d_y, c)
+    # two-sample KS critical value at level 0.001
+    assert ks_distance(got, ref) <= 1.95 * math.sqrt(2.0 / size)
+    sq = got ** 2
+    se = sq.std() / math.sqrt(size)
+    assert abs(sq.mean() - np.sum(c ** 2)) <= 4 * se
+
+
+@pytest.mark.parametrize("d_y", [1, 2, 20])
+def test_sum_norms_of_one_vector_is_its_bound(d_y):
+    got = conc._sum_norms(substream(23, d_y), 4096, 1, d_y, np.array([0.37]))
+    assert np.all(got == 0.37)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_sum_norms_of_unit_signs_is_an_integer_of_the_parity_of_n(n):
+    got = conc._sum_norms(substream(24, n), 4096, n, 1, np.ones(n))
+    assert np.all(got == np.round(got))
+    assert np.all((n - got) % 2 == 0)
+    assert np.all(got <= n)
+
+
+@pytest.mark.parametrize("n, d_y", [(2, 2), (2, 3), (50, 2), (400, 20)])
+def test_sum_norms_is_never_nan(n, d_y):
+    # equal bounds: S_2 nearly cancels when T_2 is close to -1, where the
+    # rounded ||S||^2 can dip below zero before it is clamped
+    got = conc._sum_norms(substream(25, n, d_y), 8192, n, d_y, np.ones(n))
+    assert np.all(np.isfinite(got))
+    assert np.all(got >= 0.0)
+
+
+def test_hilbert_block_memory_does_not_grow_with_dimension():
+    def peak(d_y):
+        tracemalloc.start()
+        try:
+            conc.hoeffding_hilbert_check(1.0, 50, d_y, [1.0], 8192, seed=26)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(200) < 1.5 * peak(2)
+
+
+def test_dimension_and_bounds_validation():
+    with pytest.raises(ValueError, match="d_y must be at least 1"):
+        conc.hoeffding_hilbert_check(1.0, 5, 0, [1.0], 1000, seed=0)
+    with pytest.raises(ValueError, match="d_y must be at least 1"):
+        conc.cosh_moment_check(1.0, 5, [0.1], 1000, seed=0, d_y=0)
+    for c in (math.inf, math.nan, [1.0, math.inf]):
+        with pytest.raises(ValueError, match="need n positive bounds"):
+            conc.hoeffding_hilbert_check(c, 2, 3, [1.0], 1000, seed=0)

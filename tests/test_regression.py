@@ -297,7 +297,8 @@ def test_chunked_sign_draws_match_one_shot(n, chunk):
 def one_shot_erm(cls, noise, n_grid, reps, seed, rad_patterns, cap=1.0,
                  lipschitz=1.0, g_true_index=0, x_quad=512, noise_quad=100_000):
     """erm_lipschitz_experiment's replicate loop with one (patterns, n) sign
-    draw per replicate; returns (risks, per-n excesses, rads, decomp)."""
+    draw per replicate, after every design and noise draw of the block;
+    returns (risks, per-n excesses, rads, decomp)."""
     risks, _ = reg.population_risks(cls, noise, g_true_index, cap, lipschitz,
                                     seed, x_quad=x_quad, noise_quad=noise_quad)
     g_star = int(np.argmin(risks))
@@ -306,9 +307,9 @@ def one_shot_erm(cls, noise, n_grid, reps, seed, rad_patterns, cap=1.0,
         def block(idx, size, n=n, pos=pos):
             rng = substream(seed, reg._TAG_ERM_RAD, pos, idx)
             excesses, rads, decomp = [], [], []
-            for _ in range(size):
-                x = rng.uniform(size=(n, cls.d))
-                eps = sample_gaussian_batch(noise, rng, n)
+            draws = [(rng.uniform(size=(n, cls.d)),
+                      sample_gaussian_batch(noise, rng, n)) for _ in range(size)]
+            for x, eps in draws:
                 vals = cls.values_on(fc.EmpiricalDesign(x))
                 y = vals[g_true_index] + eps
                 loss = reg.clipped_loss(y[None], vals, cap, lipschitz)
@@ -342,3 +343,20 @@ def test_erm_matches_one_shot_sign_reference(rad_patterns):
         assert row.rad_mean == float(np.mean(rads))
         assert row.rad_se == float(np.std(rads, ddof=1) / math.sqrt(3))
         assert row.decomposition_ok == all(decomp)
+
+
+def test_erm_excess_risks_do_not_depend_on_the_sign_sampler(monkeypatch):
+    cls = ball_class(4, seed=6)
+    noise = CovarianceSpectrum.uniform(3)
+    kw = dict(reps=5, seed=2, rad_patterns=300, x_quad=64, noise_quad=3000)
+    rep = reg.erm_lipschitz_experiment(cls, noise, [9, 40], **kw)
+    # signs from one 64-bit draw each: another stream consumption
+    monkeypatch.setattr(reg, "rademacher_signs", lambda gen, shape: np.where(
+        gen.random(shape) < 0.5, -1.0, 1.0))
+    other = reg.erm_lipschitz_experiment(cls, noise, [9, 40], **kw)
+    assert np.array_equal(rep.risks, other.risks)
+    for row, alt in zip(rep.rows, other.rows):
+        assert row.median_excess == alt.median_excess
+        assert row.q95_excess == alt.q95_excess
+        assert row.decomposition_ok == alt.decomposition_ok
+        assert row.rad_mean != alt.rad_mean

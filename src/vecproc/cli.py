@@ -36,11 +36,13 @@ _TAG_CLI_DESIGN = 701
 
 
 def _number(kind, low):
-    """argparse type: a `kind` value of at least `low`; NaN is rejected."""
+    """argparse type: a finite `kind` value of at least `low`."""
     def parse(text):
         value = kind(text)
         if value != value:
             raise argparse.ArgumentTypeError(f"must be a number, got {text}")
+        if math.isinf(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
         return value
@@ -74,7 +76,7 @@ _bound.__name__ = "float"   # argparse names the type in its messages
 
 
 _positive = _number(int, 1)
-_real = _number(float, -math.inf)   # any number; the library checks its range
+_real = _number(float, -math.inf)   # finite; the library checks its range
 _floats = _grid(float)
 _times = _grid(float, 0)       # the t of a tail bound e^-t
 _sizes = _grid(int, 1)         # sample sizes
@@ -338,8 +340,7 @@ def _run_bounds(args):
         bound = eb.BoundParams(d=args.d, m=args.m, k_b=args.kb, delta=delta,
                                variant=args.variant, big_m=args.big_m,
                                tau=tau).evaluate()
-        measured = "" if cloud is None else cov.entropy(cloud, delta,
-                                                        mode="greedy")
+        measured = "" if cloud is None else cov.entropy(cloud, delta)
         rows.append({"delta": delta, "variant": args.variant, "bound": bound,
                      "measured_entropy_if_any": measured})
     all_ok = cloud is None or all(r["measured_entropy_if_any"] <= r["bound"]
@@ -466,11 +467,12 @@ def _run_rademacher(args):
                 continue  # pattern sums require exact enumeration
             out_obj[key] = rad.coordinatewise_rademacher(
                 cls, design, basis, normalized=normalized, mode=args.mode,
-                reps=args.reps, seed=args.seed)
+                reps=args.reps, seed=args.seed, threads=args.threads)
         return True, {"rademacher.json": out_obj}
     rep = rad.rademacher_entropy_bound_check(cls, design, args.levels,
                                              mode=args.mode, reps=args.reps,
-                                             seed=args.seed)
+                                             seed=args.seed,
+                                             threads=args.threads)
     return rep.ok, {"rademacher.json": rep}
 
 

@@ -13,6 +13,10 @@ U_i uniform on the unit sphere. The signs are absorbed into U_i, whose law
 they keep, and ||S_k||^2 = ||S_{k-1}||^2 + c_k^2 + 2 c_k ||S_{k-1}|| T_k
 exactly, where T_k = <U_k, S_{k-1}/||S_{k-1}||> is, by rotation invariance,
 independent of S_{k-1} with the law of one coordinate of U_k.
+
+A Gaussian covariance is given in its eigenbasis, by its nonincreasing
+eigenvalues; its draws are sum_j sqrt(lambda_j) xi_j e_j, so the output
+coordinates are the eigen-coordinates.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import OrthonormalBasis
 from .reports import TailReport, fields_json, tail_check
 from .rng import map_blocks, rademacher_signs
 
@@ -34,10 +37,10 @@ _TAG_GAUSS_TAIL = 304
 
 @dataclass(frozen=True)
 class CovarianceSpectrum:
-    """Eigenvalues (nonincreasing, nonnegative) of a covariance operator."""
+    """Eigenvalues (nonincreasing, nonnegative) of a covariance operator,
+    whose eigenvectors are the coordinate axes."""
 
     eigenvalues: np.ndarray
-    basis: OrthonormalBasis | None = None
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, float)
@@ -47,8 +50,6 @@ class CovarianceSpectrum:
             raise ValueError("eigenvalues must be finite and nonnegative")
         if np.any(np.diff(ev) > 1e-12):
             raise ValueError("eigenvalues must be nonincreasing")
-        if self.basis is not None and self.basis.dim != ev.size:
-            raise ValueError("basis dimension mismatch")
         object.__setattr__(self, "eigenvalues", ev)
 
     @property
@@ -74,20 +75,11 @@ class CovarianceSpectrum:
         return CovarianceSpectrum(np.array([1.0]))
 
 
-def sample_gaussian(mean, spectrum: CovarianceSpectrum,
-                    rng: np.random.Generator) -> np.ndarray:
-    """One draw of mean + sum_j sqrt(lambda_j) xi_j b_j."""
-    return mean + sample_gaussian_batch(spectrum, rng, 1)[0]
-
-
 def sample_gaussian_batch(spectrum: CovarianceSpectrum, rng: np.random.Generator,
                           size: int) -> np.ndarray:
-    """Zero-mean draws, shape (size, d_y)."""
+    """Zero-mean draws sum_j sqrt(lambda_j) xi_j e_j, shape (size, d_y)."""
     xi = rng.standard_normal((size, spectrum.d_y))
-    draws = xi * np.sqrt(spectrum.eigenvalues)
-    if spectrum.basis is not None:
-        draws = draws @ spectrum.basis.columns.T
-    return draws
+    return xi * np.sqrt(spectrum.eigenvalues)
 
 
 def _per_sample_bounds(c, n: int, d_y: int = 1) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .function_class import (EmpiricalDesign, FunctionClass, multi_indices,
-                             sample_range_set, sup_distance)
+                             sup_distance)
 
 
 # --------------------------------------------------------------------------
@@ -233,15 +233,9 @@ def max_packing_size(cloud: PointCloud, delta: float) -> int:
     return best
 
 
-def entropy(cloud: PointCloud, delta: float, mode: str = "greedy") -> float:
-    """log covering number at radius delta, greedy or exact."""
-    if mode == "greedy":
-        count = greedy_cover(cloud, delta).size
-    elif mode == "exact":
-        count = exact_cover_number(cloud, delta)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return math.log(count)
+def entropy(cloud: PointCloud, delta: float) -> float:
+    """log of the greedy covering number at radius delta."""
+    return math.log(greedy_cover(cloud, delta).size)
 
 
 # --------------------------------------------------------------------------
@@ -257,6 +251,8 @@ def smooth_cover_constants(d: int, m: int, k_b: float, delta: float):
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
+    if not 0 < k_b < math.inf:
+        raise ValueError("K_B must be finite and positive")
     k1 = max(1.0, max(d ** (m - k) * k_b / math.factorial(m - k)
                       for k in range(m)))
     cap_delta = (delta / (4.0 * k1)) ** (1.0 / m)
@@ -307,12 +303,6 @@ class SmoothCoverPlan:
                 "occupied_cells": self.occupied_cell_count()}
 
 
-def _net_points(d: int, n_side: int) -> np.ndarray:
-    axes = [(np.arange(n_side) + 0.5) / n_side] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def _first_cover_assign(points: np.ndarray, centers: np.ndarray, radius: float):
     """Cell of each point: first center (in order) within `radius`."""
     cells = np.full(points.shape[0], -1, dtype=int)
@@ -329,23 +319,22 @@ def _first_cover_assign(points: np.ndarray, centers: np.ndarray, radius: float):
     return cells
 
 
-def build_smooth_cover(cls: FunctionClass, delta: float, b_sample_count: int = 0,
-                       sample_seed: int = 0) -> SmoothCoverPlan:
+def build_smooth_cover(cls: FunctionClass, delta: float) -> SmoothCoverPlan:
     """Constructive delta-cover of a smooth class under the sup norm.
 
-    Builds the Delta/2 cube net, covers the sampled level-k derivative
-    values of the range set at radius delta_k/2 (delta_k = delta/(2 Delta^k e^d))
-    with greedy covers, disjointifies cells in greedy center order, and
-    assigns every member its cell signature over all net points and all
-    multi-indices [p] <= m-1. Members sharing a signature are sup-distance
-    at most delta apart.
+    Builds the Delta/2 cube net, covers the level-k derivative values of
+    the members at the net points at radius delta_k/2 (delta_k =
+    delta/(2 Delta^k e^d)) with greedy covers, disjointifies cells in
+    greedy center order, and assigns every member its cell signature over
+    all net points and all multi-indices [p] <= m-1. Members sharing a
+    signature are sup-distance at most delta apart.
     """
     if len(cls) == 0:
         raise ValueError("class must be nonempty")
     d, m = cls.d, cls.m
     k_b = cls.b_descriptor.k_b
     k1, cap_delta, n_side, _ = smooth_cover_constants(d, m, k_b, delta)
-    net = _net_points(d, n_side)
+    net = EmpiricalDesign.midpoint_grid(n_side ** d, d).points
     level_radii = np.array([delta / (2.0 * cap_delta ** k * math.exp(d))
                             for k in range(m)])
 
@@ -363,10 +352,6 @@ def build_smooth_cover(cls: FunctionClass, delta: float, b_sample_count: int = 0
     for k in range(m):
         ps = [p for p in p_list if sum(p) == k]
         sample = np.concatenate([deriv_vals[p].reshape(-1, cls.d_y) for p in ps])
-        if b_sample_count > 0:
-            extra = sample_range_set(cls.b_descriptor, b_sample_count, cls.d_y,
-                                     sample_seed + k)
-            sample = np.concatenate([sample, extra])
         cloud = PointCloud(sample)
         cover = greedy_cover(cloud, level_radii[k] / 2.0)
         centers = sample[cover.center_indices]

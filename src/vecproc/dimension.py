@@ -20,7 +20,6 @@ from .rng import substream
 
 _TAG_TRIAL = 201
 
-EXACT_LOCAL_LIMIT = 12
 EXACT_LOCAL_MAX = 20
 
 
@@ -39,16 +38,15 @@ def _spread_starts(cloud: PointCloud, n_starts: int) -> np.ndarray:
     return coarse.center_indices[:n_starts]
 
 
-def greedy_entropy(cloud: PointCloud, delta: float, starts=None) -> float:
-    """log of the smallest greedy cover over a fixed set of starting points.
+def greedy_entropy(cloud: PointCloud, delta: float) -> float:
+    """log of the smallest greedy cover over eight spread starting points.
 
     Every restart yields a valid cover, so the minimum is a tighter upper
     bound on N(delta) than any single run; restarting from spread points
     also damps the drift a corner start induces across radii.
     """
-    if starts is None:
-        starts = _spread_starts(cloud, 8)
-    best = min(greedy_cover(cloud, delta, start=int(s)).size for s in starts)
+    best = min(greedy_cover(cloud, delta, start=int(s)).size
+               for s in _spread_starts(cloud, 8))
     return math.log(best)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covering import PointCloud, greedy_cover
-from .function_class import (EmpiricalDesign, FunctionClass, GridFunction,
+from .function_class import (EmpiricalDesign, FunctionClass,
                              l2_distance_uniform, mean_uniform)
 from .reports import TailReport, fields_json, tail_check
 from .rng import map_blocks, rademacher_signs
@@ -28,30 +28,11 @@ _TAG_EQUI = 404
 _TAG_SYMPROB = 405
 
 
-def empirical_mean(g: GridFunction, design: EmpiricalDesign) -> np.ndarray:
-    """P_n g = (1/n) sum_i g(X_i), a point of the output space."""
-    if design.n == 0:
-        raise ValueError("design must be nonempty")
-    return g.evaluate(design.points).mean(axis=0)
-
-
 def true_means(cls: FunctionClass) -> np.ndarray:
     """Pg for every member under the uniform law; exact, shape (K, d_Y)."""
     if len(cls) == 0:
         raise ValueError("class must be nonempty")
     return np.stack([mean_uniform(g) for g in cls.members])
-
-
-def sup_deviation(cls: FunctionClass, design: EmpiricalDesign,
-                  mean_oracle=None) -> float:
-    """||P_n - P||_G = max over members of ||P_n g - P g||."""
-    if mean_oracle is None:
-        mean_oracle = true_means(cls)
-    mean_oracle = np.asarray(mean_oracle, float)
-    if mean_oracle.shape != (len(cls), cls.d_y):
-        raise ValueError("mean oracle must provide one point per member")
-    emp = cls.values_on(design).mean(axis=1)
-    return float(np.linalg.norm(emp - mean_oracle, axis=1).max())
 
 
 # --------------------------------------------------------------------------

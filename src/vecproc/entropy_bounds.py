@@ -66,16 +66,9 @@ def bound_rkhs(d: int, m: int, k_b: float, delta: float, big_m: float,
     return bound_exp(d, m, k_b, delta, big_m, 2.0 * d / h)
 
 
-def combined_smooth_exponent(d: int, m: int, d_out: int, m_out: int) -> float:
-    """Entropy exponent d/m + d'/m' when the output set is itself smooth."""
-    if min(d, m, d_out, m_out) < 1:
-        raise ValueError("all dimensions and orders must be positive")
-    return d / m + d_out / m_out
-
-
 def _validate(d, m, k_b, delta):
-    if min(d, m) < 1 or k_b <= 0:
-        raise ValueError("need d, m >= 1 and K_B > 0")
+    if min(d, m) < 1 or not 0 < k_b < math.inf:
+        raise ValueError("need d, m >= 1 and finite K_B > 0")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
 

@@ -42,7 +42,6 @@ import numpy as np
 from .rng import substream
 
 _TAG_MEMBER = 101
-_TAG_SAMPLE_B = 102
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,12 +79,6 @@ class BallDescriptor:
     def contains(self, points: np.ndarray, tol: float = 1e-9) -> bool:
         return bool(np.all(np.linalg.norm(points, axis=-1) <= self.radius + tol))
 
-    def sample(self, count: int, d_y: int, rng: np.random.Generator) -> np.ndarray:
-        raw = rng.standard_normal((count, d_y))
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        radii = self.radius * rng.uniform(size=count) ** (1.0 / d_y)
-        return raw * radii[:, None]
-
     def to_json(self):
         return {"kind": "ball", "radius": self.radius}
 
@@ -109,15 +102,6 @@ class SpanDescriptor:
         coef, *_ = np.linalg.lstsq(self.psi.T, pts.T, rcond=None)
         resid = pts.T - self.psi.T @ coef
         return bool(np.all(np.linalg.norm(resid, axis=0) <= tol))
-
-    def sample(self, count: int, d_y: int, rng: np.random.Generator) -> np.ndarray:
-        r = self.psi.shape[0]
-        theta = rng.standard_normal((count, r))
-        vals = theta @ self.psi
-        norms = np.linalg.norm(vals, axis=1)
-        norms[norms == 0] = 1.0
-        scale = self.radius * rng.uniform(size=count) ** (1.0 / r) / norms
-        return vals * scale[:, None]
 
     def to_json(self):
         return {"kind": "span", "radius": self.radius, "psi": self.psi.tolist()}
@@ -179,9 +163,6 @@ class SmoothOutputDescriptor:
                 if diff.size:
                     worst = max(worst, float(np.max(np.abs(diff))))
         return worst
-
-    def sample(self, count: int, d_y: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError("no direct sampler for the smooth-output set")
 
     def to_json(self):
         return {"kind": "smooth_output", "d_out": self.d_out, "m_out": self.m_out,
@@ -587,11 +568,6 @@ def generate_smooth_output_class(d, m, d_out, m_out, bound, grid_out, count, see
                          d=d, m=m, d_y=d_y, resolution=resolution, seed=seed)
 
 
-def sample_range_set(descriptor, count, d_y, seed) -> np.ndarray:
-    """Explicit sample of the range set B, for cover augmentation."""
-    return descriptor.sample(count, d_y, substream(seed, _TAG_SAMPLE_B))
-
-
 def blend_members(g0: GridFunction, g1: GridFunction, weight: float) -> GridFunction:
     """(1-w) g0 + w g1, again a trig-sum member of the same class.
 
@@ -622,32 +598,6 @@ def sup_norm(g: GridFunction) -> float:
 
 def sup_distance(g1: GridFunction, g2: GridFunction) -> float:
     return float(np.max(np.linalg.norm(g1.values - g2.values, axis=1)))
-
-
-def lp_seminorm(g: GridFunction, p: float, design: EmpiricalDesign) -> float:
-    """((1/n) sum_i ||g(X_i)||^p)^{1/p}, evaluated off-grid exactly."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if design.n == 0:
-        raise ValueError("design must be nonempty")
-    norms = np.linalg.norm(g.evaluate(design.points), axis=1)
-    return float(np.mean(norms ** p) ** (1.0 / p))
-
-
-def semi_inner_product(g1: GridFunction, g2: GridFunction,
-                       design: EmpiricalDesign) -> float:
-    """<g1, g2>_{2,P_n} = (1/n) sum_i <g1(X_i), g2(X_i)>."""
-    v1 = g1.evaluate(design.points)
-    v2 = g2.evaluate(design.points)
-    return float(np.mean(np.sum(v1 * v2, axis=1)))
-
-
-def envelope(cls: FunctionClass, design: EmpiricalDesign) -> np.ndarray:
-    """G(X_i) = max over members of ||g(X_i)||, per design point."""
-    if len(cls) == 0:
-        raise ValueError("envelope of an empty class is undefined")
-    vals = cls.values_on(design)
-    return np.linalg.norm(vals, axis=2).max(axis=0)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
-"""Coordinate arithmetic for the truncated output Hilbert space.
+"""Orthonormal bases of the truncated output Hilbert space.
 
-Points of the (possibly infinite-dimensional) output space are represented
-by their first d_Y coordinates in a fixed orthonormal basis; a point is just
-a finite 1-d float array. Truncation level d_Y is a declared parameter of
-every experiment.
+A point of the (possibly infinite-dimensional) output space is its first
+d_Y coordinates in a fixed orthonormal basis: a finite float array, and its
+inner products and norms are numpy's. The coordinates of points `values`
+(..., d_Y) in another orthonormal basis are `values @ basis.columns`. This
+module holds the basis type, Gram-Schmidt and a random basis. Truncation
+level d_Y is a declared parameter of every experiment.
 """
 
 from __future__ import annotations
@@ -14,28 +16,6 @@ import numpy as np
 
 # Orthonormality tolerance: double-precision head-room.
 ORTHO_TOL = 1e-12
-
-
-def as_point(u) -> np.ndarray:
-    """Validate and return a coordinate vector as a float64 array."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1:
-        raise ValueError(f"expected a 1-d coordinate vector, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("coordinates must be finite")
-    return u
-
-
-def inner(u, v) -> float:
-    """Euclidean inner product of two coordinate vectors."""
-    u, v = as_point(u), as_point(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return float(np.dot(u, v))
-
-
-def norm(u) -> float:
-    return float(np.linalg.norm(as_point(u)))
 
 
 @dataclass(frozen=True)
@@ -60,18 +40,6 @@ class OrthonormalBasis:
     @staticmethod
     def identity(dim: int) -> "OrthonormalBasis":
         return OrthonormalBasis(np.eye(dim))
-
-
-def change_basis(u, basis: OrthonormalBasis) -> np.ndarray:
-    """Coordinates (<u, b_1>, ..., <u, b_dY>) of u in the given basis.
-
-    An orthonormal change of coordinates, so norms and inner products are
-    preserved (up to roundoff).
-    """
-    u = as_point(u)
-    if u.shape[0] != basis.dim:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {basis.dim}")
-    return basis.columns.T @ u
 
 
 def gram_schmidt(mat) -> OrthonormalBasis:

@@ -168,11 +168,12 @@ def coordinatewise_rademacher_values(coords: np.ndarray, normalized: bool,
 def coordinatewise_rademacher(cls: FunctionClass, design: EmpiricalDesign,
                               basis: OrthonormalBasis, normalized: bool,
                               mode: str = "exact", reps: int = 100_000,
-                              seed: int = 0) -> RademacherEstimate:
-    vals = cls.values_on(design)
-    coords = vals @ basis.columns
+                              seed: int = 0,
+                              threads: int = 1) -> RademacherEstimate:
+    coords = cls.values_on(design) @ basis.columns
     return coordinatewise_rademacher_values(coords, normalized=normalized,
-                                            mode=mode, reps=reps, seed=seed)
+                                            mode=mode, reps=reps, seed=seed,
+                                            threads=threads)
 
 
 # --------------------------------------------------------------------------
@@ -245,12 +246,13 @@ class EntropyBoundReport:
 
 def rademacher_entropy_bound_check(cls: FunctionClass, design: EmpiricalDesign,
                                    s_levels: int, mode: str = "exact",
-                                   reps: int = 100_000,
-                                   seed: int = 0) -> EntropyBoundReport:
+                                   reps: int = 100_000, seed: int = 0,
+                                   threads: int = 1) -> EntropyBoundReport:
     """Norm-form complexity against 2^-(S+1) R_n + 2 J_n / sqrt(n)."""
     plan = build_chaining_plan(cls, design, s_levels)
     bound = 0.5 ** (s_levels + 1) * plan.r_n + 2.0 * plan.j_n / math.sqrt(design.n)
-    est = norm_rademacher(cls, design, mode=mode, reps=reps, seed=seed)
+    est = norm_rademacher(cls, design, mode=mode, reps=reps, seed=seed,
+                          threads=threads)
     slack = 3.0 * est.se if est.mode == "monte_carlo" else 1e-12
     return EntropyBoundReport(estimate=est.value, bound=bound, r_n=plan.r_n,
                               j_n=plan.j_n, s_levels=s_levels,

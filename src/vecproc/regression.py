@@ -20,57 +20,12 @@ from .covering import greedy_cover as greedy_cover_from  # former name, kept for
 from .empirical_process import build_chaining_plan
 from .function_class import EmpiricalDesign, FunctionClass, SmoothOutputDescriptor
 from .reports import TailReport, fields_json, jsonable, tail_check
-from .rng import map_blocks, rademacher_signs, substream
+from .rng import map_blocks, rademacher_signs
 
-_TAG_LS = 501
 _TAG_RATE = 502
 _TAG_GCHAIN = 503
 _TAG_ERM = 504
 _TAG_ERM_RAD = 505
-
-
-@dataclass(frozen=True)
-class RegressionConfig:
-    """Well-specified fixed-design setup: g0 is a member of the class."""
-
-    cls: FunctionClass
-    g0_index: int
-    design: EmpiricalDesign
-    noise: CovarianceSpectrum
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.g0_index < len(self.cls):
-            raise ValueError("g0_index out of range")
-        if abs(self.noise.trace - 1.0) > 1e-9:
-            raise ValueError("noise covariance must have trace 1")
-        if self.noise.d_y != self.cls.d_y:
-            raise ValueError("noise dimension must match the output space")
-
-
-@dataclass(frozen=True)
-class LeastSquaresFit:
-    index: int
-    error: float            # ||ghat - g0||_{2,P_n}
-    basic_lhs: float        # error^2
-    basic_rhs: float        # 2 <eps, ghat - g0>_{2,P_n}
-
-
-def least_squares_fit(cls: FunctionClass, g0_index: int, design: EmpiricalDesign,
-                      noise: CovarianceSpectrum, seed: int,
-                      replicate: int = 0) -> LeastSquaresFit:
-    """Exhaustive least squares over the class for one noise replicate."""
-    vals = cls.values_on(design)
-    rng = substream(seed, _TAG_LS, replicate)
-    eps = sample_gaussian_batch(noise, rng, design.n)
-    y = vals[g0_index] + eps
-    resid = np.sum((y[None] - vals) ** 2, axis=(1, 2))
-    idx = int(np.argmin(resid))
-    diff = vals[idx] - vals[g0_index]
-    err2 = float(np.sum(diff ** 2) / design.n)
-    rhs = 2.0 * float(np.sum(eps * diff) / design.n)
-    return LeastSquaresFit(index=idx, error=math.sqrt(err2),
-                           basic_lhs=err2, basic_rhs=rhs)
 
 
 # --------------------------------------------------------------------------
@@ -517,6 +472,9 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
         raise ValueError("noise covariance must have trace 1")
     if reps < 2:
         raise ValueError("reps must be at least 2")
+    if not all(math.isfinite(v) and v > 0 for v in (cap, lipschitz)):
+        raise ValueError("cap and Lipschitz constant must be finite and "
+                         "positive")
     risks, risk_se = population_risks(cls, noise, g_true_index, cap, lipschitz,
                                       seed, x_quad=x_quad,
                                       noise_quad=noise_quad)

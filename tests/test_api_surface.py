@@ -1,0 +1,99 @@
+"""Every name of src/vecproc earns a caller.
+
+Each top-level function or class of a vecproc module, and each public
+method of a top-level class, must be referenced from src/ or perfbench/
+outside its own definition; tests do not count as callers. A reference is
+an identifier in code (a name or an attribute) or a string that is a dotted
+identifier, such as a perfbench span target. PAPER_CONTENT lists results of
+the paper that no subcommand reaches yet: they stay until one does.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "vecproc"
+CALLER_DIRS = (ROOT / "src", ROOT / "perfbench")
+
+PAPER_CONTENT = frozenset({
+    "generate_span_class",
+    "generate_smooth_output_class",
+    "taylor_remainder_check",
+    "save_class",
+    "load_class",
+    "max_packing_size",
+    "FunctionClass.validate_membership",
+    "sup_norm",
+    "symmetrization_probability_check",
+    "equicontinuity_curve",
+    "random_orthonormal_basis",
+})
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _definitions(tree):
+    """(qualified name, node) of every name the rule covers."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _references(tree):
+    """(identifier, line) of every reference in one module."""
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr)
+                  and isinstance(node.value, ast.Constant)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings
+              and _DOTTED.fullmatch(node.value)):
+            for part in node.value.split("."):
+                yield part, node.lineno
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def unreferenced():
+    """Qualified names of the definitions nothing outside tests refers to."""
+    refs = {}
+    for folder in CALLER_DIRS:
+        for path in sorted(folder.rglob("*.py")):
+            if not path.name.startswith("test_"):
+                for name, line in _references(_parse(path)):
+                    refs.setdefault(name, []).append((path, line))
+    missing = []
+    for module in sorted(SRC.glob("*.py")):
+        for qualname, node in _definitions(_parse(module)):
+            own = range(node.lineno, node.end_lineno + 1)
+            leaf = qualname.rpartition(".")[2]
+            if all(path == module and line in own
+                   for path, line in refs.get(leaf, ())):
+                missing.append(f"{module.stem}.{qualname}")
+    return missing
+
+
+def test_every_src_name_has_a_caller():
+    missing = [name for name in unreferenced()
+               if name.partition(".")[2] not in PAPER_CONTENT]
+    assert missing == [], f"no caller outside tests: {missing}"
+
+
+def test_paper_content_names_exist():
+    defined = {qualname for module in SRC.glob("*.py")
+               for qualname, _ in _definitions(_parse(module))}
+    assert PAPER_CONTENT <= defined

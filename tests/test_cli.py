@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from vecproc import rademacher as rad
 from vecproc.cli import main
 
 
@@ -82,6 +83,28 @@ def test_rademacher_subcommand(tmp_path):
     assert code == 0
     data = json.loads((out / "rademacher.json").read_text())
     assert data["ok"] is True
+
+
+@pytest.mark.parametrize("check", ["coordinatewise", "entropy-bound"])
+def test_rademacher_monte_carlo_honours_threads(tmp_path, monkeypatch, check):
+    seen = []
+    map_blocks = rad.map_blocks
+
+    def spy(fn, reps, threads, *args, **kwargs):
+        seen.append(threads)
+        return map_blocks(fn, reps, threads, *args, **kwargs)
+
+    monkeypatch.setattr(rad, "map_blocks", spy)
+    argv = ["rademacher", "--check", check, "--mode", "mc", "--count", "4",
+            "--n", "8", "--levels", "3", "--reps", "20000"]
+    bodies = []
+    for threads in (1, 2):
+        code, out = run_cli(argv + ["--threads", str(threads)], tmp_path,
+                            f"t{threads}")
+        assert code == 0
+        bodies.append((out / "rademacher.json").read_bytes())
+    assert seen == [1, 2]
+    assert bodies[0] == bodies[1]
 
 
 def test_dimension_subcommand(tmp_path):
@@ -221,6 +244,24 @@ def test_invalid_monte_carlo_input_exits_2(tmp_path, capsys, argv, message):
      "need n positive bounds"),
     (["concentration", "--check", "cosh", "--c", "inf"],
      "need n positive bounds"),
+    (["bounds", "--kb", "inf", "--deltas", "0.1"], "must be finite, got inf"),
+    (["smooth-cover", "--kb", "inf"], "must be finite, got inf"),
+    (["erm", "--cap", "inf", "--n-grid", "10", "--reps", "2"],
+     "must be finite, got inf"),
+    (["regress", "--net-fraction", "inf"], "must be finite, got inf"),
+    (["concentration", "--check", "hoeffding-real", "--t", "inf"],
+     "must be finite, got inf"),
+    (["bounds", "--tau", "inf", "--deltas", "0.1"], "must be finite, got inf"),
+    (["bounds", "--big-m", "inf", "--deltas", "0.1"],
+     "must be finite, got inf"),
+    (["bounds", "--big-m=-inf", "--deltas", "0.1"],
+     "must be finite, got -inf"),
+    (["erm", "--count", "3", "--cap", "-1", "--n-grid", "10", "--reps", "2"],
+     "cap and Lipschitz constant must be finite and positive"),
+    (["erm", "--count", "3", "--lipschitz", "-1", "--n-grid", "10",
+      "--reps", "2"], "cap and Lipschitz constant must be finite and positive"),
+    (["erm", "--count", "3", "--lipschitz", "0", "--n-grid", "10",
+      "--reps", "2"], "cap and Lipschitz constant must be finite and positive"),
 ])
 def test_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
                                                   message):

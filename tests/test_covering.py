@@ -102,9 +102,9 @@ def test_entropy_modes():
     singleton = cov.PointCloud(np.array([[0.0, 0.0]]))
     assert cov.entropy(singleton, 0.3) == 0.0
     pair = cov.PointCloud(np.array([[0.0], [1.0]]))
-    assert cov.entropy(pair, 0.4, mode="exact") == pytest.approx(math.log(2))
-    with pytest.raises(ValueError):
-        cov.entropy(pair, 0.4, mode="nope")
+    assert cov.entropy(pair, 0.4) == pytest.approx(math.log(2))
+    exact = cov.exact_cover_number(pair, 0.4)
+    assert cov.entropy(pair, 0.4) == math.log(exact)
 
 
 def test_entropy_monotone_in_delta():
@@ -302,10 +302,3 @@ def test_greedy_cover_deterministic():
     b = cov.greedy_cover(cov.PointCloud(pts.copy()), 0.2)
     assert np.array_equal(a.center_indices, b.center_indices)
     assert np.array_equal(a.assignment, b.assignment)
-
-
-def test_smooth_cover_with_range_set_sample():
-    cls = fc.generate_finite_dim_ball_class(1, 1, 2, 1.0, 5, seed=47,
-                                            resolution=65)
-    plan = cov.build_smooth_cover(cls, 0.2, b_sample_count=50, sample_seed=1)
-    assert cov.verify_cover_validity(cls, plan).ok

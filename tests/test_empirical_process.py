@@ -23,63 +23,6 @@ def zero_class(d_y=2):
                             d=1, m=1, d_y=d_y, resolution=33)
 
 
-def test_empirical_mean_constant():
-    g = fc.GridFunction.from_terms(1, 1, 2, 33, np.zeros((1, 1), int),
-                                   np.zeros((1, 1)), np.array([1.0]),
-                                   np.array([[0.7, -0.2]]))
-    design = fc.EmpiricalDesign(np.array([[0.1], [0.9]]))
-    assert np.allclose(ep.empirical_mean(g, design), [0.7, -0.2], atol=1e-15)
-
-
-def test_empirical_mean_hand_value():
-    # cos(2 pi x) at {0, 1/2} averages to 0
-    g = fc.GridFunction.from_terms(1, 1, 1, 33, np.array([[1]]),
-                                   np.zeros((1, 1)), np.array([1.0]),
-                                   np.array([[1.0]]))
-    design = fc.EmpiricalDesign(np.array([[0.0], [0.5]]))
-    assert ep.empirical_mean(g, design)[0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_empirical_mean_antisymmetric_design():
-    # sin(2 pi x) at the symmetric pair {1/4, 3/4} cancels exactly
-    g = fc.GridFunction.from_terms(1, 1, 1, 33, np.array([[1]]),
-                                   np.array([[-math.pi / 2]]), np.array([1.0]),
-                                   np.array([[1.0]]))
-    design = fc.EmpiricalDesign(np.array([[0.25], [0.75]]))
-    assert abs(ep.empirical_mean(g, design)[0]) <= 1e-12
-
-
-def test_sup_deviation_quadrature_design():
-    cls = ball_class(5, seed=3)
-    design = fc.EmpiricalDesign.midpoint_grid(4096, 1)
-    assert ep.sup_deviation(cls, design) <= 1e-6
-
-
-def test_sup_deviation_constant_singleton():
-    cls = zero_class()
-    design = fc.EmpiricalDesign(np.array([[0.3], [0.8]]))
-    assert ep.sup_deviation(cls, design) == 0.0
-
-
-def test_sup_deviation_decreases_with_n():
-    cls = ball_class(20, seed=5, min_freq=1)
-    meds = []
-    for pos, n in enumerate((100, 10_000)):
-        devs = []
-        for rep in range(50):
-            design = fc.EmpiricalDesign.uniform(n, 1, substream(9, pos, rep))
-            devs.append(ep.sup_deviation(cls, design))
-        meds.append(np.median(devs))
-    assert meds[1] < meds[0]
-
-
-def test_sup_deviation_oracle_shape_check():
-    cls = ball_class(3, seed=1)
-    design = fc.EmpiricalDesign(np.array([[0.4]]))
-    with pytest.raises(ValueError):
-        ep.sup_deviation(cls, design, mean_oracle=np.zeros((2, 3)))
-
-
 # ------------------------------------------------------------ symmetrization
 
 

@@ -6,6 +6,7 @@ import pytest
 from vecproc import covering as cov
 from vecproc import entropy_bounds as eb
 from vecproc import function_class as fc
+from vecproc import regression as reg
 from vecproc.rng import substream
 
 
@@ -94,10 +95,24 @@ def test_delta_validation():
 
 
 def test_combined_smooth_exponent():
-    assert eb.combined_smooth_exponent(1, 1, 1, 1) == 2.0
-    assert eb.combined_smooth_exponent(2, 4, 2, 4) == 1.0
-    assert eb.combined_smooth_exponent(1, 10 ** 6, 1, 10 ** 6) \
-        == pytest.approx(0.0, abs=1e-5)
+    # -1/(2 + d/m + d'/m'), with d'/m' = 0 for a finite-dimensional output
+    ball = fc.generate_finite_dim_ball_class(1, 1, 3, 1.0, 1, 0,
+                                             resolution=129)
+    assert reg.smoothness_exponent(ball) == -1.0 / 3.0
+    for d, m, d_out, m_out in ((1, 1, 1, 1), (2, 4, 2, 4)):
+        cls = fc.generate_smooth_output_class(d, m, d_out, m_out, 1.0, 5, 1,
+                                              seed=0, resolution=5)
+        assert reg.smoothness_exponent(cls) == pytest.approx(
+            -1.0 / (2.0 + d / m + d_out / m_out), rel=1e-15)
+
+
+def test_infinite_k_b_rejected():
+    with pytest.raises(ValueError):
+        eb.bound_assouad(1, 1, math.inf, 0.1, 2.0, 1.0)
+    with pytest.raises(ValueError):
+        eb.bound_box(1, 1, math.nan, 0.1, 1.0)
+    with pytest.raises(ValueError):
+        cov.smooth_cover_constants(1, 1, math.inf, 0.1)
 
 
 def test_bound_params_dispatch():

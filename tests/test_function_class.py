@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vecproc import function_class as fc
+from vecproc.covering import PointCloud
 from vecproc import regression as reg
 from vecproc.rng import substream
 
@@ -149,67 +150,15 @@ def test_sup_norm_sine_grid():
     assert fc.sup_norm(g) == pytest.approx(1.0, abs=1e-4)
 
 
-def test_lp_seminorm_values():
-    design = fc.EmpiricalDesign(np.array([[0.0], [0.25], [0.5]]))
-    z = zero_member(d_y=1)
-    assert fc.lp_seminorm(z, 2, design) == 0.0
-    c = constant_member([3.0])
-    assert fc.lp_seminorm(c, 2, design) == pytest.approx(3.0, abs=1e-12)
-    # hand computation: sin(2 pi x) at {0, 1/4, 1/2} -> {0, 1, 0}
-    s = sine_member(resolution=65)
-    assert fc.lp_seminorm(s, 2, design) == pytest.approx(
-        math.sqrt(1.0 / 3.0), abs=1e-12)
-
-
-def test_lp_seminorm_rejects_p_below_one():
-    design = fc.EmpiricalDesign(np.array([[0.5]]))
-    with pytest.raises(ValueError):
-        fc.lp_seminorm(constant_member([1.0]), 0.5, design)
-
-
-def test_lp_seminorm_agrees_with_semi_inner_product():
-    cls = fc.generate_finite_dim_ball_class(1, 1, 3, 1.0, 5, seed=9,
-                                            resolution=65)
-    design = fc.EmpiricalDesign.uniform(40, 1, substream(0, 1))
-    for g in cls.members:
-        lp = fc.lp_seminorm(g, 2, design)
-        ip = fc.semi_inner_product(g, g, design)
-        assert lp ** 2 == pytest.approx(ip, abs=1e-12)
-
-
 def test_sup_norm_dominates_lp_seminorm():
+    # ||g||_{2,P_n} is the row norm of PointCloud.from_values
     cls = fc.generate_finite_dim_ball_class(1, 2, 2, 1.0, 8, seed=11,
                                             resolution=257)
     design = fc.EmpiricalDesign.uniform(60, 1, substream(0, 2))
-    for g in cls.members:
-        assert fc.sup_norm(g) + 1e-9 >= fc.lp_seminorm(g, 2, design)
-
-
-def test_envelope():
-    design = fc.EmpiricalDesign(np.array([[0.1], [0.6], [0.9]]))
-    c = constant_member([2.0, 0.0])
-    singleton = fc.FunctionClass(members=(c,), b_descriptor=fc.BallDescriptor(2.0),
-                                 d=1, m=1, d_y=2, resolution=65)
-    env = fc.envelope(singleton, design)
-    assert np.allclose(env, 2.0, atol=1e-12)
-
-    neg = c.scaled(-1.0)
-    pair = fc.FunctionClass(members=(c, neg), b_descriptor=fc.BallDescriptor(2.0),
-                            d=1, m=1, d_y=2, resolution=65)
-    assert np.allclose(fc.envelope(pair, design), env, atol=1e-12)
-
-    cls = fc.generate_finite_dim_ball_class(1, 1, 3, 1.0, 10, seed=4,
-                                            resolution=65)
-    env = fc.envelope(cls, design)
-    brute = np.array([max(np.linalg.norm(g.evaluate(x[None, :])[0])
-                          for g in cls.members) for x in design.points])
-    assert np.allclose(env, brute, atol=1e-12)
-
-
-def test_envelope_empty_class_rejected():
-    empty = fc.generate_finite_dim_ball_class(1, 1, 2, 1.0, 0, seed=0)
-    with pytest.raises(ValueError):
-        fc.envelope(empty, fc.EmpiricalDesign(np.array([[0.5]])))
+    empirical = np.linalg.norm(
+        PointCloud.from_values(cls.values_on(design)).points, axis=1)
+    for g, norm in zip(cls.members, empirical):
+        assert fc.sup_norm(g) + 1e-9 >= norm
 
 
 # ---------------------------------------------------------------- Taylor

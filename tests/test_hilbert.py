@@ -1,98 +1,12 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vecproc import hilbert as hb
-
-
-def test_inner_orthogonal():
-    assert hb.inner([1, 0], [0, 1]) == 0.0
-
-
-def test_inner_direct_sum():
-    assert hb.inner([0.5, 0.5], [0.5, 0.5]) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_inner_projection_coordinate():
-    s = 1 / math.sqrt(2)
-    assert hb.inner([0.5, 0.5], [s, s]) == pytest.approx(s, abs=1e-15)
-
-
-def test_inner_dimension_mismatch():
-    with pytest.raises(ValueError):
-        hb.inner([1, 0], [1, 0, 0])
-
-
-def test_inner_rejects_nan():
-    with pytest.raises(ValueError):
-        hb.inner([np.nan, 0], [1, 0])
-
-
-def test_norm_values():
-    assert hb.norm([0, 0, 0]) == 0.0
-    assert hb.norm([3, 4]) == pytest.approx(5.0, abs=1e-15)
-    assert hb.norm([0.5, 0.5]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-
-
-def test_change_basis_identity():
-    basis = hb.OrthonormalBasis.identity(2)
-    out = hb.change_basis([0.5, -0.5], basis)
-    assert np.allclose(out, [0.5, -0.5], atol=1e-15)
-
-
-def rotated():
-    s = 1 / math.sqrt(2)
-    return hb.OrthonormalBasis(np.array([[s, -s], [s, s]]))
-
-
-def test_change_basis_rotated_first_projection():
-    out = hb.change_basis([0.5, 0.5], rotated())
-    assert np.allclose(out, [1 / math.sqrt(2), 0.0], atol=1e-12)
-
-
-def test_change_basis_rotated_second_projection():
-    out = hb.change_basis([0.5, -0.5], rotated())
-    assert np.allclose(out, [0.0, -1 / math.sqrt(2)], atol=1e-12)
 
 
 def test_non_orthonormal_basis_rejected():
     with pytest.raises(ValueError):
         hb.OrthonormalBasis(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-finite_vec = st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3)
-
-
-@given(finite_vec, finite_vec, st.floats(-10, 10), st.floats(-10, 10))
-@settings(max_examples=60, deadline=None)
-def test_inner_symmetric_bilinear(u, v, a, b):
-    u, v = np.array(u), np.array(v)
-    w = np.ones(3)
-    assert hb.inner(u, v) == pytest.approx(hb.inner(v, u), abs=1e-9)
-    lhs = hb.inner(a * u + b * w, v)
-    rhs = a * hb.inner(u, v) + b * hb.inner(w, v)
-    assert lhs == pytest.approx(rhs, abs=1e-6 * (1 + abs(rhs)))
-
-
-@given(finite_vec, finite_vec)
-@settings(max_examples=60, deadline=None)
-def test_cauchy_schwarz(u, v):
-    assert abs(hb.inner(u, v)) <= hb.norm(u) * hb.norm(v) + 1e-9
-
-
-@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6))
-@settings(max_examples=40, deadline=None)
-def test_change_basis_preserves_geometry(seed, dim):
-    rng = np.random.default_rng(seed)
-    basis = hb.random_orthonormal_basis(dim, rng)
-    u = rng.standard_normal(dim)
-    v = rng.standard_normal(dim)
-    cu, cv = hb.change_basis(u, basis), hb.change_basis(v, basis)
-    assert hb.norm(cu) == pytest.approx(hb.norm(u), abs=1e-12 * (1 + hb.norm(u)))
-    assert hb.inner(cu, cv) == pytest.approx(hb.inner(u, v), abs=1e-9)
 
 
 def test_gram_schmidt_rejects_dependent_columns():

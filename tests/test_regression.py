@@ -14,44 +14,6 @@ def ball_class(count, seed, d_y=3, resolution=129, **kw):
                                              resolution=resolution, **kw)
 
 
-def test_least_squares_zero_noise_recovers_truth():
-    cls = ball_class(8, seed=1)
-    design = fc.EmpiricalDesign.uniform(30, 1, substream(1, 1))
-    silent = CovarianceSpectrum(np.zeros(3))
-    fit = reg.least_squares_fit(cls, 3, design, silent, seed=0)
-    assert fit.index == 3
-    assert fit.error == 0.0
-    assert fit.basic_lhs <= fit.basic_rhs + 1e-12
-
-
-def test_least_squares_small_noise_prefers_truth():
-    base = ball_class(1, seed=2, min_freq=1)
-    g0 = base[0]
-    far = g0.scaled(-1.0)
-    cls = fc.FunctionClass(members=(g0, far), b_descriptor=base.b_descriptor,
-                           d=1, m=1, d_y=3, resolution=129)
-    design = fc.EmpiricalDesign.uniform(50, 1, substream(1, 2))
-    tiny = CovarianceSpectrum(np.full(3, 1e-6 / 3) * (3 / 3))
-    hits = sum(reg.least_squares_fit(cls, 0, design, tiny, seed=3,
-                                     replicate=r).index == 0
-               for r in range(100))
-    assert hits >= 99
-
-
-def test_least_squares_huge_noise_error_bounded():
-    cls = ball_class(6, seed=3)
-    design = fc.EmpiricalDesign(np.array([[0.5]]))
-    loud = CovarianceSpectrum(np.full(3, 100.0 / 3))
-    vals = cls.values_on(design)
-    flat = vals.reshape(len(cls), -1)
-    diam = max(np.linalg.norm(flat[i] - flat[j])
-               for i in range(len(cls)) for j in range(len(cls)))
-    for r in range(20):
-        fit = reg.least_squares_fit(cls, 0, design, loud, seed=5, replicate=r)
-        assert fit.error <= diam + 1e-12
-        assert fit.basic_lhs <= fit.basic_rhs + 1e-12
-
-
 # -------------------------------------------------------------- solve_delta_n
 
 
@@ -133,18 +95,6 @@ def test_rate_experiment_rejects_bad_noise():
     with pytest.raises(ValueError):
         reg.rate_experiment(pool, 0, CovarianceSpectrum(np.ones(3)), [64],
                             reps=10, seed=0)
-
-
-def test_regression_config_validation():
-    cls = ball_class(4, seed=5)
-    design = fc.EmpiricalDesign(np.array([[0.5]]))
-    noise = CovarianceSpectrum.uniform(3)
-    with pytest.raises(ValueError):
-        reg.RegressionConfig(cls=cls, g0_index=9, design=design, noise=noise)
-    with pytest.raises(ValueError):
-        reg.RegressionConfig(cls=cls, g0_index=0, design=design,
-                             noise=CovarianceSpectrum(np.ones(3)))
-    reg.RegressionConfig(cls=cls, g0_index=0, design=design, noise=noise)
 
 
 # ----------------------------------------------------------- gaussian chains

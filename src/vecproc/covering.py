@@ -141,8 +141,8 @@ def greedy_cover(cloud: PointCloud, delta: float, start: int = 0) -> CoverResult
     prefix of the farthest-point traversal from `start`, so one fine cover
     answers every coarser radius through `size_at`.
     """
-    if not delta > 0:     # rejects NaN too
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:     # rejects NaN too
+        raise ValueError("delta must be positive and finite")
     if cloud.size == 0:
         raise ValueError("cloud must be nonempty")
     if not 0 <= start < cloud.size:
@@ -171,8 +171,8 @@ def exact_cover_number(cloud: PointCloud, delta: float) -> int:
     Branch and bound over cover bitmasks; exponential, so the cloud is
     capped at 20 points.
     """
-    if not delta > 0:     # rejects NaN too
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:     # rejects NaN too
+        raise ValueError("delta must be positive and finite")
     n = cloud.size
     if n == 0:
         raise ValueError("cloud must be nonempty")

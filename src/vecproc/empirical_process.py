@@ -6,20 +6,27 @@ plans are built once per (class, design) pair with deterministic greedy
 covers and nearest-center chains; tail checks then Monte-Carlo the sign or
 noise randomness conditionally on the design, exactly as the conditional
 statements require.
+
+The Monte-Carlo kernels never evaluate a member at a point: every member
+is linear in the class's product features (`FunctionClass.features`), so a
+replicate is reduced to its feature means, at most POINT_CHUNK points at a
+time, and the whole class is then one small GEMM. Block memory grows
+neither with n nor with the number of members.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .covering import PointCloud, greedy_cover
-from .function_class import (EmpiricalDesign, FunctionClass,
-                             l2_distance_uniform, mean_uniform)
+from .function_class import EmpiricalDesign, FunctionClass, l2_distance_uniform
 from .reports import TailReport, fields_json, tail_check
-from .rng import map_blocks, rademacher_signs
+from .rng import POINT_CHUNK, map_blocks, rademacher_signs
 
 _TAG_SYM = 401
 _TAG_GC = 402
@@ -27,12 +34,58 @@ _TAG_CHAIN = 403
 _TAG_EQUI = 404
 _TAG_SYMPROB = 405
 
+_SLAB_COLUMNS = 32     # coefficient columns per GEMM (at least one member)
+
 
 def true_means(cls: FunctionClass) -> np.ndarray:
     """Pg for every member under the uniform law; exact, shape (K, d_Y)."""
-    if len(cls) == 0:
-        raise ValueError("class must be nonempty")
-    return np.stack([mean_uniform(g) for g in cls.members])
+    return cls.features[1][0].reshape(len(cls), cls.d_y)
+
+
+def _feature_means(cls: FunctionClass, size: int, n: int, points, signs=None):
+    """(2, size, F): per replicate, the centered feature means (P_n - P) phi,
+    whose constant column is 0, and the signed (1/n) sum_i sigma_i phi(x_i)
+    (0 without signs). points(start, stop) returns the block's points
+    start..stop-1, replicate-major, and is called in order, one chunk at a
+    time: POINT_CHUNK // n whole replicates, or POINT_CHUNK points of one
+    when n is larger, so no (size n)-row table ever exists. A chunk's sums
+    are one batched GEMM: the features' products over every axis but the
+    last, against the last axis's rows and their signed copies."""
+    rows = cls.features[0]
+    heads, col = np.unique(rows[:, :-1], axis=0, return_inverse=True)
+    col = col.reshape(-1)
+    picks = rows[:, -1] + np.arange(2)[:, None] * (2 * cls.width + 1)
+    per, piece = max(1, POINT_CHUNK // n), min(n, POINT_CHUNK)
+    sums = np.zeros((2, size, len(rows)))
+    for first, lo in itertools.product(range(0, size, per), range(0, n, piece)):
+        reps = min(per, size - first)
+        start = first * n + lo
+        stop = start + reps * (min(lo + piece, n) - lo)
+        tables = [np.vstack([np.ones(stop - start), t])
+                  for t in cls.trig_tables(points(start, stop))]
+        head = np.ones((len(heads), stop - start))
+        for table, r in zip(tables, heads.T):
+            head *= table[r]
+        tail = tables[-1]
+        if signs is not None:
+            tail = np.vstack([tail, tail * signs[start:stop]])
+        out = np.matmul(head.reshape(len(head), reps, -1).transpose(1, 0, 2),
+                        tail.reshape(len(tail), reps, -1).transpose(1, 2, 0))
+        kinds = len(tail) // len(tables[-1])     # plain, and signed if signs
+        sums[:kinds, first:first + reps] += out[:, col, picks[:kinds]].swapaxes(0, 1)
+    sums[0, :, 0] = 0.0
+    return sums / n
+
+
+def _norms(moments, coefs, d_y, sup=True):
+    """||moments @ C_k|| per row and member k, (rows, K), or its max over k
+    when sup; the GEMM takes _SLAB_COLUMNS columns of coefs at a time."""
+    step = max(1, _SLAB_COLUMNS // d_y) * d_y
+    slabs = (np.linalg.norm((moments @ coefs[:, i:i + step]).reshape(
+        len(moments), -1, d_y), axis=2) for i in range(0, coefs.shape[1], step))
+    if sup:
+        return functools.reduce(np.maximum, (norms.max(axis=1) for norms in slabs))
+    return np.hstack(list(slabs))
 
 
 # --------------------------------------------------------------------------
@@ -74,29 +127,22 @@ def symmetrization_check(cls: FunctionClass, n: int, reps: int, seed: int,
     """Monte-Carlo check of both symmetrization inequalities.
 
     E||P_n - P||_G <= E||P_n - P'_n||_G and <= 2 E||P_n^sigma||_G, with
-    three combined standard errors of slack. Members are evaluated one at a
-    time and folded into running suprema, so a block holds one member's
-    (B, n, d_Y) values, not the whole class.
+    three combined standard errors of slack. A replicate is reduced to its
+    feature moments (P_n - P) phi, (P_n - P'_n) phi and P_n^sigma phi, the
+    first and last from one table pass, and the class is one GEMM over them.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
-    means = true_means(cls)
+    coefs = cls.features[1]
 
     def block(rng, size):
-        x = rng.uniform(size=(size, n, cls.d)).reshape(-1, cls.d)
-        x2 = rng.uniform(size=(size, n, cls.d)).reshape(-1, cls.d)
-        signs = rademacher_signs(rng, (size, n, 1))
-        tables, tables2 = cls.trig_tables(x), cls.trig_tables(x2)
-        dev, pair, rad = np.zeros(size), np.zeros(size), np.zeros(size)
-        for g, mean in zip(cls.members, means):
-            vals = g.evaluate(x, tables).reshape(size, n, cls.d_y)
-            emp = vals.mean(axis=1)
-            emp2 = g.evaluate(x2, tables2).reshape(size, n, cls.d_y).mean(axis=1)
-            dev = np.maximum(dev, np.linalg.norm(emp - mean, axis=1))
-            pair = np.maximum(pair, np.linalg.norm(emp - emp2, axis=1))
-            vals *= signs
-            rad = np.maximum(rad, np.linalg.norm(vals.mean(axis=1), axis=1))
-        return dev, pair, rad
+        x = rng.uniform(size=(size * n, cls.d))
+        x2 = rng.uniform(size=(size * n, cls.d))
+        signs = rademacher_signs(rng, (size * n,))
+        dev, rad = _feature_means(cls, size, n, lambda a, b: x[a:b], signs)
+        dev2 = _feature_means(cls, size, n, lambda a, b: x2[a:b])[0]
+        moments = np.concatenate([dev, dev - dev2, rad])
+        return np.split(_norms(moments, coefs, cls.d_y), 3)
 
     parts = map_blocks(block, reps, threads, seed, _TAG_SYM)
     dev, pair, rad = (np.concatenate(p) for p in zip(*parts))
@@ -117,20 +163,16 @@ def symmetrization_probability_check(cls: FunctionClass, n: int, a_grid,
 
     Returns rows (a, premise_max, lhs, rhs, applicable, ok).
     """
-    means = true_means(cls)
+    coefs = cls.features[1]
     a_vals = np.asarray(a_grid, float)
 
     def block(rng, size):
-        x = rng.uniform(size=(size, n, cls.d)).reshape(-1, cls.d)
-        signs = rademacher_signs(rng, (size, n, 1))
-        tables = cls.trig_tables(x)
-        per_member = np.empty((size, len(cls)))
-        rad = np.zeros(size)
-        for k, (g, mean) in enumerate(zip(cls.members, means)):
-            vals = g.evaluate(x, tables).reshape(size, n, cls.d_y)
-            per_member[:, k] = np.linalg.norm(vals.mean(axis=1) - mean, axis=1)
-            vals *= signs
-            rad = np.maximum(rad, np.linalg.norm(vals.mean(axis=1), axis=1))
+        x = rng.uniform(size=(size * n, cls.d))
+        signs = rademacher_signs(rng, (size * n,))
+        moments = _feature_means(cls, size, n, lambda a, b: x[a:b], signs)
+        norms = _norms(moments.reshape(2 * size, -1), coefs, cls.d_y,
+                       sup=False)
+        per_member, rad = norms[:size], norms[size:].max(axis=1)
         dev = per_member.max(axis=1)
         prem = (per_member[:, :, None] > a_vals[None, None, :] / 2.0).sum(axis=0)
         lhs = (dev[:, None] > a_vals[None, :]).sum(axis=0)
@@ -160,19 +202,16 @@ def gc_decay_curve(cls: FunctionClass, n_grid, reps: int, seed: int,
                    threads: int = 1):
     """Median ||P_n - P||_G per sample size, with a log-log trend slope.
 
+    Each block draws its points chunk by chunk, as they are tabulated.
     Returns (rows, trend_slope); rows are (n, median deviation).
     """
-    means = true_means(cls)
+    coefs = cls.features[1]
     rows = []
     for pos, n in enumerate(n_grid):
         def block(rng, size, n=n):
-            x = rng.uniform(size=(size * n, cls.d))
-            tables = cls.trig_tables(x)
-            dev = np.zeros(size)
-            for g, mean in zip(cls.members, means):
-                emp = g.evaluate(x, tables).reshape(size, n, cls.d_y).mean(axis=1)
-                dev = np.maximum(dev, np.linalg.norm(emp - mean, axis=1))
-            return dev
+            dev = _feature_means(cls, size, n, lambda a, b: rng.uniform(
+                size=(b - a, cls.d)))[0]
+            return _norms(dev, coefs, cls.d_y)
 
         devs = np.concatenate(map_blocks(block, reps, threads, seed, _TAG_GC,
                                          pos))
@@ -307,8 +346,9 @@ def equicontinuity_curve(cls: FunctionClass, g0_index: int, radius_grid, n_grid,
 
     Distances to g0 are exact L2(P) distances under the uniform law. The
     draws are keyed by (n position, block), so every radius sees the same
-    points: each member is evaluated once per block and its deviation norm
-    folded into the running supremum of every ball that holds it. Rows:
+    points: a replicate is reduced to its centered feature means once, one
+    GEMM with the coefficients of g - g0 gives every member's deviation,
+    and each is folded into the supremum of every ball that holds it. Rows:
     (delta, n, members_in_ball, median statistic), radius-major; a ball
     holding at most one member has statistic 0.
     """
@@ -316,26 +356,22 @@ def equicontinuity_curve(cls: FunctionClass, g0_index: int, radius_grid, n_grid,
         raise ValueError("g0_index out of range")
     g0 = cls[g0_index]
     dists = np.array([l2_distance_uniform(g, g0) for g in cls.members])
-    means = true_means(cls)
     radii = np.asarray(radius_grid, float)
     in_ball = [int(np.sum(dists <= r)) for r in radii]
     live = np.array(in_ball) > 1
     members = [k for k in range(len(cls))
                if k != g0_index and np.any(dists[k] <= radii[live])]
+    coefs = cls.features[1].reshape(-1, len(cls), cls.d_y)
+    diffs = (coefs[:, members] - coefs[:, [g0_index]]).reshape(len(coefs), -1)
+    holds = dists[members][None, :] <= radii[:, None]
     medians = np.zeros((len(radii), len(n_grid)))
     for pos, n in enumerate(n_grid if members else ()):
         def block(rng, size, n=n):
-            x = rng.uniform(size=(size * n, cls.d))
-            tables = cls.trig_tables(x)
-            g0_vals = g0.evaluate(x, tables).reshape(size, n, cls.d_y)
-            stat = np.zeros((len(radii), size))
-            for k in members:
-                diff = cls[k].evaluate(x, tables).reshape(size, n, cls.d_y) \
-                    - g0_vals
-                dev = diff.mean(axis=1) - (means[k] - means[g0_index])[None]
-                holds = dists[k] <= radii
-                stat[holds] = np.maximum(stat[holds], np.linalg.norm(dev, axis=1))
-            return math.sqrt(n) * stat
+            dev = _feature_means(cls, size, n, lambda a, b: rng.uniform(
+                size=(b - a, cls.d)))[0]
+            norms = _norms(dev, diffs, cls.d_y, sup=False)
+            return math.sqrt(n) * np.array(
+                [norms.max(axis=1, where=h, initial=0.0) for h in holds])
 
         stats = np.concatenate(
             map_blocks(block, reps, threads, seed, _TAG_EQUI, pos), axis=1)

@@ -26,6 +26,11 @@ tables of cos/sin(2 pi k x_l), k = 1..W, one per axis of a point set
 (`FunctionClass.trig_tables`) and every member is then a product of small
 GEMMs over them (one GEMM for d = 1); a lone member builds them at its own
 width. Both give the same bits, whatever the table width W.
+
+A product of one such row per axis (or a constant) is a feature, and a
+class is also one coefficient tensor over its features
+(`FunctionClass.features`): the Monte-Carlo kernels evaluate it on feature
+means, and its all-constant row holds the exact means.
 """
 
 from __future__ import annotations
@@ -397,6 +402,41 @@ class FunctionClass:
         """trig_tables of the points x for every member of the class."""
         return trig_tables(x, self.width)
 
+    @functools.cached_property
+    def features(self) -> tuple:
+        """(rows, coefs), read-only: the active product features, (F, d),
+        and the coefficient tensor, (F, K d_Y), from the members'
+        _coefficients((0,)*d). Feature f is prod_l T_l[rows[f, l]](x_l) over
+        the trig tables T with a constant row 0 in front, and member k is
+        sum_f phi_f coefs[f, k d_Y:(k+1) d_Y]. A term touches at most 2^d
+        features; row 0 is the all-constant one, so coefs[0] is the means."""
+        if not self.members:
+            raise ValueError("class must be nonempty")
+        base = (2 * self.width + 1) ** np.arange(self.d)
+        codes, owners, values = [], [], []
+        for k, g in enumerate(self.members):
+            *axes, weights = g._coefficients((0,) * self.d)
+            if self.d == 1:     # one matrix, whose rows are the features
+                axes = [np.eye(len(weights))]
+            term = np.arange(len(weights))
+            code, factor = np.zeros(term.size, int), np.ones(term.size)
+            for a, step in zip(axes, base):    # expand over each axis's rows
+                row, i = np.nonzero(a[:, term])
+                code, term = code[i] + row * step, term[i]
+                factor = factor[i] * a[row, term]
+            codes.append(code)
+            owners.append(np.full(term.size, k))
+            values.append(factor[:, None] * weights[term, :self.d_y])
+        codes = np.concatenate(codes)
+        active = np.union1d([0], codes)
+        coefs = np.zeros((active.size, len(self), self.d_y))
+        np.add.at(coefs, (np.searchsorted(active, codes),
+                          np.concatenate(owners)), np.concatenate(values))
+        rows = active[:, None] // base % (2 * self.width + 1)
+        coefs = coefs.reshape(active.size, -1)
+        rows.flags.writeable = coefs.flags.writeable = False
+        return rows, coefs
+
     def values_on(self, design: "EmpiricalDesign") -> np.ndarray:
         """Member values at the design points, shape (K, n, d_Y)."""
         if not self.members:
@@ -632,19 +672,6 @@ def taylor_remainder_check(g: GridFunction, a, h, k: float | None = None) -> Tay
 
 # --------------------------------------------------------------------------
 # exact moments under the uniform law on [0,1]^d
-
-
-def _axis_mean(k, theta):
-    """int_0^1 cos(2 pi k x + theta) dx for integer k."""
-    return np.where(k == 0, np.cos(theta), 0.0)
-
-
-def mean_uniform(g: GridFunction) -> np.ndarray:
-    """Pg = int g dP for P uniform on the cube; exact."""
-    if g.amps.size == 0:
-        return np.zeros(g.d_y)
-    factors = np.prod(_axis_mean(g.freqs, g.phases), axis=1)
-    return (g.amps * factors) @ g.dirs
 
 
 def inner_uniform(g1: GridFunction, g2: GridFunction) -> float:

@@ -26,6 +26,11 @@ _M64 = 0xFFFFFFFFFFFFFFFF
 # boundaries are part of the deterministic-accumulation contract.
 BLOCK_SIZE = 8192
 
+# Most points tabulated at once in a Monte-Carlo block: POINT_CHUNK // n
+# whole replicates, or POINT_CHUNK-point pieces of one when n is larger.
+# Fixed like BLOCK_SIZE: a replicate's sums follow these chunks.
+POINT_CHUNK = 4096
+
 
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _M64

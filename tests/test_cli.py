@@ -262,6 +262,7 @@ def test_invalid_monte_carlo_input_exits_2(tmp_path, capsys, argv, message):
       "--reps", "2"], "cap and Lipschitz constant must be finite and positive"),
     (["erm", "--count", "3", "--lipschitz", "0", "--n-grid", "10",
       "--reps", "2"], "cap and Lipschitz constant must be finite and positive"),
+    (["cover", "--input", "POINTS", "--delta", "inf"], "delta must be positive"),
 ])
 def test_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
                                                   message):

@@ -8,6 +8,7 @@ import pytest
 
 from vecproc import function_class as fc
 from vecproc.covering import PointCloud
+from vecproc.empirical_process import true_means
 from vecproc import regression as reg
 from vecproc.rng import substream
 
@@ -208,13 +209,39 @@ def test_taylor_property_sweep():
 # ------------------------------------------------------- moments / integrals
 
 
-def test_mean_uniform_matches_quadrature():
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_features_reproduce_member_values(d):
+    cls = fc.generate_finite_dim_ball_class(d, 1, 2, 1.0, 6, seed=31 + d,
+                                            resolution=9)
+    rows, coefs = cls.features
+    terms = sum(g.amps.size for g in cls.members)
+    assert len(rows) <= 1 + min((2 * cls.width + 1) ** d, 2 ** d * terms)
+    assert not rows[0].any() and len(np.unique(rows, axis=0)) == len(rows)
+    x = substream(4, d).uniform(size=(50, d))
+    tables = [np.vstack([np.ones(50), t]) for t in cls.trig_tables(x)]
+    phi = np.prod([t[r] for t, r in zip(tables, rows.T)], axis=0)
+    got = (phi.T @ coefs).reshape(50, len(cls), cls.d_y)
+    want = cls.values_on(fc.EmpiricalDesign(x)).transpose(1, 0, 2)
+    # both sides are chains of at most m roundings over terms of absolute
+    # sum <= 2^{d/2} K_B (|cos| + |sin| <= sqrt 2 per axis), so they differ
+    # by at most twice gamma_m of that (see the rounding argument in
+    # test_empirical_process.rounding_tolerance)
+    m = len(rows) + terms + 2 * cls.width + 3 * d + 4
+    u = np.finfo(float).eps / 2
+    assert np.allclose(got, want, rtol=0,
+                       atol=2 * 2 ** (d / 2) * m * u / (1 - m * u))
+    with pytest.raises(ValueError, match="class must be nonempty"):
+        fc.generate_finite_dim_ball_class(d, 1, 2, 1.0, 0, seed=1).features
+
+
+def test_true_means_match_quadrature():
     cls = fc.generate_finite_dim_ball_class(1, 1, 3, 1.0, 4, seed=13,
                                             resolution=65)
     xs = ((np.arange(200_000) + 0.5) / 200_000)[:, None]
-    for g in cls.members:
+    means = true_means(cls)
+    for g, mean in zip(cls.members, means):
         quad = g.evaluate(xs).mean(axis=0)
-        assert np.allclose(fc.mean_uniform(g), quad, atol=1e-9)
+        assert np.allclose(mean, quad, atol=1e-9)
 
 
 def test_inner_uniform_matches_quadrature():

@@ -9,15 +9,15 @@ statements require.
 
 The Monte-Carlo kernels never evaluate a member at a point: every member
 is linear in the class's product features (`FunctionClass.features`), so a
-replicate is reduced to its feature means, at most POINT_CHUNK points at a
-time, and the whole class is then one small GEMM. Block memory grows
-neither with n nor with the number of members.
+replicate is reduced to its feature means, TABLE_CHUNK // F points of a
+class with F features at a time, and the whole class is then one small
+GEMM. A block's tables grow neither with n nor with the class; what grows
+with the class is its coefficient tensor.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +26,7 @@ import numpy as np
 from .covering import PointCloud, greedy_cover
 from .function_class import EmpiricalDesign, FunctionClass, l2_distance_uniform
 from .reports import TailReport, fields_json, tail_check
-from .rng import POINT_CHUNK, map_blocks, rademacher_signs
+from .rng import TABLE_CHUNK, map_blocks, rademacher_signs
 
 _TAG_SYM = 401
 _TAG_GC = 402
@@ -43,38 +43,46 @@ def true_means(cls: FunctionClass) -> np.ndarray:
 
 
 def _feature_means(cls: FunctionClass, size: int, n: int, points, signs=None):
-    """(2, size, F): per replicate, the centered feature means (P_n - P) phi,
-    whose constant column is 0, and the signed (1/n) sum_i sigma_i phi(x_i)
-    (0 without signs). points(start, stop) returns the block's points
-    start..stop-1, replicate-major, and is called in order, one chunk at a
-    time: POINT_CHUNK // n whole replicates, or POINT_CHUNK points of one
-    when n is larger, so no (size n)-row table ever exists. A chunk's sums
-    are one batched GEMM: the features' products over every axis but the
-    last, against the last axis's rows and their signed copies."""
+    """Per group of whole replicates, in order: their feature means P_n phi
+    and, with signs, their signed ones (1/n) sum_i sigma_i phi(x_i), each
+    (replicates, F). points(start, stop) returns the block's points
+    start..stop-1, replicate-major, and is called in order, one chunk of
+    TABLE_CHUNK // F points at a time: whole replicates where they fit,
+    else pieces of one whose sums are added in order. A chunk's sums are
+    one batched GEMM: the products of the features' rows on every axis but
+    the last (their heads, one row for d = 1) against the last axis's
+    table and its signed copy."""
     rows = cls.features[0]
-    heads, col = np.unique(rows[:, :-1], axis=0, return_inverse=True)
-    col = col.reshape(-1)
-    picks = rows[:, -1] + np.arange(2)[:, None] * (2 * cls.width + 1)
-    per, piece = max(1, POINT_CHUNK // n), min(n, POINT_CHUNK)
-    sums = np.zeros((2, size, len(rows)))
-    for first, lo in itertools.product(range(0, size, per), range(0, n, piece)):
+    side, place = 2 * cls.width + 1, (2 * cls.width + 1) ** np.arange(cls.d - 1)
+    heads, col = np.unique(rows[:, :-1] @ place, return_inverse=True)
+    heads = heads[:, None] // place % side
+    chunk = max(1, TABLE_CHUNK // len(rows))
+    per, piece = max(1, chunk // n), min(n, chunk)
+    for first in range(0, size, per):
         reps = min(per, size - first)
-        start = first * n + lo
-        stop = start + reps * (min(lo + piece, n) - lo)
-        tables = [np.vstack([np.ones(stop - start), t])
-                  for t in cls.trig_tables(points(start, stop))]
-        head = np.ones((len(heads), stop - start))
-        for table, r in zip(tables, heads.T):
-            head *= table[r]
-        tail = tables[-1]
-        if signs is not None:
-            tail = np.vstack([tail, tail * signs[start:stop]])
-        out = np.matmul(head.reshape(len(head), reps, -1).transpose(1, 0, 2),
-                        tail.reshape(len(tail), reps, -1).transpose(1, 2, 0))
-        kinds = len(tail) // len(tables[-1])     # plain, and signed if signs
-        sums[:kinds, first:first + reps] += out[:, col, picks[:kinds]].swapaxes(0, 1)
-    sums[0, :, 0] = 0.0
-    return sums / n
+        sums = 0.0
+        for lo in range(first * n, first * n + n, piece):
+            stop = lo + reps * min(piece, first * n + n - lo)
+            tables = [np.vstack([np.ones(stop - lo), t])
+                      for t in cls.trig_tables(points(lo, stop))]
+            head = np.ones((len(heads), stop - lo))
+            for table, r in zip(tables, heads.T):
+                head *= table[r]
+            tail = tables[-1] if signs is None else np.vstack(
+                [tables[-1], tables[-1] * signs[lo:stop]])
+            out = np.matmul(head.reshape(len(head), reps, -1).transpose(1, 0, 2),
+                            tail.reshape(len(tail), reps, -1).transpose(1, 2, 0))
+            kinds = np.arange(len(tail) // side)[:, None]
+            sums = sums + out[:, col, rows[:, -1] + side * kinds].swapaxes(0, 1)
+        yield sums / n
+
+
+def _centered(cls: FunctionClass) -> np.ndarray:
+    """The coefficients of every g - Pg, (F, K d_Y): (P_n - P) g is
+    P_n (g - Pg), whose constant row is exactly 0, so nothing cancels."""
+    coefs = cls.features[1].copy()
+    coefs[0] -= true_means(cls).reshape(-1)
+    return coefs
 
 
 def _norms(moments, coefs, d_y, sup=True):
@@ -133,16 +141,18 @@ def symmetrization_check(cls: FunctionClass, n: int, reps: int, seed: int,
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
-    coefs = cls.features[1]
+    coefs, centered = cls.features[1], _centered(cls)
 
     def block(rng, size):
         x = rng.uniform(size=(size * n, cls.d))
         x2 = rng.uniform(size=(size * n, cls.d))
         signs = rademacher_signs(rng, (size * n,))
-        dev, rad = _feature_means(cls, size, n, lambda a, b: x[a:b], signs)
-        dev2 = _feature_means(cls, size, n, lambda a, b: x2[a:b])[0]
-        moments = np.concatenate([dev, dev - dev2, rad])
-        return np.split(_norms(moments, coefs, cls.d_y), 3)
+        groups = zip(_feature_means(cls, size, n, lambda a, b: x[a:b], signs),
+                     _feature_means(cls, size, n, lambda a, b: x2[a:b]))
+        return [np.concatenate(s) for s in zip(*(
+            (_norms(emp, centered, cls.d_y),
+             _norms(emp - emp2, centered, cls.d_y), _norms(rad, coefs, cls.d_y))
+            for (emp, rad), (emp2,) in groups))]
 
     parts = map_blocks(block, reps, threads, seed, _TAG_SYM)
     dev, pair, rad = (np.concatenate(p) for p in zip(*parts))
@@ -163,16 +173,16 @@ def symmetrization_probability_check(cls: FunctionClass, n: int, a_grid,
 
     Returns rows (a, premise_max, lhs, rhs, applicable, ok).
     """
-    coefs = cls.features[1]
+    coefs, centered = cls.features[1], _centered(cls)
     a_vals = np.asarray(a_grid, float)
 
     def block(rng, size):
         x = rng.uniform(size=(size * n, cls.d))
         signs = rademacher_signs(rng, (size * n,))
-        moments = _feature_means(cls, size, n, lambda a, b: x[a:b], signs)
-        norms = _norms(moments.reshape(2 * size, -1), coefs, cls.d_y,
-                       sup=False)
-        per_member, rad = norms[:size], norms[size:].max(axis=1)
+        per_member, rad = (np.concatenate(s) for s in zip(*(
+            (_norms(emp, centered, cls.d_y, sup=False),
+             _norms(signed, coefs, cls.d_y)) for emp, signed in
+            _feature_means(cls, size, n, lambda a, b: x[a:b], signs))))
         dev = per_member.max(axis=1)
         prem = (per_member[:, :, None] > a_vals[None, None, :] / 2.0).sum(axis=0)
         lhs = (dev[:, None] > a_vals[None, :]).sum(axis=0)
@@ -205,13 +215,13 @@ def gc_decay_curve(cls: FunctionClass, n_grid, reps: int, seed: int,
     Each block draws its points chunk by chunk, as they are tabulated.
     Returns (rows, trend_slope); rows are (n, median deviation).
     """
-    coefs = cls.features[1]
+    centered = _centered(cls)
     rows = []
     for pos, n in enumerate(n_grid):
         def block(rng, size, n=n):
-            dev = _feature_means(cls, size, n, lambda a, b: rng.uniform(
-                size=(b - a, cls.d)))[0]
-            return _norms(dev, coefs, cls.d_y)
+            return np.concatenate([_norms(emp, centered, cls.d_y)
+                                   for emp, in _feature_means(
+                cls, size, n, lambda a, b: rng.uniform(size=(b - a, cls.d)))])
 
         devs = np.concatenate(map_blocks(block, reps, threads, seed, _TAG_GC,
                                          pos))
@@ -361,15 +371,15 @@ def equicontinuity_curve(cls: FunctionClass, g0_index: int, radius_grid, n_grid,
     live = np.array(in_ball) > 1
     members = [k for k in range(len(cls))
                if k != g0_index and np.any(dists[k] <= radii[live])]
-    coefs = cls.features[1].reshape(-1, len(cls), cls.d_y)
+    coefs = _centered(cls).reshape(-1, len(cls), cls.d_y)
     diffs = (coefs[:, members] - coefs[:, [g0_index]]).reshape(len(coefs), -1)
     holds = dists[members][None, :] <= radii[:, None]
     medians = np.zeros((len(radii), len(n_grid)))
     for pos, n in enumerate(n_grid if members else ()):
         def block(rng, size, n=n):
-            dev = _feature_means(cls, size, n, lambda a, b: rng.uniform(
-                size=(b - a, cls.d)))[0]
-            norms = _norms(dev, diffs, cls.d_y, sup=False)
+            norms = np.concatenate([_norms(emp, diffs, cls.d_y, sup=False)
+                                    for emp, in _feature_means(
+                cls, size, n, lambda a, b: rng.uniform(size=(b - a, cls.d)))])
             return math.sqrt(n) * np.array(
                 [norms.max(axis=1, where=h, initial=0.0) for h in holds])
 

@@ -26,10 +26,11 @@ _M64 = 0xFFFFFFFFFFFFFFFF
 # boundaries are part of the deterministic-accumulation contract.
 BLOCK_SIZE = 8192
 
-# Most points tabulated at once in a Monte-Carlo block: POINT_CHUNK // n
-# whole replicates, or POINT_CHUNK-point pieces of one when n is larger.
-# Fixed like BLOCK_SIZE: a replicate's sums follow these chunks.
-POINT_CHUNK = 4096
+# Most feature-table entries a Monte-Carlo block tabulates at once: a chunk
+# is TABLE_CHUNK // F points of a class with F features, whole replicates
+# where they fit, else pieces of one. Fixed like BLOCK_SIZE: a replicate's
+# sums follow these chunks.
+TABLE_CHUNK = 2 ** 16
 
 
 def _splitmix64(x: int) -> int:

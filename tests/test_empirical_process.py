@@ -8,7 +8,7 @@ import pytest
 from vecproc import empirical_process as ep
 from vecproc import function_class as fc
 from vecproc.covering import PointCloud, greedy_cover
-from vecproc.rng import (BLOCK_SIZE, POINT_CHUNK, block_sizes,
+from vecproc.rng import (BLOCK_SIZE, TABLE_CHUNK, block_sizes,
                          rademacher_signs, substream)
 
 
@@ -191,6 +191,19 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
+def test_symmetrization_peak_memory_flat_in_class_size_at_d4():
+    # at d = 4 the features grow with the class (F = 459 for 10 members,
+    # 1445 for 40); besides one centered copy of the class's coefficient
+    # tensor, a chunk tabulates at most TABLE_CHUNK // F points
+    def peak(count):
+        cls = ball_class(count, seed=22, d=4, resolution=9)
+        tensor = cls.features[1].nbytes
+        return traced_peak(lambda: ep.symmetrization_check(
+            cls, 50, 400, seed=1)) - tensor
+
+    assert peak(40) < 1.5 * peak(10)
+
+
 def test_symmetrization_peak_memory_grows_only_with_its_draws():
     cls = ball_class(20, seed=22)
     cls.features
@@ -274,12 +287,13 @@ def test_gc_decay_matches_stacked_reference(case):
 
 
 def test_kernels_match_references_when_replicates_span_chunks():
-    # n above POINT_CHUNK: a replicate's points are tabulated in pieces
+    # n above a chunk's points: a replicate is tabulated in pieces
     cls = oracle_class(d=2, d_y=2, count=3)
-    n = POINT_CHUNK + 3
-    rows, _ = ep.gc_decay_curve(cls, [POINT_CHUNK // 2 + 1, n], 5, seed=9)
-    assert_close(rows, stacked_gc_decay(cls, [POINT_CHUNK // 2 + 1, n], 5,
-                                        seed=9), rounding_tolerance(cls, n))
+    chunk = TABLE_CHUNK // len(cls.features[0])
+    n = chunk + 3
+    rows, _ = ep.gc_decay_curve(cls, [chunk // 2 + 1, n], 5, seed=9)
+    assert_close(rows, stacked_gc_decay(cls, [chunk // 2 + 1, n], 5, seed=9),
+                 rounding_tolerance(cls, n))
     rep = ep.symmetrization_check(cls, n, 4, seed=6)
     assert_close(dataclasses.astuple(rep),
                  dataclasses.astuple(stacked_symmetrization(cls, n, 4, seed=6)),
@@ -298,8 +312,8 @@ def test_gc_decay_block_memory_does_not_grow_with_n():
 
 
 def test_block_kernels_equal_across_threads():
-    # two blocks, each ending in a table chunk of fewer replicates than
-    # POINT_CHUNK // 7
+    # two blocks, each ending in a table chunk of fewer whole replicates
+    # than the others
     cls = ball_class(6, seed=5)
     reps = BLOCK_SIZE + 37
 

@@ -5,6 +5,11 @@ Two families of operations live here: generic covers of finite point clouds
 packing), and the piecewise-polynomial cover of a smooth vector-valued
 function class built from a spatial net plus per-derivative-level covers of
 the range set, with cells disjointified in greedy order.
+
+A cover and its check read one distance formula. Chaining plans and nets,
+which need every pair, cover a "matrix" cloud of the GEMM-form
+`distance_matrix` they are checked in; everything else reads the
+`distances_to` rows, including exact covers, whose masks are exact at ties.
 """
 
 from __future__ import annotations
@@ -165,11 +170,18 @@ def greedy_cover(cloud: PointCloud, delta: float, start: int = 0) -> CoverResult
                        insertion_radii=np.array(radii))
 
 
+def _ball_masks(cloud: PointCloud, delta: float) -> list:
+    """Bitmask per point j of the points i with distances_to(j)[i] <= delta:
+    the rows and the exact comparison greedy_cover reads."""
+    bits = 1 << np.arange(cloud.size)
+    return [int((cloud.distances_to(j) <= delta) @ bits) for j in range(cloud.size)]
+
+
 def exact_cover_number(cloud: PointCloud, delta: float) -> int:
     """Minimum number of radius-delta balls with centers in the cloud.
 
-    Branch and bound over cover bitmasks; exponential, so the cloud is
-    capped at 20 points.
+    Branch and bound over ball masks from the rows greedy_cover reads, with
+    a greedy cover as the first bound; exponential, so at most 20 points.
     """
     if not 0 < delta < math.inf:     # rejects NaN too
         raise ValueError("delta must be positive and finite")
@@ -178,14 +190,7 @@ def exact_cover_number(cloud: PointCloud, delta: float) -> int:
         raise ValueError("cloud must be nonempty")
     if n > 20:
         raise ValueError("exact cover limited to clouds of at most 20 points")
-    dm = cloud.distance_matrix()
-    masks = []
-    for j in range(n):
-        mask = 0
-        for i in range(n):
-            if dm[i, j] <= delta * (1 + 1e-12):
-                mask |= 1 << i
-        masks.append(mask)
+    masks = _ball_masks(cloud, delta)
     full = (1 << n) - 1
     best = len(greedy_cover(cloud, delta).center_indices)
     order = sorted(range(n), key=lambda j: -bin(masks[j]).count("1"))
@@ -212,23 +217,12 @@ def max_packing_size(cloud: PointCloud, delta: float) -> int:
     n = cloud.size
     if n > 16:
         raise ValueError("brute-force packing limited to 16 points")
-    dm = cloud.distance_matrix()
-    conflict = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and dm[i, j] <= delta:
-                conflict[i] |= 1 << j
+    conflict = [mask & ~(1 << i) for i, mask in enumerate(_ball_masks(cloud, delta))]
     best = 0
     for subset in range(1 << n):
         size = bin(subset).count("1")
-        if size <= best:
-            continue
-        ok = True
-        for i in range(n):
-            if subset >> i & 1 and conflict[i] & subset:
-                ok = False
-                break
-        if ok:
+        if size > best and not any(subset >> i & 1 and conflict[i] & subset
+                                   for i in range(n)):
             best = size
     return best
 

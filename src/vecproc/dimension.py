@@ -38,6 +38,14 @@ def _spread_starts(cloud: PointCloud, n_starts: int) -> np.ndarray:
     return coarse.center_indices[:n_starts]
 
 
+def _smallest_cover_sizes(cloud: PointCloud, deltas, n_starts: int) -> list:
+    """Per radius of the decreasing deltas, the smallest greedy cover over
+    n_starts spread starts, read off one cover per start at the finest."""
+    covers = [greedy_cover(cloud, deltas[-1], start=int(s))
+              for s in _spread_starts(cloud, n_starts)]
+    return [min(c.size_at(d) for c in covers) for d in deltas]
+
+
 def greedy_entropy(cloud: PointCloud, delta: float) -> float:
     """log of the smallest greedy cover over eight spread starting points.
 
@@ -45,9 +53,7 @@ def greedy_entropy(cloud: PointCloud, delta: float) -> float:
     bound on N(delta) than any single run; restarting from spread points
     also damps the drift a corner start induces across radii.
     """
-    best = min(greedy_cover(cloud, delta, start=int(s)).size
-               for s in _spread_starts(cloud, 8))
-    return math.log(best)
+    return math.log(_smallest_cover_sizes(cloud, [delta], 8)[0])
 
 
 def box_dimension_estimate(cloud: PointCloud, delta_grid,
@@ -66,10 +72,8 @@ def box_dimension_estimate(cloud: PointCloud, delta_grid,
         raise ValueError("delta grid must be strictly decreasing")
     if cloud.size == 0:
         raise ValueError("cloud must be nonempty")
-    covers = [greedy_cover(cloud, deltas[-1], start=int(s))
-              for s in _spread_starts(cloud, n_starts)]
-    entropies = np.array([math.log(min(c.size_at(d) for c in covers))
-                          for d in deltas])
+    entropies = np.array([math.log(size) for size in
+                          _smallest_cover_sizes(cloud, deltas, n_starts)])
     slope, intercept = np.polyfit(np.log(1.0 / deltas), entropies, 1)
     return DimensionFit(delta_grid=deltas, entropies=entropies,
                         slope=float(slope), intercept=float(intercept),
@@ -140,7 +144,9 @@ def _sample_trials(cloud: PointCloud, n_trials: int, seed: int,
     median nearest-neighbour distance up to a quarter of the diameter.
     """
     nn = max(median_nn_distance(cloud), 1e-12)
-    diam = approx_diameter(cloud)
+    d0 = cloud.distances_to(0)
+    d_far = cloud.distances_to(int(np.argmax(d0)))
+    diam = float(max(d0.max(), d_far.max()))    # approx_diameter's two sweeps
     r_lo = 1.5 * nn
     if radius_range is not None:
         big_lo, big_hi = radius_range
@@ -150,9 +156,6 @@ def _sample_trials(cloud: PointCloud, n_trials: int, seed: int,
     # trial centres come from the central half of the cloud: local balls
     # around extreme points are clipped by the sample edge, which biases
     # local counts (and hence dimension estimates) downward
-    d0 = cloud.distances_to(0)
-    far = int(np.argmax(d0))
-    d_far = cloud.distances_to(far)
     d_far2 = cloud.distances_to(int(np.argmax(d_far)))
     centrality = np.maximum(d_far, d_far2)
     candidates = np.where(centrality <= np.median(centrality))[0]

@@ -3,9 +3,9 @@
 The true mean Pg of every trig-sum member under the uniform input law is
 closed form, so deviations ||P_n g - P g|| carry no oracle error. Chaining
 plans are built once per (class, design) pair with deterministic greedy
-covers and nearest-center chains; tail checks then Monte-Carlo the sign or
-noise randomness conditionally on the design, exactly as the conditional
-statements require.
+covers and nearest-center chains, both read from one GEMM-form distance
+matrix; tail checks then Monte-Carlo the sign or noise randomness
+conditionally on the design, exactly as the conditional statements require.
 
 The Monte-Carlo kernels never evaluate a member at a point: every member
 is linear in the class's product features (`FunctionClass.features`), so a
@@ -216,6 +216,8 @@ def gc_decay_curve(cls: FunctionClass, n_grid, reps: int, seed: int,
     Returns (rows, trend_slope); rows are (n, median deviation).
     """
     centered = _centered(cls)
+    if len(set(n_grid)) < 2:
+        raise ValueError("need at least two distinct sample sizes")
     rows = []
     for pos, n in enumerate(n_grid):
         def block(rng, size, n=n):
@@ -277,9 +279,9 @@ def build_chaining_plan(cls: FunctionClass, design: EmpiricalDesign,
     """Greedy nested covers of the class under ||.||_{2,P_n} plus chains.
 
     Level 0 is the singleton {0}; levels s >= 1 are greedy covers of the
-    class at radius 2^-s R_n with centers inside the class. Each member is
-    chained top-down through nearest centers, ties to the lowest member
-    index. J_n = sum_{s=0}^S 2^-s R_n sqrt(2 H_{s+1}).
+    class at radius 2^-s R_n with centers inside the class. Covers, chains
+    and links all read one distance matrix, so every level covers exactly
+    in it. J_n = sum_{s=0}^S 2^-s R_n sqrt(2 H_{s+1}).
     """
     if len(cls) == 0:
         raise ValueError("class must be nonempty")
@@ -296,7 +298,8 @@ def build_chaining_plan(cls: FunctionClass, design: EmpiricalDesign,
         level_centers += [np.array([0])] * (s_levels + 1)
     else:
         # each level is a prefix of the finest level's greedy traversal
-        fine = greedy_cover(cloud, r_n * 0.5 ** (s_levels + 1))
+        fine = greedy_cover(PointCloud(dist, metric="matrix"),
+                            r_n * 0.5 ** (s_levels + 1))
         level_centers += [np.sort(fine.center_indices[:fine.size_at(r_n * 0.5 ** s)])
                           for s in range(1, s_levels + 2)]
     n_s = np.array([1] + [len(c) for c in level_centers[1:]])

@@ -263,6 +263,8 @@ def test_invalid_monte_carlo_input_exits_2(tmp_path, capsys, argv, message):
     (["erm", "--count", "3", "--lipschitz", "0", "--n-grid", "10",
       "--reps", "2"], "cap and Lipschitz constant must be finite and positive"),
     (["cover", "--input", "POINTS", "--delta", "inf"], "delta must be positive"),
+    (["gc", "--n-grid", "400"], "need at least two distinct sample sizes"),
+    (["gc", "--n-grid", "400,400"], "need at least two distinct sample sizes"),
 ])
 def test_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
                                                   message):

@@ -12,15 +12,14 @@ from vecproc import function_class as fc
 from vecproc.rng import substream
 
 
-def brute_force_min_cover(points, delta):
-    """Independent oracle: smallest subset of points covering all points."""
-    n = len(points)
-    dm = np.linalg.norm(points[:, None] - points[None, :], axis=2)
-    for k in range(1, n + 1):
-        for centers in itertools.combinations(range(n), k):
-            if np.all(dm[:, centers].min(axis=1) <= delta * (1 + 1e-12)):
+def brute_force_min_cover(cloud, delta):
+    """Independent oracle: smallest center subset covering the cloud under
+    its distances_to rows."""
+    rows = np.stack([cloud.distances_to(j) for j in range(cloud.size)])
+    for k in range(1, cloud.size + 1):
+        for centers in itertools.combinations(range(cloud.size), k):
+            if np.all(rows[list(centers)].min(axis=0) <= delta):
                 return k
-    return n
 
 
 def test_greedy_single_point():
@@ -82,8 +81,30 @@ def test_exact_matches_brute_force_and_bounds_greedy():
         cloud = cov.PointCloud(pts)
         for delta in (0.15, 0.25, 0.4, 0.6, 0.9):
             exact = cov.exact_cover_number(cloud, delta)
-            assert exact == brute_force_min_cover(pts, delta)
+            assert exact == brute_force_min_cover(cloud, delta)
             assert exact <= cov.greedy_cover(cloud, delta).size
+
+
+def test_exact_cover_reads_the_rows_at_a_tie():
+    # far from the origin the GEMM-form matrix rounds this tie the other way
+    cloud = cov.PointCloud(np.array([[0.8, 0.1, 0.0], [0.8, 0.0, 0.5],
+                                     [0.0, 0.2, 0.4]]) + 1e4)
+    delta = min(cloud.distances_to(j).max() for j in range(3))
+    assert cov.exact_cover_number(cloud, delta) == 1
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 8), st.floats(2.0, 6.0),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_cover_matches_brute_force_at_ties_far_from_origin(
+        seed, size, log_offset, data):
+    cloud = cov.PointCloud(np.random.default_rng(seed).uniform(size=(size, 3))
+                           + 10.0 ** log_offset)
+    ties = sorted({float(v) for j in range(size)
+                   for v in cloud.distances_to(j) if v > 0})
+    delta = data.draw(st.sampled_from(ties))
+    assert cov.exact_cover_number(cloud, delta) == \
+        brute_force_min_cover(cloud, delta)
 
 
 def test_packing_sandwich():

@@ -387,10 +387,27 @@ def test_chaining_levels_match_direct_greedy_covers():
     cls = ball_class(40, seed=29)
     design = fc.EmpiricalDesign.uniform(48, 1, substream(2, 4))
     plan = ep.build_chaining_plan(cls, design, 4)
-    cloud = PointCloud.from_empirical(cls, design)
+    cloud = PointCloud(PointCloud.from_empirical(cls, design).distance_matrix(),
+                       metric="matrix")
     for s in range(1, plan.s_levels + 2):
         direct = greedy_cover(cloud, plan.r_n * 0.5 ** s).center_indices
         assert np.array_equal(plan.level_centers[s], np.sort(direct))
+
+
+@pytest.mark.parametrize("count, n, duplicates", [(400, 256, False),
+                                                   (30, 64, True)],
+                         ids=["400-members", "duplicates"])
+def test_chaining_levels_cover_in_the_plan_matrix(count, n, duplicates):
+    # the matrix the chains read is the one the covers are exact in
+    cls = ball_class(count, seed=41)
+    if duplicates:
+        cls = dataclasses.replace(cls, members=cls.members + cls.members[::2])
+    design = fc.EmpiricalDesign.uniform(n, 1, substream(2, 6))
+    plan = ep.build_chaining_plan(cls, design)
+    dist = PointCloud.from_empirical(cls, design).distance_matrix()
+    for s in range(1, plan.s_levels + 2):
+        reach = dist[:, plan.level_centers[s]].min(axis=1)
+        assert np.all(reach <= plan.r_n * 0.5 ** s)
 
 
 def test_chaining_tail_check():

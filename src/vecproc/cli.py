@@ -121,13 +121,13 @@ def _design(args, cls) -> fc.EmpiricalDesign:
                                       substream(args.seed, _TAG_CLI_DESIGN))
 
 
-def _add_class_flags(sub, count=20, d=1, m=1, dy=3, kb=1.0, resolution=None):
-    sub.add_argument("--d", type=int, default=d)
+def _add_class_flags(sub, count=20, m=1):
+    sub.add_argument("--d", type=int, default=1)
     sub.add_argument("--m", type=int, default=m)
-    sub.add_argument("--dy", type=int, default=dy)
-    sub.add_argument("--kb", type=_real, default=kb)
+    sub.add_argument("--dy", type=int, default=3)
+    sub.add_argument("--kb", type=_real, default=1.0)
     sub.add_argument("--count", type=int, default=count)
-    sub.add_argument("--resolution", type=_positive, default=resolution)
+    sub.add_argument("--resolution", type=_positive, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--big-m", type=_real, default=2.0)
     p.add_argument("--tau", type=_real, default=1.0)
     p.add_argument("--h", type=_real, default=None, help="rkhs smoothness, > d")
-    p.add_argument("--measure-count", type=int, default=0,
+    p.add_argument("--measure-count", type=_number(int, 0), default=0,
                    help="members of a generated class to measure entropy on")
     p.add_argument("--dy", type=int, default=3)
     common(p)
@@ -337,9 +337,8 @@ def _run_bounds(args):
     tau = args.h if args.variant == "rkhs" else args.tau
     rows = []
     for delta in args.deltas:
-        bound = eb.BoundParams(d=args.d, m=args.m, k_b=args.kb, delta=delta,
-                               variant=args.variant, big_m=args.big_m,
-                               tau=tau).evaluate()
+        bound = eb.bound(args.variant, args.d, args.m, args.kb, delta,
+                         args.big_m, tau)
         measured = "" if cloud is None else cov.entropy(cloud, delta)
         rows.append({"delta": delta, "variant": args.variant, "bound": bound,
                      "measured_entropy_if_any": measured})
@@ -455,18 +454,19 @@ def _run_rademacher(args):
     cls = _ball_class(args, args.class_seed)
     design = _design(args, cls)
     if args.check == "norm":
-        est = rad.norm_rademacher(cls, design, mode=args.mode, reps=args.reps,
-                                  seed=args.seed, threads=args.threads)
+        est = rad.norm_rademacher_values(
+            cls.values_on(design), mode=args.mode, reps=args.reps,
+            seed=args.seed, threads=args.threads)
         return True, {"rademacher.json": est}
     if args.check == "coordinatewise":
         from .hilbert import OrthonormalBasis
-        basis = OrthonormalBasis.identity(cls.d_y)
+        coords = cls.values_on(design) @ OrthonormalBasis.identity(cls.d_y).columns
         out_obj = {"basis": "standard"}
         for normalized, key in ((False, "pattern_sum"), (True, "normalized")):
             if args.mode == "mc" and not normalized:
                 continue  # pattern sums require exact enumeration
-            out_obj[key] = rad.coordinatewise_rademacher(
-                cls, design, basis, normalized=normalized, mode=args.mode,
+            out_obj[key] = rad.coordinatewise_rademacher_values(
+                coords, normalized=normalized, mode=args.mode,
                 reps=args.reps, seed=args.seed, threads=args.threads)
         return True, {"rademacher.json": out_obj}
     rep = rad.rademacher_entropy_bound_check(cls, design, args.levels,

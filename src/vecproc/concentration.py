@@ -171,6 +171,8 @@ def cosh_moment_check(c, n: int, lambda_grid, reps: int, seed: int, d_y: int = 5
     lams = np.asarray(lambda_grid, float)
     if np.any(lams <= 0):
         raise ValueError("lambda values must be positive")
+    if reps < 2:
+        raise ValueError("reps must be at least 2")
 
     def block(rng, size):
         norms = _sum_norms(rng, size, n, d_y, c)

@@ -127,8 +127,8 @@ class CoverResult:
             raise ValueError("size_at needs r >= the cover radius")
         return int(np.count_nonzero(self.insertion_radii > r))
 
-    def is_valid(self, tol: float = 1e-12) -> bool:
-        return bool(np.all(self.assignment_dist <= self.radius * (1 + tol) + tol))
+    def is_valid(self) -> bool:
+        return bool(np.all(self.assignment_dist <= self.radius * (1 + 1e-12) + 1e-12))
 
     def to_json(self):
         return {"radius": self.radius,
@@ -214,6 +214,8 @@ def exact_cover_number(cloud: PointCloud, delta: float) -> int:
 
 def max_packing_size(cloud: PointCloud, delta: float) -> int:
     """Largest subset with pairwise distances > delta (brute force, <= 16)."""
+    if not 0 < delta < math.inf:     # rejects NaN too
+        raise ValueError("delta must be positive and finite")
     n = cloud.size
     if n > 16:
         raise ValueError("brute-force packing limited to 16 points")
@@ -334,12 +336,8 @@ def build_smooth_cover(cls: FunctionClass, delta: float) -> SmoothCoverPlan:
 
     p_list = multi_indices(d, m - 1)
     # exact derivative values of every member at every net point, per level
-    tables = cls.trig_tables(net)
-    deriv_vals = {}
-    for p in p_list:
-        deriv_vals[p] = np.empty((len(cls), net.shape[0], cls.d_y))
-        for i, g in enumerate(cls.members):
-            deriv_vals[p][i] = g.evaluate_deriv(net, p, tables)
+    deriv_vals = {p: np.stack([g.evaluate_deriv(net, p) for g in cls.members])
+                  for p in p_list}
 
     level_covers = []
     level_cells = {}

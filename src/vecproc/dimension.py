@@ -40,20 +40,14 @@ def _spread_starts(cloud: PointCloud, n_starts: int) -> np.ndarray:
 
 def _smallest_cover_sizes(cloud: PointCloud, deltas, n_starts: int) -> list:
     """Per radius of the decreasing deltas, the smallest greedy cover over
-    n_starts spread starts, read off one cover per start at the finest."""
-    covers = [greedy_cover(cloud, deltas[-1], start=int(s))
-              for s in _spread_starts(cloud, n_starts)]
-    return [min(c.size_at(d) for c in covers) for d in deltas]
-
-
-def greedy_entropy(cloud: PointCloud, delta: float) -> float:
-    """log of the smallest greedy cover over eight spread starting points.
+    n_starts spread starts, read off one cover per start at the finest.
 
     Every restart yields a valid cover, so the minimum is a tighter upper
     bound on N(delta) than any single run; restarting from spread points
-    also damps the drift a corner start induces across radii.
-    """
-    return math.log(_smallest_cover_sizes(cloud, [delta], 8)[0])
+    also damps the drift a corner start induces across radii."""
+    covers = [greedy_cover(cloud, deltas[-1], start=int(s))
+              for s in _spread_starts(cloud, n_starts)]
+    return [min(c.size_at(d) for c in covers) for d in deltas]
 
 
 def box_dimension_estimate(cloud: PointCloud, delta_grid,
@@ -177,16 +171,15 @@ def _local_cover_number(cloud: PointCloud, center: int, radius_big: float,
     """Covering number of the ball B(z, R) cap E at radius r.
 
     Exact when the local set is small enough to brute-force; otherwise the
-    spread-start greedy upper bound (failures are then conservative evidence
-    only).
+    smallest greedy cover over eight spread starts, an upper bound (failures
+    are then conservative evidence only).
     """
     dist = cloud.distances_to(center)
     local_idx = np.where(dist <= radius_big)[0]
     local = cloud.subset(local_idx)
     if local.size <= EXACT_LOCAL_MAX:
         return exact_cover_number(local, radius_small), True, local.size
-    count = round(math.exp(greedy_entropy(local, radius_small)))
-    return count, False, local.size
+    return _smallest_cover_sizes(local, [radius_small], 8)[0], False, local.size
 
 
 def homogeneity_check(cloud: PointCloud, m: float, tau: float, n_trials: int,

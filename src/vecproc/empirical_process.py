@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covering import PointCloud, greedy_cover
-from .function_class import EmpiricalDesign, FunctionClass, l2_distance_uniform
+from .function_class import (EmpiricalDesign, FunctionClass, l2_distance_uniform,
+                             trig_tables)
 from .reports import TailReport, fields_json, tail_check
 from .rng import TABLE_CHUNK, map_blocks, rademacher_signs
 
@@ -64,7 +65,7 @@ def _feature_means(cls: FunctionClass, size: int, n: int, points, signs=None):
         for lo in range(first * n, first * n + n, piece):
             stop = lo + reps * min(piece, first * n + n - lo)
             tables = [np.vstack([np.ones(stop - lo), t])
-                      for t in cls.trig_tables(points(lo, stop))]
+                      for t in trig_tables(points(lo, stop), cls.width)]
             head = np.ones((len(heads), stop - lo))
             for table, r in zip(tables, heads.T):
                 head *= table[r]

@@ -73,31 +73,19 @@ def _validate(d, m, k_b, delta):
         raise ValueError("delta must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Bound evaluation request: variant tag plus its parameters."""
-
-    d: int
-    m: int
-    k_b: float
-    delta: float
-    variant: str            # assouad | box | exponential | rkhs
-    big_m: float = 1.0
-    tau: float = 1.0        # tau_asd / tau_box / tau_exp; h for rkhs
-
-    def evaluate(self) -> float:
-        if self.variant == "assouad":
-            return bound_assouad(self.d, self.m, self.k_b, self.delta,
-                                 self.big_m, self.tau)
-        if self.variant == "box":
-            return bound_box(self.d, self.m, self.k_b, self.delta, self.tau)
-        if self.variant == "exponential":
-            return bound_exp(self.d, self.m, self.k_b, self.delta,
-                             self.big_m, self.tau)
-        if self.variant == "rkhs":
-            return bound_rkhs(self.d, self.m, self.k_b, self.delta,
-                              self.big_m, self.tau)
-        raise ValueError(f"unknown variant {self.variant!r}")
+def bound(variant: str, d: int, m: int, k_b: float, delta: float,
+          big_m: float, tau: float) -> float:
+    """The entropy bound of one variant (assouad | box | exponential |
+    rkhs); tau is tau_asd, tau_box or tau_exp, and h for rkhs."""
+    if variant == "assouad":
+        return bound_assouad(d, m, k_b, delta, big_m, tau)
+    if variant == "box":
+        return bound_box(d, m, k_b, delta, tau)
+    if variant == "exponential":
+        return bound_exp(d, m, k_b, delta, big_m, tau)
+    if variant == "rkhs":
+        return bound_rkhs(d, m, k_b, delta, big_m, tau)
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -109,11 +97,10 @@ class ContractionRow:
 
 
 def lipschitz_contraction_check(cls: FunctionClass, loss_c: float,
-                                design: EmpiricalDesign, targets, delta_grid,
-                                cap: float = 1.0):
+                                design: EmpiricalDesign, targets, delta_grid):
     """N(c delta, L o G, ||.||_{2,P_n}) <= N(delta, G, ||.||_{2,P_n}), exactly.
 
-    The loss is the clipped distance loss_c * min(||y - yhat||, cap), which
+    The loss is the clipped distance loss_c * min(||y - yhat||, 1), which
     is loss_c-Lipschitz in yhat; both covering numbers are exact, so the
     contraction inequality is tested with no slack.
     """
@@ -127,7 +114,7 @@ def lipschitz_contraction_check(cls: FunctionClass, loss_c: float,
     vals = cls.values_on(design)                       # (K, n, d_Y)
     class_cloud = PointCloud.from_values(vals)
     dist = np.linalg.norm(targets[None, :, :] - vals, axis=2)
-    loss_cloud = PointCloud.from_values(loss_c * np.minimum(dist, cap))  # (K, n)
+    loss_cloud = PointCloud.from_values(loss_c * np.minimum(dist, 1.0))  # (K, n)
     rows = []
     for delta in np.asarray(delta_grid, float):
         n_loss = exact_cover_number(loss_cloud, loss_c * delta)

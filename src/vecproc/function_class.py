@@ -22,10 +22,11 @@ Evaluation never forms a member's own cosines. By
 cos(2 pi k x + phi) = cos(phi) cos(2 pi k x) - sin(phi) sin(2 pi k x), with
 phi = theta + p pi/2 for D^p, a member is a small coefficient matrix over
 tables of cos/sin(2 pi k x_l), k = 1..W, one per axis of a point set
-(`trig_tables`, the one table builder). A class builds the tables once
-(`FunctionClass.trig_tables`) and every member is then a product of small
-GEMMs over them (one GEMM for d = 1); a lone member builds them at its own
-width. Both give the same bits, whatever the table width W.
+(`trig_tables`, the one table builder), and its values are a product of
+small GEMMs over them (one GEMM for d = 1). Callers pass points: a member
+builds the tables at its own width, and `FunctionClass.values_on` builds
+them once at the class width for every member. Both give the same bits,
+since a table row does not depend on W.
 
 A product of one such row per axis (or a constant) is a feature, and a
 class is also one coefficient tensor over its features
@@ -81,8 +82,8 @@ class BallDescriptor:
     def k_b(self) -> float:
         return self.radius
 
-    def contains(self, points: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(np.all(np.linalg.norm(points, axis=-1) <= self.radius + tol))
+    def contains(self, points: np.ndarray) -> bool:
+        return bool(np.all(np.linalg.norm(points, axis=-1) <= self.radius + 1e-9))
 
     def to_json(self):
         return {"kind": "ball", "radius": self.radius}
@@ -100,13 +101,13 @@ class SpanDescriptor:
     def k_b(self) -> float:
         return self.radius
 
-    def contains(self, points: np.ndarray, tol: float = 1e-9) -> bool:
+    def contains(self, points: np.ndarray) -> bool:
         pts = points.reshape(-1, points.shape[-1])
-        if not np.all(np.linalg.norm(pts, axis=1) <= self.radius + tol):
+        if not np.all(np.linalg.norm(pts, axis=1) <= self.radius + 1e-9):
             return False
         coef, *_ = np.linalg.lstsq(self.psi.T, pts.T, rcond=None)
         resid = pts.T - self.psi.T @ coef
-        return bool(np.all(np.linalg.norm(resid, axis=0) <= tol))
+        return bool(np.all(np.linalg.norm(resid, axis=0) <= 1e-9))
 
     def to_json(self):
         return {"kind": "span", "radius": self.radius, "psi": self.psi.tolist()}
@@ -135,10 +136,8 @@ class SmoothOutputDescriptor:
     def k_b(self) -> float:
         return self.bound
 
-    def contains(self, points: np.ndarray, tol_factor: float = 0.05) -> bool:
-        return bool(
-            self.max_difference_quotient(points) <= self.bound * (1.0 + tol_factor)
-        )
+    def contains(self, points: np.ndarray) -> bool:
+        return bool(self.max_difference_quotient(points) <= self.bound * 1.05)
 
     def max_difference_quotient(self, points: np.ndarray) -> float:
         """Largest forward divided difference of order [q] <= m_out.
@@ -219,15 +218,6 @@ def trig_tables(x, width: int) -> tuple:
     return tuple(_axis_table(x[:, l], width) for l in range(x.shape[1]))
 
 
-def _taylor_k(freqs, amps, dirs, m) -> float:
-    """Operator-norm bound for the (m+1)-st derivative: multinomial
-    expansion of the directional derivative plus Cauchy-Schwarz gives
-    sum_j |a_j| ||u_j|| (2 pi ||k_j||_2)^{m+1}."""
-    knorm = np.linalg.norm(freqs.astype(float), axis=1)
-    return float(np.sum(np.abs(amps) * np.linalg.norm(dirs, axis=1)
-                        * (TWO_PI * knorm) ** (m + 1)))
-
-
 @dataclass(frozen=True)
 class GridFunction:
     """One member: its trig-sum terms, with the grid tabulated on first use."""
@@ -240,7 +230,6 @@ class GridFunction:
     phases: np.ndarray   # (J, d)
     amps: np.ndarray     # (J,)
     dirs: np.ndarray     # (J, d_Y)
-    taylor_k: float = 0.0
     # {p: _coefficients(p)} and {p: D^p on the grid}, filled on first use;
     # two threads filling the same entry store equal values
     _coefs: dict = field(default_factory=dict, init=False, repr=False,
@@ -252,12 +241,18 @@ class GridFunction:
     def from_terms(cls, d, m, d_y, resolution, freqs, phases, amps, dirs):
         """The member with these terms; nothing is tabulated until `derivs`
         is read."""
-        freqs = np.asarray(freqs, int)
-        amps = np.asarray(amps, float)
-        dirs = np.asarray(dirs, float)
-        return cls(d=d, m=m, d_y=d_y, resolution=resolution, freqs=freqs,
-                   phases=np.asarray(phases, float), amps=amps, dirs=dirs,
-                   taylor_k=_taylor_k(freqs, amps, dirs, m))
+        return cls(d=d, m=m, d_y=d_y, resolution=resolution,
+                   freqs=np.asarray(freqs, int), phases=np.asarray(phases, float),
+                   amps=np.asarray(amps, float), dirs=np.asarray(dirs, float))
+
+    @functools.cached_property
+    def taylor_k(self) -> float:
+        """Operator-norm bound for the (m+1)-st derivative: multinomial
+        expansion of the directional derivative plus Cauchy-Schwarz gives
+        sum_j |a_j| ||u_j|| (2 pi ||k_j||_2)^{m+1}."""
+        knorm = np.linalg.norm(self.freqs.astype(float), axis=1)
+        return float(np.sum(np.abs(self.amps) * np.linalg.norm(self.dirs, axis=1)
+                            * (TWO_PI * knorm) ** (self.m + 1)))
 
     @property
     def derivs(self) -> dict:
@@ -279,37 +274,23 @@ class GridFunction:
         todo = [p for p in order if p not in self._grids]
         if todo:
             nodes = grid_nodes(self.d, self.resolution)
-            tables = trig_tables(nodes, self.width)
-            self._grids.update({p: self.evaluate_deriv(nodes, p, tables)
-                                for p in todo})
+            self._grids.update({p: self.evaluate_deriv(nodes, p) for p in todo})
 
     @property
     def width(self) -> int:
         """Highest frequency of any term: the trig-table width it needs."""
         return int(self.freqs.max()) if self.freqs.size else 0
 
-    def evaluate(self, x: np.ndarray, tables=None) -> np.ndarray:
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Exact values at arbitrary points x of shape (n, d); (n, d_Y)."""
-        return self.evaluate_deriv(x, (0,) * self.d, tables)
+        return self.evaluate_deriv(x, (0,) * self.d)
 
-    def evaluate_deriv(self, x: np.ndarray, p, tables=None) -> np.ndarray:
-        """Exact D^p at the points x; `tables` are trig_tables(x, W) for any
-        W >= width, shared across members (the result does not depend on W),
-        and default to trig_tables(x, width)."""
+    def evaluate_deriv(self, x: np.ndarray, p) -> np.ndarray:
+        """Exact D^p at the points x of shape (n, d); (n, d_Y)."""
         x = np.atleast_2d(np.asarray(x, float))
         if x.shape[1] != self.d:
             raise ValueError(f"points must have {self.d} coordinates")
-        if tables is None:
-            tables = trig_tables(x, self.width)
-        elif (len(tables) != self.d or tables[0].shape[1] != x.shape[0]
-                or tables[0].shape[0] < 2 * self.width):
-            raise ValueError(
-                "trig tables do not fit these points and this member")
-        p = tuple(p)
-        coef = self._coefs.get(p)
-        if coef is None:
-            coef = self._coefs[p] = self._coefficients(p)
-        return self._combine(tables, coef)
+        return self._combine(trig_tables(x, self.width), tuple(p))
 
     def scaled(self, factor: float) -> "GridFunction":
         """The member factor*g (same generator family)."""
@@ -343,8 +324,9 @@ class GridFunction:
             mats[-1] = np.repeat(mats[-1], 2, axis=1)
         return tuple(mats)
 
-    def _combine(self, tables, coef) -> np.ndarray:
-        """D^p from the tables and its _coefficients: per axis
+    def _combine(self, tables, p: tuple) -> np.ndarray:
+        """D^p at points x from trig_tables(x, W), any W >= width (a table
+        row does not depend on W), and its _coefficients: per axis
         table.T @ W[1:] + W[0], multiplied over the axes, then @ weights;
         for d = 1 one GEMM plus a row. For d_Y = 1 the first of the two
         equal columns is kept."""
@@ -352,7 +334,10 @@ class GridFunction:
             # one point would take BLAS's vector path, which rounds unlike
             # the GEMM of a batch; doubled, it takes the GEMM too
             return self._combine(tuple(np.repeat(t, 2, axis=1) for t in tables),
-                                 coef)[:1]
+                                 p)[:1]
+        coef = self._coefs.get(p)
+        if coef is None:
+            coef = self._coefs[p] = self._coefficients(p)
         rows = 2 * self.width
         out = None
         for table, w in zip(tables, coef):
@@ -398,10 +383,6 @@ class FunctionClass:
         """Highest frequency of any member: the shared table width."""
         return max((g.width for g in self.members), default=0)
 
-    def trig_tables(self, x) -> tuple:
-        """trig_tables of the points x for every member of the class."""
-        return trig_tables(x, self.width)
-
     @functools.cached_property
     def features(self) -> tuple:
         """(rows, coefs), read-only: the active product features, (F, d),
@@ -441,10 +422,10 @@ class FunctionClass:
         """Member values at the design points, shape (K, n, d_Y)."""
         if not self.members:
             raise ValueError("class must be nonempty")
-        tables = self.trig_tables(design.points)
+        tables = trig_tables(design.points, self.width)
         out = np.empty((len(self), design.n, self.d_y))
         for k, g in enumerate(self.members):
-            out[k] = g.evaluate(design.points, tables)
+            out[k] = g._combine(tables, (0,) * self.d)
         return out
 
 
@@ -539,15 +520,14 @@ def generate_finite_dim_ball_class(d, m, d_y, k_b, count, seed, resolution=None,
                          d=d, m=m, d_y=d_y, resolution=resolution, seed=seed)
 
 
-def generate_span_class(d, m, psi_basis, radius, count, seed, d_y=None,
+def generate_span_class(d, m, psi_basis, radius, count, seed,
                         resolution=None, n_terms=6, max_freq=3) -> FunctionClass:
-    """Members whose derivative values stay in span(psi) with norm <= R."""
+    """Members whose derivative values stay in span(psi) with norm <= R;
+    d_Y is the length of the psi vectors."""
     psi = np.atleast_2d(np.asarray(psi_basis, float))
     if psi.shape[0] < 1 or psi.size == 0:
         raise ValueError("span basis must contain at least one vector")
-    d_y = d_y or psi.shape[1]
-    if psi.shape[1] != d_y:
-        raise ValueError("psi vectors must have length d_y")
+    d_y = psi.shape[1]
     if np.linalg.matrix_rank(psi) < psi.shape[0]:
         raise ValueError("span basis is linearly dependent in the truncation")
     if radius <= 0 or count < 0 or min(d, m) < 1:

@@ -64,6 +64,8 @@ def _sign_mean(stat, n_bits: int, reps: int, seed: int, tag: int,
                threads: int):
     """Monte-Carlo mean of stat(signs) over reps rows of n_bits Rademacher
     signs, and its standard error."""
+    if reps < 2:
+        raise ValueError("reps must be at least 2")
 
     def block(rng, size):
         values = stat(rademacher_signs(rng, (size, n_bits)))
@@ -101,14 +103,7 @@ def norm_rademacher_values(values: np.ndarray, mode: str = "exact",
                               n_patterns=reps, se=se)
 
 
-def norm_rademacher(cls: FunctionClass, design: EmpiricalDesign,
-                    mode: str = "exact", reps: int = 100_000, seed: int = 0,
-                    threads: int = 1) -> RademacherEstimate:
-    return norm_rademacher_values(cls.values_on(design), mode=mode, reps=reps,
-                                  seed=seed, threads=threads)
-
-
-def _effective_signs(coords: np.ndarray, tol: float = 1e-12):
+def _effective_signs(coords: np.ndarray):
     """Split the n*d_Y sign variables into member-constant and effective.
 
     coords has shape (K, n, d_Y); a sign variable (i, j) is degenerate when
@@ -118,7 +113,7 @@ def _effective_signs(coords: np.ndarray, tol: float = 1e-12):
     k = coords.shape[0]
     flat = coords.reshape(k, -1)
     spread = flat.max(axis=0) - flat.min(axis=0)
-    effective = np.where(spread > tol)[0]
+    effective = np.where(spread > 1e-12)[0]
     return flat, effective
 
 
@@ -163,17 +158,6 @@ def coordinatewise_rademacher_values(coords: np.ndarray, normalized: bool,
                           seed, _TAG_COORD_MC, threads)
     return RademacherEstimate(value=mean, mode="monte_carlo",
                               form="coordinatewise", n_patterns=reps, se=se)
-
-
-def coordinatewise_rademacher(cls: FunctionClass, design: EmpiricalDesign,
-                              basis: OrthonormalBasis, normalized: bool,
-                              mode: str = "exact", reps: int = 100_000,
-                              seed: int = 0,
-                              threads: int = 1) -> RademacherEstimate:
-    coords = cls.values_on(design) @ basis.columns
-    return coordinatewise_rademacher_values(coords, normalized=normalized,
-                                            mode=mode, reps=reps, seed=seed,
-                                            threads=threads)
 
 
 # --------------------------------------------------------------------------
@@ -251,8 +235,8 @@ def rademacher_entropy_bound_check(cls: FunctionClass, design: EmpiricalDesign,
     """Norm-form complexity against 2^-(S+1) R_n + 2 J_n / sqrt(n)."""
     plan = build_chaining_plan(cls, design, s_levels)
     bound = 0.5 ** (s_levels + 1) * plan.r_n + 2.0 * plan.j_n / math.sqrt(design.n)
-    est = norm_rademacher(cls, design, mode=mode, reps=reps, seed=seed,
-                          threads=threads)
+    est = norm_rademacher_values(cls.values_on(design), mode=mode, reps=reps,
+                                 seed=seed, threads=threads)
     slack = 3.0 * est.se if est.mode == "monte_carlo" else 1e-12
     return EntropyBoundReport(estimate=est.value, bound=bound, r_n=plan.r_n,
                               j_n=plan.j_n, s_levels=s_levels,

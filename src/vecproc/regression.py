@@ -169,11 +169,9 @@ def default_rate_pool(seed: int = 11, d_y: int = 3, k_b: float = 250.0,
 
 
 def build_rate_pool(d: int, m: int, d_y: int, k_b: float, base_count: int,
-                    shell_radii, shell_counts, seed: int, resolution: int = 257,
-                    n_terms: int = 8, max_freq: int = 8,
-                    min_freq: int = 1) -> FunctionClass:
-    """Net-like pool: random members plus convex blends at fixed distances
-    from member 0.
+                    shell_radii, shell_counts, seed: int) -> FunctionClass:
+    """Net-like pool: random members with eight terms of frequencies 1..8,
+    on a 257-node grid, plus convex blends at fixed distances from member 0.
 
     The blends populate shells around the regression truth at the given
     L2(P) radii, realizing a local entropy profile dense enough for the
@@ -184,10 +182,12 @@ def build_rate_pool(d: int, m: int, d_y: int, k_b: float, base_count: int,
     from .function_class import blend_members, generate_finite_dim_ball_class
     from .function_class import l2_distance_uniform
 
+    if base_count < 1:
+        raise ValueError("base_count must be at least 1")
+    resolution, max_freq = 257, 8
     base = generate_finite_dim_ball_class(d, m, d_y, k_b, base_count, seed,
-                                          resolution=resolution,
-                                          n_terms=n_terms, max_freq=max_freq,
-                                          min_freq=min_freq)
+                                          resolution=resolution, n_terms=8,
+                                          max_freq=max_freq, min_freq=1)
     # anchor the truth near the centre of the pool: rays from it toward the
     # other members then point in nearly uncorrelated directions
     g0 = base[0].scaled(0.02)
@@ -456,12 +456,12 @@ def population_risks(cls: FunctionClass, noise: CovarianceSpectrum,
 
 def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
                              n_grid, reps: int, seed: int, cap: float = 1.0,
-                             lipschitz: float = 1.0, g_true_index: int = 0,
-                             fail_prob: float = 0.05, rad_patterns: int = 2048,
+                             lipschitz: float = 1.0, rad_patterns: int = 2048,
                              x_quad: int = 512, noise_quad: int = 100_000,
                              threads: int = 1) -> ErmReport:
     """Excess-risk distribution of clipped-loss ERM against the Rademacher
-    generalization bound 2 R_n(L o G) + 5c sqrt(2 log(8/delta)/n).
+    generalization bound 2 R_n(L o G) + 5c sqrt(2 log(8/delta)/n), delta =
+    0.05, with member 0 the regression truth.
 
     The population risks use quadrature with common random numbers, so the
     per-replicate decomposition excess <= sup(R - Rhat) + Rhat(g*) - R(g*)
@@ -475,9 +475,8 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
     if not all(math.isfinite(v) and v > 0 for v in (cap, lipschitz)):
         raise ValueError("cap and Lipschitz constant must be finite and "
                          "positive")
-    risks, risk_se = population_risks(cls, noise, g_true_index, cap, lipschitz,
-                                      seed, x_quad=x_quad,
-                                      noise_quad=noise_quad)
+    risks, risk_se = population_risks(cls, noise, 0, cap, lipschitz, seed,
+                                      x_quad=x_quad, noise_quad=noise_quad)
     g_star = int(np.argmin(risks))
     c_bound = lipschitz * cap
     rows = []
@@ -493,7 +492,7 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
                       sample_gaussian_batch(noise, rng, n)) for _ in range(size)]
             for b, (x, eps) in enumerate(draws):
                 vals = cls.values_on(EmpiricalDesign(x))
-                y = vals[g_true_index] + eps
+                y = vals[0] + eps
                 loss = clipped_loss(y[None], vals, cap, lipschitz)  # (K, n)
                 emp = loss.mean(axis=1)
                 ghat = int(np.argmin(emp))
@@ -514,7 +513,7 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
         rad_mean = float(rad.mean())
         rad_se = float(rad.std(ddof=1) / math.sqrt(reps))
         bound = 2.0 * rad_mean + 5.0 * c_bound * math.sqrt(
-            2.0 * math.log(8.0 / fail_prob) / n)
+            2.0 * math.log(8.0 / 0.05) / n)
         q95 = float(np.quantile(excess, 0.95))
         ok = q95 <= bound + 3.0 * (2.0 * rad_se + risk_se)
         rows.append(ErmRow(n=int(n), median_excess=float(np.median(excess)),

@@ -1,4 +1,4 @@
-"""Every name of src/vecproc earns a caller.
+"""Every name and every parameter of src/vecproc earns a caller.
 
 Each top-level function or class of a vecproc module, and each public
 method of a top-level class, must be referenced from src/ or perfbench/
@@ -6,11 +6,17 @@ outside its own definition; tests do not count as callers. A reference is
 an identifier in code (a name or an attribute) or a string that is a dotted
 identifier, such as a perfbench span target. PAPER_CONTENT lists results of
 the paper that no subcommand reaches yet: they stay until one does.
+
+Each defaulted parameter of those functions and methods must be passed, by
+keyword or by position, by some call in src/ or perfbench/ outside its own
+definition, the callee matched by its leaf name; a knob only tests set is a
+constant. PAPER_CONTENT, nested closures and cli.main(argv) are exempt.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 import pathlib
 import re
 
@@ -97,3 +103,73 @@ def test_paper_content_names_exist():
     defined = {qualname for module in SRC.glob("*.py")
                for qualname, _ in _definitions(_parse(module))}
     assert PAPER_CONTENT <= defined
+
+
+# Defaulted parameters kept although only tests set them: the stacked ERM
+# references need small sizes (at x_quad = 512, d_Y = 20 and 9,000 draws,
+# one reference tensor is 0.7 GB).
+TEST_SIZES = frozenset({
+    "erm_lipschitz_experiment.rad_patterns",
+    "erm_lipschitz_experiment.x_quad",
+})
+
+
+def _defaulted(node, method):
+    """(name, call position) of every defaulted parameter of a function
+    node; a method's positions do not count self or cls, and a keyword-only
+    parameter has none."""
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in node.decorator_list)
+    bound = method and not static
+    positional = node.args.posonlyargs + node.args.args
+    first = len(positional) - len(node.args.defaults)
+    out = [(arg.arg, i - bound) for i, arg in enumerate(positional)
+           if i >= first]
+    out += [(arg.arg, None) for arg, default in
+            zip(node.args.kwonlyargs, node.args.kw_defaults) if default]
+    return out
+
+
+def _calls(tree):
+    """(callee leaf, line, positional count, keyword names) of every call;
+    a call with *args passes every position."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            leaf = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            count = math.inf if starred else len(node.args)
+            yield leaf, node.lineno, count, {k.arg for k in node.keywords}
+
+
+def unset_parameters():
+    """module.qualname.parameter of every defaulted parameter no call in
+    src/ or perfbench/ outside its own definition passes."""
+    calls = {}
+    for folder in CALLER_DIRS:
+        for path in sorted(folder.rglob("*.py")):
+            if not path.name.startswith("test_"):
+                for leaf, line, count, names in _calls(_parse(path)):
+                    calls.setdefault(leaf, []).append((path, line, count, names))
+    missing = []
+    for module in sorted(SRC.glob("*.py")):
+        for qualname, node in _definitions(_parse(module)):
+            if (not isinstance(node, ast.FunctionDef) or qualname in PAPER_CONTENT
+                    or f"{module.stem}.{qualname}" == "cli.main"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            leaf = qualname.rpartition(".")[2]
+            for name, position in _defaulted(node, "." in qualname):
+                passed = any(
+                    name in names or (position is not None and position < count)
+                    for path, line, count, names in calls.get(leaf, ())
+                    if not (path == module and line in own))
+                if not passed and f"{qualname}.{name}" not in TEST_SIZES:
+                    missing.append(f"{module.stem}.{qualname}.{name}")
+    return missing
+
+
+def test_every_parameter_has_a_caller():
+    missing = unset_parameters()
+    assert missing == [], f"no caller outside tests sets: {missing}"

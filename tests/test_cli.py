@@ -192,6 +192,9 @@ def test_default_out_dir(tmp_path, monkeypatch):
      "reps must be at least 2"),
     (["symmetrize", "--count", "0"], "class must be nonempty"),
     (["gc", "--count", "0"], "class must be nonempty"),
+    (["concentration", "--check", "cosh", "--reps", "1"],
+     "reps must be at least 2"),
+    (["rademacher", "--mode", "mc", "--reps", "1"], "reps must be at least 2"),
 ])
 def test_invalid_monte_carlo_input_exits_2(tmp_path, capsys, argv, message):
     code, _ = run_cli(argv, tmp_path, argv[0])
@@ -265,6 +268,8 @@ def test_invalid_monte_carlo_input_exits_2(tmp_path, capsys, argv, message):
     (["cover", "--input", "POINTS", "--delta", "inf"], "delta must be positive"),
     (["gc", "--n-grid", "400"], "need at least two distinct sample sizes"),
     (["gc", "--n-grid", "400,400"], "need at least two distinct sample sizes"),
+    (["regress", "--base-count", "0"], "base_count must be at least 1"),
+    (["bounds", "--measure-count", "-1"], "must be at least 0"),
 ])
 def test_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
                                                   message):

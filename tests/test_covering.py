@@ -119,6 +119,15 @@ def test_packing_sandwich():
             assert n_delta <= packing <= n_half
 
 
+@pytest.mark.parametrize("delta", [math.nan, -1.0, 0.0, math.inf])
+def test_packing_rejects_bad_delta(delta):
+    # a NaN radius compares false everywhere and would pack every point
+    cloud = cov.PointCloud(np.array([[0.0], [0.1], [0.2]]))
+    for count in (cov.max_packing_size, cov.exact_cover_number):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            count(cloud, delta)
+
+
 def test_entropy_modes():
     singleton = cov.PointCloud(np.array([[0.0, 0.0]]))
     assert cov.entropy(singleton, 0.3) == 0.0

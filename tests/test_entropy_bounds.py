@@ -116,11 +116,16 @@ def test_infinite_k_b_rejected():
 
 
 def test_bound_params_dispatch():
-    p = eb.BoundParams(d=1, m=1, k_b=1.0, delta=0.1, variant="assouad",
-                       big_m=2.0, tau=1.0)
-    assert p.evaluate() == eb.bound_assouad(1, 1, 1.0, 0.1, 2.0, 1.0)
+    assert eb.bound("assouad", 1, 1, 1.0, 0.1, 2.0, 1.0) == \
+        eb.bound_assouad(1, 1, 1.0, 0.1, 2.0, 1.0)
+    assert eb.bound("box", 1, 1, 1.0, 0.1, 2.0, 1.5) == \
+        eb.bound_box(1, 1, 1.0, 0.1, 1.5)
+    assert eb.bound("exponential", 1, 1, 1.0, 0.1, 2.0, 1.0) == \
+        eb.bound_exp(1, 1, 1.0, 0.1, 2.0, 1.0)
+    assert eb.bound("rkhs", 1, 1, 1.0, 0.1, 2.0, 4.0) == \
+        eb.bound_rkhs(1, 1, 1.0, 0.1, 2.0, 4.0)
     with pytest.raises(ValueError):
-        eb.BoundParams(d=1, m=1, k_b=1.0, delta=0.1, variant="bogus").evaluate()
+        eb.bound("bogus", 1, 1, 1.0, 0.1, 1.0, 1.0)
 
 
 def test_measured_entropy_below_bounds():

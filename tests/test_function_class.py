@@ -218,7 +218,7 @@ def test_features_reproduce_member_values(d):
     assert len(rows) <= 1 + min((2 * cls.width + 1) ** d, 2 ** d * terms)
     assert not rows[0].any() and len(np.unique(rows, axis=0)) == len(rows)
     x = substream(4, d).uniform(size=(50, d))
-    tables = [np.vstack([np.ones(50), t]) for t in cls.trig_tables(x)]
+    tables = [np.vstack([np.ones(50), t]) for t in fc.trig_tables(x, cls.width)]
     phi = np.prod([t[r] for t, r in zip(tables, rows.T)], axis=0)
     got = (phi.T @ coefs).reshape(50, len(cls), cls.d_y)
     want = cls.values_on(fc.EmpiricalDesign(x)).transpose(1, 0, 2)
@@ -408,25 +408,13 @@ def test_chunked_evaluation_matches_one_shot_formula(d):
 
 @pytest.mark.parametrize("n", [1, 2, 33, 5000])
 def test_class_tables_give_the_member_values_bitwise(n):
-    # a shared table wider than a member's own frequencies changes no bit
+    # the class's shared tables, wider than a member's own frequencies,
+    # change no bit
     for name, cls in kernel_cases():
         x = substream(7, cls.d, n).uniform(size=(n, cls.d))
-        wide = fc.trig_tables(x, cls.width + 3)
         stacked = cls.values_on(fc.EmpiricalDesign(x))
         for k, g in enumerate(cls.members):
             assert np.array_equal(stacked[k], g.evaluate(x)), name
-            for p in fc.multi_indices(cls.d, cls.m):
-                alone = g.evaluate_deriv(x, p)
-                assert np.array_equal(alone, g.evaluate_deriv(x, p, wide)), name
-
-
-def test_trig_tables_must_fit_points_and_member():
-    g = small_rate_pool()[0]
-    x = np.linspace(0.0, 1.0, 10)[:, None]
-    with pytest.raises(ValueError, match="trig tables do not fit"):
-        g.evaluate(x, fc.trig_tables(x, g.width - 1))
-    with pytest.raises(ValueError, match="trig tables do not fit"):
-        g.evaluate(x, fc.trig_tables(x[:5], g.width))
 
 
 def test_save_load_v1_round_trip_evaluates_bitwise(tmp_path):
@@ -499,9 +487,9 @@ def test_reading_values_tabulates_one_grid(monkeypatch, d):
     tabulated = []
     evaluate_deriv = fc.GridFunction.evaluate_deriv
 
-    def counted(self, x, p, tables=None):
+    def counted(self, x, p):
         tabulated.append(tuple(p))
-        return evaluate_deriv(self, x, p, tables)
+        return evaluate_deriv(self, x, p)
 
     monkeypatch.setattr(fc.GridFunction, "evaluate_deriv", counted)
     values = g.values

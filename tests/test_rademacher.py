@@ -49,8 +49,9 @@ def test_norm_rademacher_matches_brute_force():
 def test_norm_rademacher_mc_matches_exact():
     cls = ball_class(10, seed=5)
     design = fc.EmpiricalDesign.uniform(8, 1, substream(1, 2))
-    exact = rad.norm_rademacher(cls, design, mode="exact")
-    mc = rad.norm_rademacher(cls, design, mode="mc", reps=100_000, seed=3)
+    values = cls.values_on(design)
+    exact = rad.norm_rademacher_values(values, mode="exact")
+    mc = rad.norm_rademacher_values(values, mode="mc", reps=100_000, seed=3)
     assert abs(mc.value - exact.value) <= 3 * mc.se + 1e-6
 
 
@@ -125,9 +126,9 @@ def test_coordinatewise_bookkeeping_identity():
     # pattern sum = 2^{#effective signs} x pattern mean; /n for the display
     cls = ball_class(3, seed=9, d_y=2)
     design = fc.EmpiricalDesign.uniform(3, 1, substream(2, 1))
-    basis = OrthonormalBasis.identity(2)
-    ps = rad.coordinatewise_rademacher(cls, design, basis, normalized=False)
-    nm = rad.coordinatewise_rademacher(cls, design, basis, normalized=True)
+    coords = cls.values_on(design) @ OrthonormalBasis.identity(2).columns
+    ps = rad.coordinatewise_rademacher_values(coords, normalized=False)
+    nm = rad.coordinatewise_rademacher_values(coords, normalized=True)
     assert nm.value == pytest.approx(ps.value / ps.n_patterns / design.n,
                                      abs=1e-12)
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hilbert import distances
 from .reports import TailReport, fields_json, tail_check
 from .rng import map_blocks, rademacher_signs
 
@@ -235,7 +236,7 @@ def gaussian_tail_check(spectrum: CovarianceSpectrum, a_grid, reps: int,
     a_vals = np.asarray(a_grid, float)
 
     def stat(rng, size):
-        return np.linalg.norm(sample_gaussian_batch(spectrum, rng, size), axis=1)
+        return distances(sample_gaussian_batch(spectrum, rng, size), 0.0)
 
     bounds = 2.0 * np.exp(-3.0 * a_vals ** 2 / (8.0 * spectrum.trace))
     return tail_check(stat, a_vals, a_vals, bounds, reps, threads, seed,

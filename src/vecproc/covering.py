@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .function_class import (EmpiricalDesign, FunctionClass, multi_indices,
-                             sup_distance)
+from .function_class import EmpiricalDesign, FunctionClass, multi_indices
+from .hilbert import distances
 
 
 # --------------------------------------------------------------------------
@@ -58,12 +58,10 @@ class PointCloud:
 
     def distances_to(self, index: int) -> np.ndarray:
         """Distances from every point to the point at `index`."""
-        if self.metric == "euclidean":
-            return np.linalg.norm(self.points - self.points[index], axis=1)
         if self.metric == "matrix":
             return self.points[index].copy()
-        diff = self.points - self.points[index]
-        return np.linalg.norm(diff, axis=2).max(axis=1)
+        dist = distances(self.points, self.points[index])
+        return dist if self.metric == "euclidean" else dist.max(axis=1)
 
     def distance_matrix(self) -> np.ndarray:
         if self.metric == "euclidean":
@@ -306,8 +304,7 @@ def _first_cover_assign(points: np.ndarray, centers: np.ndarray, radius: float):
     for j, c in enumerate(centers):
         if remaining.size == 0:
             break
-        d = np.linalg.norm(points[remaining] - c, axis=1)
-        hit = d <= radius * (1 + 1e-12)
+        hit = distances(points[remaining], c) <= radius * (1 + 1e-12)
         cells[remaining[hit]] = j
         remaining = remaining[~hit]
     if remaining.size:
@@ -330,14 +327,14 @@ def build_smooth_cover(cls: FunctionClass, delta: float) -> SmoothCoverPlan:
     d, m = cls.d, cls.m
     k_b = cls.b_descriptor.k_b
     k1, cap_delta, n_side, _ = smooth_cover_constants(d, m, k_b, delta)
-    net = EmpiricalDesign.midpoint_grid(n_side ** d, d).points
+    design = EmpiricalDesign.midpoint_grid(n_side ** d, d)
+    net = design.points
     level_radii = np.array([delta / (2.0 * cap_delta ** k * math.exp(d))
                             for k in range(m)])
 
     p_list = multi_indices(d, m - 1)
     # exact derivative values of every member at every net point, per level
-    deriv_vals = {p: np.stack([g.evaluate_deriv(net, p) for g in cls.members])
-                  for p in p_list}
+    deriv_vals = {p: cls.values_on(design, p) for p in p_list}
 
     level_covers = []
     level_cells = {}
@@ -373,14 +370,22 @@ class CoverValidityReport:
 
 
 def verify_cover_validity(cls: FunctionClass, plan: SmoothCoverPlan) -> CoverValidityReport:
-    """Same cell signature must imply sup-distance at most delta."""
+    """Same cell signature must imply sup-distance at most delta.
+
+    One row of grid distances per member of a shared cell, against the
+    members after it; members alone in their cell are never tabulated. A
+    NaN distance propagates to max_violation and fails the check.
+    """
     pairs = 0
     worst = 0.0
     for group in plan.groups():
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                dist = sup_distance(cls[group[a]], cls[group[b]])
-                worst = max(worst, dist / plan.delta)
-                pairs += 1
+        if len(group) < 2:
+            continue
+        vals = np.stack([cls[i].values for i in group])
+        for a in range(len(group) - 1):
+            row = distances(vals[a + 1:], vals[a]).max(axis=1)
+            worst = np.maximum(worst, row.max() / plan.delta)
+        pairs += len(group) * (len(group) - 1) // 2
+    worst = float(worst)
     return CoverValidityReport(pairs_checked=pairs, max_violation=worst,
-                               ok=worst <= 1 + 1e-9)
+                               ok=math.isfinite(worst) and worst <= 1 + 1e-9)

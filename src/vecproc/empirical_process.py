@@ -26,6 +26,7 @@ import numpy as np
 from .covering import PointCloud, greedy_cover
 from .function_class import (EmpiricalDesign, FunctionClass, l2_distance_uniform,
                              trig_tables)
+from .hilbert import distances
 from .reports import TailReport, fields_json, tail_check
 from .rng import TABLE_CHUNK, map_blocks, rademacher_signs
 
@@ -90,8 +91,8 @@ def _norms(moments, coefs, d_y, sup=True):
     """||moments @ C_k|| per row and member k, (rows, K), or its max over k
     when sup; the GEMM takes _SLAB_COLUMNS columns of coefs at a time."""
     step = max(1, _SLAB_COLUMNS // d_y) * d_y
-    slabs = (np.linalg.norm((moments @ coefs[:, i:i + step]).reshape(
-        len(moments), -1, d_y), axis=2) for i in range(0, coefs.shape[1], step))
+    slabs = (distances((moments @ coefs[:, i:i + step]).reshape(
+        len(moments), -1, d_y), 0.0) for i in range(0, coefs.shape[1], step))
     if sup:
         return functools.reduce(np.maximum, (norms.max(axis=1) for norms in slabs))
     return np.hstack(list(slabs))
@@ -344,7 +345,7 @@ def chaining_tail_check(plan: ChainingPlan, cls: FunctionClass,
     def stat(rng, size):
         signs = rademacher_signs(rng, (size, n))
         sums = np.einsum("bn,tnd->btd", signs, top_vals) / n
-        return np.linalg.norm(sums, axis=2).max(axis=1)
+        return distances(sums, 0.0).max(axis=1)
 
     return tail_check(stat, thresholds, ts, 2.0 * np.exp(-ts), reps, threads,
                       seed, _TAG_CHAIN)

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hilbert import distances
 from .rng import substream
 
 _TAG_MEMBER = 101
@@ -418,14 +419,17 @@ class FunctionClass:
         rows.flags.writeable = coefs.flags.writeable = False
         return rows, coefs
 
-    def values_on(self, design: "EmpiricalDesign") -> np.ndarray:
-        """Member values at the design points, shape (K, n, d_Y)."""
+    def values_on(self, design: "EmpiricalDesign", p=None) -> np.ndarray:
+        """D^p of every member at the design points, shape (K, n, d_Y); the
+        values when p is None. One trig table serves every member, and each
+        result is bitwise its evaluate_deriv(design.points, p)."""
         if not self.members:
             raise ValueError("class must be nonempty")
+        p = (0,) * self.d if p is None else tuple(p)
         tables = trig_tables(design.points, self.width)
         out = np.empty((len(self), design.n, self.d_y))
         for k, g in enumerate(self.members):
-            out[k] = g._combine(tables, (0,) * self.d)
+            out[k] = g._combine(tables, p)
         return out
 
 
@@ -613,11 +617,7 @@ def blend_members(g0: GridFunction, g1: GridFunction, weight: float) -> GridFunc
 
 def sup_norm(g: GridFunction) -> float:
     """Grid approximation of sup_x ||g(x)||: max over stored nodes."""
-    return float(np.max(np.linalg.norm(g.values, axis=1))) if g.values.size else 0.0
-
-
-def sup_distance(g1: GridFunction, g2: GridFunction) -> float:
-    return float(np.max(np.linalg.norm(g1.values - g2.values, axis=1)))
+    return float(np.max(distances(g.values, 0.0))) if g.values.size else 0.0
 
 
 @dataclass(frozen=True)

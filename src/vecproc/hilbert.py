@@ -4,8 +4,9 @@ A point of the (possibly infinite-dimensional) output space is its first
 d_Y coordinates in a fixed orthonormal basis: a finite float array, and its
 inner products and norms are numpy's. The coordinates of points `values`
 (..., d_Y) in another orthonormal basis are `values @ basis.columns`. This
-module holds the basis type, Gram-Schmidt and a random basis. Truncation
-level d_Y is a declared parameter of every experiment.
+module holds the basis type, Gram-Schmidt, a random basis and `distances`,
+the one norm kernel over the coordinate axis. Truncation level d_Y is a
+declared parameter of every experiment.
 """
 
 from __future__ import annotations
@@ -16,6 +17,39 @@ import numpy as np
 
 # Orthonormality tolerance: double-precision head-room.
 ORTHO_TOL = 1e-12
+# Below 8 coordinates numpy's add.reduce sums left to right; from 8 on it
+# sums in 8-wide pairwise blocks.
+_PAIRWISE_WIDTH = 8
+
+
+def distances(a, b) -> np.ndarray:
+    """||a - b|| over the last axis, a and b broadcast: bitwise
+    np.linalg.norm(a - b, axis=-1) at every width.
+
+    Below _PAIRWISE_WIDTH coordinates the squares are summed coordinate by
+    coordinate, left to right, over whole slices into one buffer, which is
+    numpy's own order there; numpy instead runs one short reduce per row.
+    Wider axes, width 0 and a single vector go to np.linalg.norm itself.
+    """
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    wa, wb = (x.shape[-1] if x.ndim else 1 for x in (a, b))
+    width = wb if wa == 1 else wa
+    if not 0 < width < _PAIRWISE_WIDTH or wb not in (1, width) \
+            or max(a.ndim, b.ndim) < 2:
+        return np.linalg.norm(a - b, axis=-1)
+
+    def column(x, j):
+        return x[..., j % x.shape[-1]] if x.ndim else x
+
+    out = np.subtract(column(a, 0), column(b, 0))
+    out *= out
+    if width > 1:
+        tmp = np.empty_like(out)
+        for j in range(1, width):
+            np.subtract(column(a, j), column(b, j), out=tmp)
+            tmp *= tmp
+            out += tmp
+    return np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .empirical_process import build_chaining_plan
 from .function_class import EmpiricalDesign, FunctionClass
-from .hilbert import OrthonormalBasis
+from .hilbert import OrthonormalBasis, distances
 from .rng import map_blocks, rademacher_signs
 
 _TAG_NORM_MC = 601
@@ -88,7 +88,7 @@ def norm_rademacher_values(values: np.ndarray, mode: str = "exact",
 
     def stat(signs):
         sums = np.einsum("cn,knd->ckd", signs, values) / n
-        return np.linalg.norm(sums, axis=2).max(axis=1)
+        return distances(sums, 0.0).max(axis=1)
 
     if mode == "exact":
         if n > 20:

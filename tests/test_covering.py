@@ -325,6 +325,77 @@ def test_smooth_cover_two_dimensional_inputs():
         assert dists.min() <= side + 1e-12 <= cap_delta
 
 
+def verify_cover_validity_pairwise(cls, plan):
+    """The per-pair loop verify_cover_validity replaced: (pairs, worst)."""
+    pairs, worst = 0, 0.0
+    for group in plan.groups():
+        for a in range(len(group)):
+            for b in range(a + 1, len(group)):
+                diff = cls[group[a]].values - cls[group[b]].values
+                dist = float(np.max(np.linalg.norm(diff, axis=1)))
+                worst = max(worst, dist / plan.delta)
+                pairs += 1
+    return pairs, worst
+
+
+def first_cover_assign_per_center(points, centers, radius):
+    """The per-center loop with np.linalg.norm that _first_cover_assign
+    replaced."""
+    cells = np.full(points.shape[0], -1, dtype=int)
+    remaining = np.arange(points.shape[0])
+    for j, c in enumerate(centers):
+        d = np.linalg.norm(points[remaining] - c, axis=1)
+        hit = d <= radius * (1 + 1e-12)
+        cells[remaining[hit]] = j
+        remaining = remaining[~hit]
+    return cells
+
+
+COVER_REFERENCE_CASES = [
+    (lambda: _twin_class(30, seed=31), 0.1),
+    (lambda: fc.generate_finite_dim_ball_class(2, 1, 3, 1.0, 12, seed=3,
+                                               resolution=17), 0.4),
+]
+
+
+@pytest.mark.parametrize("make, delta", COVER_REFERENCE_CASES)
+def test_cover_rows_match_the_pairwise_and_per_center_loops(make, delta):
+    cls = make()
+    plan = cov.build_smooth_cover(cls, delta)
+    report = cov.verify_cover_validity(cls, plan)
+    pairs, worst = verify_cover_validity_pairwise(cls, plan)
+    assert pairs > 0
+    assert (report.pairs_checked, report.max_violation) == (pairs, worst)
+    column = {key: col for col, key in enumerate(plan.signature_keys)}
+    for p in fc.multi_indices(cls.d, cls.m - 1):
+        level = plan.level_covers[sum(p)]
+        net_vals = np.stack([g.evaluate_deriv(plan.net_points, p)
+                             for g in cls.members]).reshape(-1, cls.d_y)
+        want = first_cover_assign_per_center(net_vals, level.centers,
+                                             level.radius / 2.0)
+        got = cov._first_cover_assign(net_vals, level.centers,
+                                      level.radius / 2.0)
+        assert np.array_equal(got, want)
+        cells = [column[l, p] for l in range(plan.n_net)]
+        assert np.array_equal(plan.signatures[:, cells].reshape(-1), want)
+
+
+def test_nan_grid_value_fails_the_cover_check():
+    # a NaN in a stored grid (as load_class reads one from a file) must
+    # fail the check, not drop out of the maximum
+    cls = fc.generate_finite_dim_ball_class(1, 1, 3, 1.0, 200, seed=3)
+    plan = cov.build_smooth_cover(cls, 0.1)
+    assert cov.verify_cover_validity(cls, plan).ok
+    shared = next(group for group in plan.groups() if len(group) > 1)
+    g = cls[shared[0]]
+    vals = g.values.copy()
+    vals[0, 0] = np.nan
+    g._grids[(0,)] = vals
+    report = cov.verify_cover_validity(cls, plan)
+    assert math.isnan(report.max_violation)
+    assert not report.ok
+
+
 def test_greedy_cover_deterministic():
     rng = substream(9, 1)
     pts = rng.uniform(size=(50, 2))

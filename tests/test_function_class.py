@@ -409,12 +409,17 @@ def test_chunked_evaluation_matches_one_shot_formula(d):
 @pytest.mark.parametrize("n", [1, 2, 33, 5000])
 def test_class_tables_give_the_member_values_bitwise(n):
     # the class's shared tables, wider than a member's own frequencies,
-    # change no bit
+    # change no bit, for the values and for every derivative
     for name, cls in kernel_cases():
         x = substream(7, cls.d, n).uniform(size=(n, cls.d))
-        stacked = cls.values_on(fc.EmpiricalDesign(x))
+        design = fc.EmpiricalDesign(x)
+        stacked = cls.values_on(design)
         for k, g in enumerate(cls.members):
             assert np.array_equal(stacked[k], g.evaluate(x)), name
+        for p in fc.multi_indices(cls.d, cls.m):
+            stacked = cls.values_on(design, p)
+            for k, g in enumerate(cls.members):
+                assert np.array_equal(stacked[k], g.evaluate_deriv(x, p)), name
 
 
 def test_save_load_v1_round_trip_evaluates_bitwise(tmp_path):

@@ -246,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=_positive, default=5)
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p.add_argument("--reps", type=_positive, default=100_000)
-    p.add_argument("--normalized", action="store_true")
     p.add_argument("--class-seed", type=int, default=7)
     common(p)
 

@@ -26,7 +26,7 @@ import numpy as np
 from .covering import PointCloud, greedy_cover
 from .function_class import (EmpiricalDesign, FunctionClass, l2_distance_uniform,
                              trig_tables)
-from .hilbert import distances
+from .hilbert import distances, sup_sign_norms
 from .reports import TailReport, fields_json, tail_check
 from .rng import TABLE_CHUNK, map_blocks, rademacher_signs
 
@@ -343,9 +343,7 @@ def chaining_tail_check(plan: ChainingPlan, cls: FunctionClass,
     top_vals = cls.values_on(design)[tops]    # (T, n, d_Y)
 
     def stat(rng, size):
-        signs = rademacher_signs(rng, (size, n))
-        sums = np.einsum("bn,tnd->btd", signs, top_vals) / n
-        return distances(sums, 0.0).max(axis=1)
+        return sup_sign_norms(rademacher_signs(rng, (size, n)), top_vals)
 
     return tail_check(stat, thresholds, ts, 2.0 * np.exp(-ts), reps, threads,
                       seed, _TAG_CHAIN)

@@ -303,9 +303,11 @@ class GridFunction:
         """D^p over the tables. Per axis a (2W+1, J) matrix: row 0 is each
         term's constant factor, row 2k-1 (2k) its cos (sin) coefficient at
         frequency k. Then the (J, d_Y) term weights; for d = 1 the product
-        of the two, one (2W+1, d_Y) matrix. For d_Y = 1 the last matrix has
-        its column twice: one column would take BLAS's vector path, which
-        rounds a row depending on how many points the call has."""
+        of the two, one (2W+1, d_Y) matrix. No matrix multiplied by the
+        tables has one column, which would take BLAS's vector path and
+        round a row depending on how many points the call has: for d_Y = 1
+        the last matrix has its column twice, and for one term at d >= 2 so
+        has each axis matrix."""
         pa = np.asarray(p, int)
         # factor per term: prod_l (2 pi k_l)^{p_l}, with 0^0 == 1
         factors = np.prod((TWO_PI * self.freqs.astype(float)) ** pa, axis=1)
@@ -323,14 +325,16 @@ class GridFunction:
         mats = [axes[0] @ weights] if self.d == 1 else [*axes, weights]
         if self.d_y == 1:
             mats[-1] = np.repeat(mats[-1], 2, axis=1)
+        if self.d > 1 and terms.size == 1:
+            mats[:-1] = [np.repeat(w, 2, axis=1) for w in mats[:-1]]
         return tuple(mats)
 
     def _combine(self, tables, p: tuple) -> np.ndarray:
         """D^p at points x from trig_tables(x, W), any W >= width (a table
         row does not depend on W), and its _coefficients: per axis
         table.T @ W[1:] + W[0], multiplied over the axes, then @ weights;
-        for d = 1 one GEMM plus a row. For d_Y = 1 the first of the two
-        equal columns is kept."""
+        for d = 1 one GEMM plus a row. Of two equal columns the first is
+        kept."""
         if tables[0].shape[1] == 1:
             # one point would take BLAS's vector path, which rounds unlike
             # the GEMM of a batch; doubled, it takes the GEMM too
@@ -345,7 +349,7 @@ class GridFunction:
             factor = table[:rows].T @ w[1:]
             factor += w[0]
             out = factor if out is None else np.multiply(out, factor, out=out)
-        out = out if self.d == 1 else out @ coef[-1]
+        out = out if self.d == 1 else out[:, :len(coef[-1])] @ coef[-1]
         return out if self.d_y > 1 else out[:, :1].copy()
 
 

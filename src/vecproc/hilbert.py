@@ -52,6 +52,19 @@ def distances(a, b) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def sup_sign_norms(signs, values) -> np.ndarray:
+    """max_k ||(1/n) sum_i s_i values[k, i]|| for each sign row s.
+
+    signs is (C, n), values (K, n, d_Y). One GEMM of the signs against the
+    values flattened to (n, K d_Y) sums every member's coordinates; at
+    d_Y = 1 the norm is the absolute value bitwise, sqrt(x x) = |x|.
+    """
+    k, n, d_y = values.shape
+    sums = signs @ values.transpose(1, 0, 2).reshape(n, k * d_y)
+    sums /= n
+    return distances(sums.reshape(len(signs), k, d_y), 0.0).max(axis=1)
+
+
 @dataclass(frozen=True)
 class OrthonormalBasis:
     """d_Y orthonormal columns; the j-th basis vector is columns[:, j]."""
@@ -66,10 +79,6 @@ class OrthonormalBasis:
         if not np.allclose(gram, np.eye(cols.shape[1]), atol=ORTHO_TOL, rtol=0.0):
             raise ValueError("columns are not orthonormal to 1e-12")
         object.__setattr__(self, "columns", cols)
-
-    @property
-    def dim(self) -> int:
-        return self.columns.shape[0]
 
     @staticmethod
     def identity(dim: int) -> "OrthonormalBasis":

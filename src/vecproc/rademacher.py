@@ -17,19 +17,17 @@ pattern_sum = 2^{#effective signs} * pattern mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .empirical_process import build_chaining_plan
 from .function_class import EmpiricalDesign, FunctionClass
-from .hilbert import OrthonormalBasis, distances
+from .hilbert import OrthonormalBasis, sup_sign_norms
 from .rng import map_blocks, rademacher_signs
 
 _TAG_NORM_MC = 601
 _TAG_COORD_MC = 602
-
-EXACT_PATTERN_LIMIT = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -48,22 +46,29 @@ def _sign_matrix(start: int, count: int, n_bits: int) -> np.ndarray:
     return 2.0 * bits - 1.0
 
 
-def _enumerated_sum(stat, n_bits: int) -> float:
-    """Sum of stat(signs) (one value per sign row) over all 2^n_bits sign
-    patterns, enumerated in chunks of 2^14 rows."""
-    n_patterns = 1 << n_bits
-    chunk = min(n_patterns, 1 << 14)
-    total = 0.0
-    for start in range(0, n_patterns, chunk):
-        signs = _sign_matrix(start, min(chunk, n_patterns - start), n_bits)
-        total += float(stat(signs).sum())
-    return total
+def _sign_expectation(stat, n_bits: int, form: str, mode: str, reps: int,
+                      seed: int, tag: int, threads: int) -> RademacherEstimate:
+    """E stat(signs) over n_bits Rademacher signs (stat maps a (rows,
+    n_bits) sign matrix to one value per row).
 
-
-def _sign_mean(stat, n_bits: int, reps: int, seed: int, tag: int,
-               threads: int):
-    """Monte-Carlo mean of stat(signs) over reps rows of n_bits Rademacher
-    signs, and its standard error."""
+    mode "exact" averages all 2^n_bits patterns, enumerated in chunks of
+    2^14 rows; mode "mc" averages reps sampled rows and reports the
+    standard error.
+    """
+    if mode == "exact":
+        if n_bits > 20:
+            raise ValueError("exact enumeration limited to 2^20 sign patterns")
+        n_patterns = 1 << n_bits
+        chunk = min(n_patterns, 1 << 14)
+        total = 0.0
+        for start in range(0, n_patterns, chunk):
+            signs = _sign_matrix(start, min(chunk, n_patterns - start), n_bits)
+            total += float(stat(signs).sum())
+        return RademacherEstimate(value=total / n_patterns,
+                                  mode="exact_enumeration", form=form,
+                                  n_patterns=n_patterns)
+    if mode != "mc":
+        raise ValueError("mode must be 'exact' or 'mc'")
     if reps < 2:
         raise ValueError("reps must be at least 2")
 
@@ -75,32 +80,19 @@ def _sign_mean(stat, n_bits: int, reps: int, seed: int, tag: int,
     total, total_sq = (sum(p) for p in zip(*parts))
     mean = total / reps
     var = max(total_sq / reps - mean ** 2, 0.0)
-    return mean, math.sqrt(var / reps)
+    return RademacherEstimate(value=mean, mode="monte_carlo", form=form,
+                              n_patterns=reps, se=math.sqrt(var / reps))
 
 
 def norm_rademacher_values(values: np.ndarray, mode: str = "exact",
                            reps: int = 100_000, seed: int = 0,
                            threads: int = 1) -> RademacherEstimate:
     """E_sigma sup_g ||(1/n) sum_i sigma_i g(X_i)|| from a (K, n, d_Y) tensor."""
-    k, n, d_y = values.shape
-    if k == 0:
+    if values.shape[0] == 0:
         raise ValueError("class must be nonempty")
-
-    def stat(signs):
-        sums = np.einsum("cn,knd->ckd", signs, values) / n
-        return distances(sums, 0.0).max(axis=1)
-
-    if mode == "exact":
-        if n > 20:
-            raise ValueError("exact enumeration limited to n <= 20")
-        return RademacherEstimate(value=_enumerated_sum(stat, n) / (1 << n),
-                                  mode="exact_enumeration", form="norm",
-                                  n_patterns=1 << n)
-    if mode != "mc":
-        raise ValueError("mode must be 'exact' or 'mc'")
-    mean, se = _sign_mean(stat, n, reps, seed, _TAG_NORM_MC, threads)
-    return RademacherEstimate(value=mean, mode="monte_carlo", form="norm",
-                              n_patterns=reps, se=se)
+    return _sign_expectation(lambda signs: sup_sign_norms(signs, values),
+                             values.shape[1], "norm", mode, reps, seed,
+                             _TAG_NORM_MC, threads)
 
 
 def _effective_signs(coords: np.ndarray):
@@ -125,39 +117,26 @@ def coordinatewise_rademacher_values(coords: np.ndarray, normalized: bool,
 
     normalized=False returns the pattern sum over effective signs (the
     counterexample's arithmetic); normalized=True returns the expectation
-    over all sign patterns divided by n.
+    over all sign patterns divided by n (Monte Carlo divides each row, so
+    its standard error is in that scale too).
     """
     k, n, d_y = coords.shape
     if k == 0:
         raise ValueError("class must be nonempty")
+    if mode == "mc" and not normalized:
+        raise ValueError("the pattern-sum form requires exact enumeration")
     flat, effective = _effective_signs(coords)
     eff = flat[:, effective]                      # (K, E)
-    n_eff = effective.size
-
-    def pattern_sup(signs):
-        return (signs @ eff.T).max(axis=1)
-
-    if mode == "exact":
-        if 2 ** n_eff > EXACT_PATTERN_LIMIT:
-            raise ValueError("exact enumeration limited to 2^20 sign patterns")
-        total = _enumerated_sum(pattern_sup, n_eff)
-        n_patterns = 1 << n_eff
-        if normalized:
-            return RademacherEstimate(value=total / n_patterns / n,
-                                      mode="exact_enumeration",
-                                      form="coordinatewise",
-                                      n_patterns=n_patterns)
-        return RademacherEstimate(value=total, mode="exact_enumeration",
-                                  form="pattern_sum_coordinatewise",
-                                  n_patterns=n_patterns)
-    if mode != "mc":
-        raise ValueError("mode must be 'exact' or 'mc'")
-    if not normalized:
-        raise ValueError("the pattern-sum form requires exact enumeration")
-    mean, se = _sign_mean(lambda signs: pattern_sup(signs) / n, n_eff, reps,
-                          seed, _TAG_COORD_MC, threads)
-    return RademacherEstimate(value=mean, mode="monte_carlo",
-                              form="coordinatewise", n_patterns=reps, se=se)
+    per_row = n if mode == "mc" else 1
+    est = _sign_expectation(lambda signs: (signs @ eff.T).max(axis=1) / per_row,
+                            effective.size, "coordinatewise", mode, reps, seed,
+                            _TAG_COORD_MC, threads)
+    if mode != "exact":
+        return est
+    if normalized:
+        return replace(est, value=est.value / n)
+    return replace(est, value=est.value * est.n_patterns,
+                   form="pattern_sum_coordinatewise")
 
 
 # --------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .covering import PointCloud, greedy_cover
 from .covering import greedy_cover as greedy_cover_from  # former name, kept for callers
 from .empirical_process import build_chaining_plan
 from .function_class import EmpiricalDesign, FunctionClass, SmoothOutputDescriptor
+from .hilbert import sup_sign_norms
 from .reports import TailReport, fields_json, jsonable, tail_check
 from .rng import map_blocks, rademacher_signs
 
@@ -407,12 +408,12 @@ class ErmReport:
 
 
 def population_risks(cls: FunctionClass, noise: CovarianceSpectrum,
-                     g_true_index: int, cap: float, lipschitz: float,
-                     seed: int, x_quad: int = 512, noise_quad: int = 100_000):
-    """R(g) = E min-loss for every member: x-quadrature times common-random-
-    number noise Monte Carlo; the shared noise sample keeps the member
-    ordering exact and the recorded error estimate is the largest standard
-    error across members.
+                     cap: float, lipschitz: float, seed: int,
+                     x_quad: int = 512, noise_quad: int = 100_000):
+    """R(g) = E min-loss for every member, member 0 the regression truth:
+    x-quadrature times common-random-number noise Monte Carlo; the shared
+    noise sample keeps the member ordering exact and the recorded error
+    estimate is the largest standard error across members.
 
     The residual y - g(x) = (g_true(x) - g(x)) + eps is formed by
     clipped_loss as eps - (g(x) - g_true(x)), the same float. For each
@@ -427,7 +428,7 @@ def population_risks(cls: FunctionClass, noise: CovarianceSpectrum,
     xq = EmpiricalDesign.midpoint_grid(x_quad, cls.d)
     vals = cls.values_on(xq)                     # (K, xq, d_Y)
     neg_diff = np.ascontiguousarray(
-        (vals - vals[g_true_index][None]).transpose(0, 2, 1))  # (K, d_Y, xq)
+        (vals - vals[0][None]).transpose(0, 2, 1))  # (K, d_Y, xq)
     rows = max(1, _LOSS_CHUNK // x_quad)
 
     def block(rng, size):
@@ -475,7 +476,7 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
     if not all(math.isfinite(v) and v > 0 for v in (cap, lipschitz)):
         raise ValueError("cap and Lipschitz constant must be finite and "
                          "positive")
-    risks, risk_se = population_risks(cls, noise, 0, cap, lipschitz, seed,
+    risks, risk_se = population_risks(cls, noise, cap, lipschitz, seed,
                                       x_quad=x_quad, noise_quad=noise_quad)
     g_star = int(np.argmin(risks))
     c_bound = lipschitz * cap
@@ -503,7 +504,7 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
                 for lo in range(0, rad_patterns, _SIGN_ROWS):
                     signs[lo:lo + _SIGN_ROWS] = rademacher_signs(
                         rng, (min(_SIGN_ROWS, rad_patterns - lo), n))
-                rads[b] = np.abs(signs @ loss.T / n).max(axis=1).mean()
+                rads[b] = sup_sign_norms(signs, loss[:, :, None]).mean()
             return excesses, rads, decomp
 
         parts = map_blocks(block, reps, threads, seed, _TAG_ERM_RAD, pos,

@@ -4,8 +4,11 @@ Each top-level function or class of a vecproc module, and each public
 method of a top-level class, must be referenced from src/ or perfbench/
 outside its own definition; tests do not count as callers. A reference is
 an identifier in code (a name or an attribute) or a string that is a dotted
-identifier, such as a perfbench span target. PAPER_CONTENT lists results of
-the paper that no subcommand reaches yet: they stay until one does.
+identifier, such as a perfbench span target. A method is referenced only as
+an attribute or as a part after the first of a dotted string, so a bare
+name with the same leaf (a parameter, a local alias) is not its caller.
+PAPER_CONTENT lists results of the paper that no subcommand reaches yet:
+they stay until one does.
 
 Each defaulted parameter of those functions and methods must be passed, by
 keyword or by position, by some call in src/ or perfbench/ outside its own
@@ -54,20 +57,21 @@ def _definitions(tree):
 
 
 def _references(tree):
-    """(identifier, line) of every reference in one module."""
+    """(identifier, line, as attribute) of every reference in one module;
+    the parts after the first of a dotted string count as attributes."""
     docstrings = {id(node.value) for node in ast.walk(tree)
                   if isinstance(node, ast.Expr)
                   and isinstance(node.value, ast.Constant)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docstrings
               and _DOTTED.fullmatch(node.value)):
-            for part in node.value.split("."):
-                yield part, node.lineno
+            for i, part in enumerate(node.value.split(".")):
+                yield part, node.lineno, i > 0
 
 
 def _parse(path):
@@ -80,15 +84,15 @@ def unreferenced():
     for folder in CALLER_DIRS:
         for path in sorted(folder.rglob("*.py")):
             if not path.name.startswith("test_"):
-                for name, line in _references(_parse(path)):
-                    refs.setdefault(name, []).append((path, line))
+                for name, line, attr in _references(_parse(path)):
+                    refs.setdefault(name, []).append((path, line, attr))
     missing = []
     for module in sorted(SRC.glob("*.py")):
         for qualname, node in _definitions(_parse(module)):
             own = range(node.lineno, node.end_lineno + 1)
-            leaf = qualname.rpartition(".")[2]
-            if all(path == module and line in own
-                   for path, line in refs.get(leaf, ())):
+            owner, _, leaf = qualname.rpartition(".")
+            if all((path == module and line in own) or (owner and not attr)
+                   for path, line, attr in refs.get(leaf, ())):
                 missing.append(f"{module.stem}.{qualname}")
     return missing
 
@@ -173,3 +177,31 @@ def unset_parameters():
 def test_every_parameter_has_a_caller():
     missing = unset_parameters()
     assert missing == [], f"no caller outside tests sets: {missing}"
+
+
+def unread_flags():
+    """dest of every command-line flag cli.py never reads as args.<dest>."""
+    tree = _parse(SRC / "cli.py")
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    missing = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"):
+            keywords = {k.arg: k.value for k in node.keywords}
+            action = keywords.get("action")
+            if isinstance(action, ast.Constant) and action.value in (
+                    "help", "version"):
+                continue              # argparse acts on these itself
+            dest = keywords.get("dest")
+            dest = (dest.value if dest is not None else
+                    node.args[0].value.lstrip("-").replace("-", "_"))
+            if dest not in read:
+                missing.append(dest)
+    return missing
+
+
+def test_every_flag_is_read():
+    missing = unread_flags()
+    assert missing == [], f"flags cli.py never reads: {missing}"

@@ -505,14 +505,21 @@ def test_reading_values_tabulates_one_grid(monkeypatch, d):
     assert derivs[(0,) * d] is values
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_one_output_column_does_not_depend_on_the_batch(d):
-    # with d_Y = 1 a point's value must not depend on how many points its
-    # call has (BLAS's matrix-vector path rounds a row by the batch size)
+    # with d_Y = 1, or one term, a point's value must not depend on how many
+    # points its call has (BLAS's matrix-vector path rounds a row by the
+    # batch size)
     cls = fc.generate_finite_dim_ball_class(d, 1, 1, 1.0, 3, seed=5,
                                             resolution=5)
+    one_term = []
+    for seed in range(4):
+        rng = substream(seed, 77, d)
+        one_term.append(fc.GridFunction.from_terms(
+            d, 1, 1, 5, rng.integers(0, 4, (1, d)), rng.uniform(0, 6.3, (1, d)),
+            rng.uniform(0.2, 1.0, 1), rng.standard_normal((1, 1))))
     x = substream(9, d).uniform(size=(3001, d))
-    for g in cls.members:
+    for g in cls.members + tuple(one_term):
         for p in fc.multi_indices(d, 1):
             whole = g.evaluate_deriv(x, p)
             for row in (2, 3, 17, 256, 1000):

@@ -78,6 +78,60 @@ def test_norm_rademacher_basis_invariant():
     assert rotated == pytest.approx(base, abs=1e-12)
 
 
+# ------------------------------------------------------------ sign driver
+
+
+def square_sum(signs):
+    return signs.sum(axis=1) ** 2     # E = number of signs
+
+
+def test_sign_expectation_exact_enumerates_every_pattern():
+    est = rad._sign_expectation(square_sum, 6, "norm", "exact", 0, 0, 0, 1)
+    assert (est.value, est.mode, est.form, est.n_patterns, est.se) == (
+        6.0, "exact_enumeration", "norm", 64, 0.0)
+    # 2^20 patterns is the one limit, for every form
+    rows = []
+
+    def last_sign(signs):
+        rows.append(len(signs))
+        return signs[:, -1]
+
+    est = rad._sign_expectation(last_sign, 20, "coordinatewise", "exact", 0, 0,
+                                0, 1)
+    assert est.value == 0.0 and sum(rows) == est.n_patterns == 1 << 20
+    with pytest.raises(ValueError, match="2\\^20"):
+        rad._sign_expectation(square_sum, 21, "norm", "exact", 0, 0, 0, 1)
+
+
+def test_sign_expectation_monte_carlo():
+    est = rad._sign_expectation(square_sum, 6, "norm", "mc", 40_000, 3, 601, 1)
+    assert est.mode == "monte_carlo" and est.n_patterns == 40_000
+    assert 0.0 < est.se and abs(est.value - 6.0) <= 4 * est.se
+    again = rad._sign_expectation(square_sum, 6, "norm", "mc", 40_000, 3, 601,
+                                  2)
+    assert again == est
+    for reps in (0, 1):
+        with pytest.raises(ValueError, match="reps"):
+            rad._sign_expectation(square_sum, 6, "norm", "mc", reps, 3, 601, 1)
+    with pytest.raises(ValueError, match="mode"):
+        rad._sign_expectation(square_sum, 6, "norm", "sampled", 10, 3, 601, 1)
+
+
+def test_public_estimates_share_the_driver_checks():
+    values = substream(1, 6).standard_normal((3, 4, 2))
+    for reps in (0, 1):
+        with pytest.raises(ValueError, match="reps"):
+            rad.norm_rademacher_values(values, mode="mc", reps=reps)
+        with pytest.raises(ValueError, match="reps"):
+            rad.coordinatewise_rademacher_values(values, normalized=True,
+                                                 mode="mc", reps=reps)
+    with pytest.raises(ValueError, match="mode"):
+        rad.norm_rademacher_values(values, mode="sampled")
+    with pytest.raises(ValueError, match="exact enumeration"):
+        rad.coordinatewise_rademacher_values(values, normalized=False,
+                                             mode="mc")
+
+
 # ----------------------------------------------------------- coordinate-wise
 
 

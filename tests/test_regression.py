@@ -164,11 +164,11 @@ def test_in_place_clipped_loss_matches_formula(d_y):
                                                              0.8, 1.5)
 
 
-def stacked_population_risks(cls, noise, g_true_index, cap, lipschitz, seed,
-                             x_quad, noise_quad):
+def stacked_population_risks(cls, noise, cap, lipschitz, seed, x_quad,
+                             noise_quad):
     """population_risks as one (draws, x_quad, d_Y) tensor per member."""
     vals = cls.values_on(fc.EmpiricalDesign.midpoint_grid(x_quad, cls.d))
-    truth = vals[g_true_index]
+    truth = vals[0]
 
     def block(idx, size):
         eps = sample_gaussian_batch(noise, substream(seed, reg._TAG_ERM, idx),
@@ -196,7 +196,7 @@ def test_population_risks_match_stacked_reference(d_y, x_quad):
     # x_quad = 300 leaves a short last chunk; 9000 draws span three blocks
     cls = ball_class(6, seed=4, d_y=d_y)
     noise = CovarianceSpectrum.uniform(d_y)
-    args = (cls, noise, 2, 0.7, 1.3, 8)
+    args = (cls, noise, 0.7, 1.3, 8)
     risks, se = reg.population_risks(*args, x_quad=x_quad, noise_quad=9000)
     ref_risks, ref_se = stacked_population_risks(*args, x_quad=x_quad,
                                                  noise_quad=9000)
@@ -245,12 +245,12 @@ def test_chunked_sign_draws_match_one_shot(n, chunk):
 
 
 def one_shot_erm(cls, noise, n_grid, reps, seed, rad_patterns, cap=1.0,
-                 lipschitz=1.0, g_true_index=0, x_quad=512, noise_quad=100_000):
+                 lipschitz=1.0, x_quad=512, noise_quad=100_000):
     """erm_lipschitz_experiment's replicate loop with one (patterns, n) sign
     draw per replicate, after every design and noise draw of the block;
     returns (risks, per-n excesses, rads, decomp)."""
-    risks, _ = reg.population_risks(cls, noise, g_true_index, cap, lipschitz,
-                                    seed, x_quad=x_quad, noise_quad=noise_quad)
+    risks, _ = reg.population_risks(cls, noise, cap, lipschitz, seed,
+                                    x_quad=x_quad, noise_quad=noise_quad)
     g_star = int(np.argmin(risks))
     out = []
     for pos, n in enumerate(n_grid):
@@ -261,7 +261,7 @@ def one_shot_erm(cls, noise, n_grid, reps, seed, rad_patterns, cap=1.0,
                       sample_gaussian_batch(noise, rng, n)) for _ in range(size)]
             for x, eps in draws:
                 vals = cls.values_on(fc.EmpiricalDesign(x))
-                y = vals[g_true_index] + eps
+                y = vals[0] + eps
                 loss = reg.clipped_loss(y[None], vals, cap, lipschitz)
                 emp = loss.mean(axis=1)
                 ghat = int(np.argmin(emp))

@@ -431,7 +431,7 @@ def _run_regress(args):
     pool = reg.default_rate_pool(seed=args.class_seed, d_y=args.dy,
                                  k_b=args.kb, base_count=args.base_count)
     noise = conc.CovarianceSpectrum.uniform(args.dy)
-    fit = reg.rate_experiment(pool, 0, noise, args.n_grid, args.reps,
+    fit = reg.rate_experiment(pool, noise, args.n_grid, args.reps,
                               args.seed, t=args.t,
                               net_fraction=args.net_fraction,
                               threads=args.threads)
@@ -458,14 +458,13 @@ def _run_rademacher(args):
             seed=args.seed, threads=args.threads)
         return True, {"rademacher.json": est}
     if args.check == "coordinatewise":
-        from .hilbert import OrthonormalBasis
-        coords = cls.values_on(design) @ OrthonormalBasis.identity(cls.d_y).columns
+        values = cls.values_on(design)
         out_obj = {"basis": "standard"}
         for normalized, key in ((False, "pattern_sum"), (True, "normalized")):
             if args.mode == "mc" and not normalized:
                 continue  # pattern sums require exact enumeration
             out_obj[key] = rad.coordinatewise_rademacher_values(
-                coords, normalized=normalized, mode=args.mode,
+                values, normalized=normalized, mode=args.mode,
                 reps=args.reps, seed=args.seed, threads=args.threads)
         return True, {"rademacher.json": out_obj}
     rep = rad.rademacher_entropy_bound_check(cls, design, args.levels,

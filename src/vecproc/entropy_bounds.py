@@ -16,7 +16,7 @@ import numpy as np
 
 from .covering import (PointCloud, exact_cover_number, smooth_cover_constants)
 from .function_class import EmpiricalDesign, FunctionClass
-from .hilbert import distances
+from .regression import clipped_loss
 
 
 def _net_size(d: int, m: int, k_b: float, delta: float) -> int:
@@ -114,8 +114,8 @@ def lipschitz_contraction_check(cls: FunctionClass, loss_c: float,
         raise ValueError("targets must have shape (n, d_y)")
     vals = cls.values_on(design)                       # (K, n, d_Y)
     class_cloud = PointCloud.from_values(vals)
-    dist = distances(targets, vals)
-    loss_cloud = PointCloud.from_values(loss_c * np.minimum(dist, 1.0))  # (K, n)
+    loss_cloud = PointCloud.from_values(clipped_loss(targets, vals, 1.0,
+                                                     loss_c))  # (K, n)
     rows = []
     for delta in np.asarray(delta_grid, float):
         n_loss = exact_cover_number(loss_cloud, loss_c * delta)

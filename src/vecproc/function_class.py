@@ -46,18 +46,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import distances
+from .reports import fields_json
 from .rng import substream
 
 _TAG_MEMBER = 101
 
 TWO_PI = 2.0 * math.pi
 
-# Acceptance-grade default grid resolutions (nodes per axis).
+# Acceptance-grade default grid resolutions (nodes per axis); 17 above d = 2.
 _DEFAULT_RESOLUTION = {1: 1025, 2: 65}
-
-
-def default_resolution(d: int) -> int:
-    return _DEFAULT_RESOLUTION.get(d, 17)
 
 
 def multi_indices(d: int, max_order: int):
@@ -86,9 +83,6 @@ class BallDescriptor:
     def contains(self, points: np.ndarray) -> bool:
         return bool(np.all(np.linalg.norm(points, axis=-1) <= self.radius + 1e-9))
 
-    def to_json(self):
-        return {"kind": "ball", "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class SpanDescriptor:
@@ -97,6 +91,9 @@ class SpanDescriptor:
     psi: np.ndarray  # (r, d_Y)
     radius: float
     kind: str = field(default="span", init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "psi", np.asarray(self.psi, float))
 
     @property
     def k_b(self) -> float:
@@ -109,9 +106,6 @@ class SpanDescriptor:
         coef, *_ = np.linalg.lstsq(self.psi.T, pts.T, rcond=None)
         resid = pts.T - self.psi.T @ coef
         return bool(np.all(np.linalg.norm(resid, axis=0) <= 1e-9))
-
-    def to_json(self):
-        return {"kind": "span", "radius": self.radius, "psi": self.psi.tolist()}
 
 
 @dataclass(frozen=True)
@@ -169,21 +163,19 @@ class SmoothOutputDescriptor:
                     worst = max(worst, float(np.max(np.abs(diff))))
         return worst
 
-    def to_json(self):
-        return {"kind": "smooth_output", "d_out": self.d_out, "m_out": self.m_out,
-                "bound": self.bound, "grid_out": self.grid_out}
+
+_DESCRIPTORS = {"ball": BallDescriptor, "span": SpanDescriptor,
+                "smooth_output": SmoothOutputDescriptor}
 
 
 def descriptor_from_json(obj) -> "BallDescriptor | SpanDescriptor | SmoothOutputDescriptor":
-    kind = obj["kind"]
-    if kind == "ball":
-        return BallDescriptor(radius=float(obj["radius"]))
-    if kind == "span":
-        return SpanDescriptor(psi=np.asarray(obj["psi"], float), radius=float(obj["radius"]))
-    if kind == "smooth_output":
-        return SmoothOutputDescriptor(d_out=int(obj["d_out"]), m_out=int(obj["m_out"]),
-                                      bound=float(obj["bound"]), grid_out=int(obj["grid_out"]))
-    raise ValueError(f"unknown descriptor kind {kind!r}")
+    """The range set of a `fields_json` record, its values as stored, so a
+    loaded class saves to the same bytes."""
+    fields = dict(obj)
+    kind = fields.pop("kind")
+    if kind not in _DESCRIPTORS:
+        raise ValueError(f"unknown descriptor kind {kind!r}")
+    return _DESCRIPTORS[kind](**fields)
 
 
 # --------------------------------------------------------------------------
@@ -217,6 +209,17 @@ def trig_tables(x, width: int) -> tuple:
     every member whose frequencies are at most width."""
     x = np.atleast_2d(np.asarray(x, float))
     return tuple(_axis_table(x[:, l], width) for l in range(x.shape[1]))
+
+
+def _gemm(a, b) -> np.ndarray:
+    """a @ b on BLAS's matrix-matrix path. A single row of a or column of b
+    would take the vector path, which rounds a row depending on how many
+    points the call has; it is doubled for the product and sliced back."""
+    if len(a) == 1:
+        return _gemm(np.repeat(a, 2, axis=0), b)[:1]
+    if b.shape[1] == 1:
+        return (a @ np.repeat(b, 2, axis=1))[:, :1].copy()
+    return a @ b
 
 
 @dataclass(frozen=True)
@@ -303,11 +306,7 @@ class GridFunction:
         """D^p over the tables. Per axis a (2W+1, J) matrix: row 0 is each
         term's constant factor, row 2k-1 (2k) its cos (sin) coefficient at
         frequency k. Then the (J, d_Y) term weights; for d = 1 the product
-        of the two, one (2W+1, d_Y) matrix. No matrix multiplied by the
-        tables has one column, which would take BLAS's vector path and
-        round a row depending on how many points the call has: for d_Y = 1
-        the last matrix has its column twice, and for one term at d >= 2 so
-        has each axis matrix."""
+        of the two, one (2W+1, d_Y) matrix."""
         pa = np.asarray(p, int)
         # factor per term: prod_l (2 pi k_l)^{p_l}, with 0^0 == 1
         factors = np.prod((TWO_PI * self.freqs.astype(float)) ** pa, axis=1)
@@ -322,35 +321,24 @@ class GridFunction:
             osc = k > 0
             w[2 * k[osc], terms[osc]] = -np.sin(phi[osc, l])
             axes.append(w)
-        mats = [axes[0] @ weights] if self.d == 1 else [*axes, weights]
-        if self.d_y == 1:
-            mats[-1] = np.repeat(mats[-1], 2, axis=1)
-        if self.d > 1 and terms.size == 1:
-            mats[:-1] = [np.repeat(w, 2, axis=1) for w in mats[:-1]]
-        return tuple(mats)
+        return (axes[0] @ weights,) if self.d == 1 else (*axes, weights)
 
     def _combine(self, tables, p: tuple) -> np.ndarray:
         """D^p at points x from trig_tables(x, W), any W >= width (a table
         row does not depend on W), and its _coefficients: per axis
         table.T @ W[1:] + W[0], multiplied over the axes, then @ weights;
-        for d = 1 one GEMM plus a row. Of two equal columns the first is
-        kept."""
-        if tables[0].shape[1] == 1:
-            # one point would take BLAS's vector path, which rounds unlike
-            # the GEMM of a batch; doubled, it takes the GEMM too
-            return self._combine(tuple(np.repeat(t, 2, axis=1) for t in tables),
-                                 p)[:1]
+        for d = 1 one GEMM plus a row. Both products go through _gemm, so a
+        point's value does not depend on the batch it is evaluated in."""
         coef = self._coefs.get(p)
         if coef is None:
             coef = self._coefs[p] = self._coefficients(p)
         rows = 2 * self.width
         out = None
         for table, w in zip(tables, coef):
-            factor = table[:rows].T @ w[1:]
+            factor = _gemm(table[:rows].T, w[1:])
             factor += w[0]
             out = factor if out is None else np.multiply(out, factor, out=out)
-        out = out if self.d == 1 else out[:, :len(coef[-1])] @ coef[-1]
-        return out if self.d_y > 1 else out[:, :1].copy()
+        return out if self.d == 1 else _gemm(out, coef[-1])
 
 
 # --------------------------------------------------------------------------
@@ -412,7 +400,7 @@ class FunctionClass:
                 factor = factor[i] * a[row, term]
             codes.append(code)
             owners.append(np.full(term.size, k))
-            values.append(factor[:, None] * weights[term, :self.d_y])
+            values.append(factor[:, None] * weights[term])
         codes = np.concatenate(codes)
         active = np.union1d([0], codes)
         coefs = np.zeros((active.size, len(self), self.d_y))
@@ -458,13 +446,11 @@ class EmpiricalDesign:
         return EmpiricalDesign(rng.uniform(size=(n, d)))
 
     @staticmethod
-    def midpoint_grid(n: int, d: int = 1) -> "EmpiricalDesign":
-        if d != 1:
-            side = int(round(n ** (1.0 / d)))
-            axes = [(np.arange(side) + 0.5) / side] * d
-            mesh = np.meshgrid(*axes, indexing="ij")
-            return EmpiricalDesign(np.stack([m.ravel() for m in mesh], axis=1))
-        return EmpiricalDesign(((np.arange(n) + 0.5) / n)[:, None])
+    def midpoint_grid(n: int, d: int) -> "EmpiricalDesign":
+        side = int(round(n ** (1.0 / d)))
+        axes = [(np.arange(side) + 0.5) / side] * d
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return EmpiricalDesign(np.stack([m.ravel() for m in mesh], axis=1))
 
 
 # --------------------------------------------------------------------------
@@ -477,29 +463,40 @@ def _term_cap(freqs: np.ndarray, order: int) -> np.ndarray:
     return np.maximum(1.0, (TWO_PI * kmax) ** order)
 
 
-def _draw_terms(rng, n_terms, d, max_freq, min_freq=0):
-    freqs = rng.integers(min_freq, max_freq + 1, size=(n_terms, d))
-    # avoid the degenerate all-constant member: force one oscillating term
-    if np.all(freqs == 0):
-        freqs[0, rng.integers(0, d)] = 1 + rng.integers(0, max_freq)
-    phases = rng.uniform(0.0, TWO_PI, size=(n_terms, d))
-    # the amplitude signs are part of the seeded class definition, not a
-    # Rademacher process: drawn with choice, so a seed keeps naming the same
-    # class whatever rng.rademacher_signs does
-    raw = rng.uniform(0.3, 1.0, size=n_terms) * rng.choice([-1.0, 1.0],
-                                                           size=n_terms)
-    return freqs, phases, raw
-
-
-def _split_budget(rng, raw, per_term_cap, total):
-    """Amplitudes a_j with sum_j |a_j| cap_j <= total, budget split per term.
-
-    Splitting (rather than normalising the joint sum) keeps low-frequency
-    terms at their full allowed size instead of letting one high-frequency
-    cap crush every amplitude.
-    """
-    weights = np.abs(raw) / np.abs(raw).sum() * total * rng.uniform(0.35, 1.0)
-    return np.sign(raw) * weights / per_term_cap
+def _generate(d, m, d_y, count, seed, resolution, descriptor, n_terms,
+              max_freq, min_freq, range_terms) -> FunctionClass:
+    """`count` members in the range set `descriptor`. Member i draws, from
+    the stream keyed (seed, _TAG_MEMBER, i): its terms; then
+    range_terms(rng) -> (dirs, cap), the (J, d_Y) term directions and the
+    range set's per-term factor of the derivative cap; then its amplitudes,
+    with sum_j |a_j| _term_cap(k_j, m+1) cap_j <= K_B, which bounds every
+    derivative of order <= m+1 (triangle inequality)."""
+    resolution = resolution or _DEFAULT_RESOLUTION.get(d, 17)
+    members = []
+    for i in range(count):
+        rng = substream(seed, _TAG_MEMBER, i)
+        freqs = rng.integers(min_freq, max_freq + 1, size=(n_terms, d))
+        # avoid the degenerate all-constant member: force one oscillating term
+        if np.all(freqs == 0):
+            freqs[0, rng.integers(0, d)] = 1 + rng.integers(0, max_freq)
+        phases = rng.uniform(0.0, TWO_PI, size=(n_terms, d))
+        # the amplitude signs are part of the seeded class definition, not a
+        # Rademacher process: drawn with choice, so a seed keeps naming the
+        # same class whatever rng.rademacher_signs does
+        raw = rng.uniform(0.3, 1.0, size=n_terms) * rng.choice([-1.0, 1.0],
+                                                               size=n_terms)
+        dirs, cap = range_terms(rng)
+        # the budget K_B times a per-member draw in [0.35, 1] is split per
+        # term rather than the joint sum normalised, which keeps
+        # low-frequency terms at their full allowed size instead of letting
+        # one high-frequency cap crush every amplitude
+        share = np.abs(raw) / np.abs(raw).sum() * descriptor.k_b \
+            * rng.uniform(0.35, 1.0)
+        amps = np.sign(raw) * share / (_term_cap(freqs, m + 1) * cap)
+        members.append(GridFunction.from_terms(d, m, d_y, resolution,
+                                               freqs, phases, amps, dirs))
+    return FunctionClass(members=tuple(members), b_descriptor=descriptor,
+                         d=d, m=m, d_y=d_y, resolution=resolution, seed=seed)
 
 
 def generate_finite_dim_ball_class(d, m, d_y, k_b, count, seed, resolution=None,
@@ -507,25 +504,19 @@ def generate_finite_dim_ball_class(d, m, d_y, k_b, count, seed, resolution=None,
                                    min_freq=0) -> FunctionClass:
     """Members with every D^p g, [p] <= m (indeed m+1), in the K_B ball.
 
-    The amplitude budget sum_j |a_j| max_{[p]<=m+1} prod_l (2 pi k_l)^{p_l}
-    is capped at K_B times a per-member draw in [0.35, 1] and split across
-    terms, which bounds every derivative sup-norm analytically (triangle
-    inequality, unit directions).
+    The directions are unit vectors, so the amplitude budget bounds every
+    derivative's norm by K_B.
     """
     if min(d, m, d_y) < 1 or k_b <= 0 or count < 0:
         raise ValueError("d, m, d_y must be >= 1, k_b > 0, count >= 0")
-    resolution = resolution or default_resolution(d)
-    members = []
-    for i in range(count):
-        rng = substream(seed, _TAG_MEMBER, i)
-        freqs, phases, raw = _draw_terms(rng, n_terms, d, max_freq, min_freq)
+
+    def range_terms(rng):
         dirs = rng.standard_normal((n_terms, d_y))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        amps = _split_budget(rng, raw, _term_cap(freqs, m + 1), k_b)
-        members.append(GridFunction.from_terms(d, m, d_y, resolution,
-                                               freqs, phases, amps, dirs))
-    return FunctionClass(members=tuple(members), b_descriptor=BallDescriptor(k_b),
-                         d=d, m=m, d_y=d_y, resolution=resolution, seed=seed)
+        return dirs, 1.0
+
+    return _generate(d, m, d_y, count, seed, resolution, BallDescriptor(k_b),
+                     n_terms, max_freq, min_freq, range_terms)
 
 
 def generate_span_class(d, m, psi_basis, radius, count, seed,
@@ -535,27 +526,19 @@ def generate_span_class(d, m, psi_basis, radius, count, seed,
     psi = np.atleast_2d(np.asarray(psi_basis, float))
     if psi.shape[0] < 1 or psi.size == 0:
         raise ValueError("span basis must contain at least one vector")
-    d_y = psi.shape[1]
     if np.linalg.matrix_rank(psi) < psi.shape[0]:
         raise ValueError("span basis is linearly dependent in the truncation")
     if radius <= 0 or count < 0 or min(d, m) < 1:
         raise ValueError("invalid parameters")
-    resolution = resolution or default_resolution(d)
-    r = psi.shape[0]
     psi_norms = np.linalg.norm(psi, axis=1)
-    members = []
-    for i in range(count):
-        rng = substream(seed, _TAG_MEMBER, i)
-        freqs, phases, raw = _draw_terms(rng, n_terms, d, max_freq)
-        idx = rng.integers(0, r, size=n_terms)
-        dirs = psi[idx]
-        amps = _split_budget(rng, raw, _term_cap(freqs, m + 1) * psi_norms[idx],
-                             radius)
-        members.append(GridFunction.from_terms(d, m, d_y, resolution,
-                                               freqs, phases, amps, dirs))
-    return FunctionClass(members=tuple(members),
-                         b_descriptor=SpanDescriptor(psi=psi, radius=radius),
-                         d=d, m=m, d_y=d_y, resolution=resolution, seed=seed)
+
+    def range_terms(rng):
+        idx = rng.integers(0, psi.shape[0], size=n_terms)
+        return psi[idx], psi_norms[idx]
+
+    return _generate(d, m, psi.shape[1], count, seed, resolution,
+                     SpanDescriptor(psi=psi, radius=radius), n_terms, max_freq,
+                     0, range_terms)
 
 
 def generate_smooth_output_class(d, m, d_out, m_out, bound, grid_out, count, seed,
@@ -573,27 +556,20 @@ def generate_smooth_output_class(d, m, d_out, m_out, bound, grid_out, count, see
         raise ValueError("output grid too coarse for the order-m' finite-difference check")
     if min(d, m, d_out) < 1 or bound <= 0 or count < 0:
         raise ValueError("invalid parameters")
-    resolution = resolution or default_resolution(d)
-    d_y = grid_out ** d_out
+    descriptor = SmoothOutputDescriptor(d_out=d_out, m_out=m_out, bound=bound,
+                                        grid_out=grid_out)
     out_nodes = grid_nodes(d_out, grid_out)
-    members = []
-    for i in range(count):
-        rng = substream(seed, _TAG_MEMBER, i)
-        freqs, phases, raw = _draw_terms(rng, n_terms, d, max_freq)
+
+    def range_terms(rng):
         out_freqs = rng.integers(0, max_freq_out + 1, size=(n_terms, d_out))
         out_phases = rng.uniform(0.0, TWO_PI, size=(n_terms, d_out))
         angle = TWO_PI * out_freqs[:, None, :] * out_nodes[None, :, :] \
             + out_phases[:, None, :]
         chi = np.prod(np.cos(angle), axis=2)          # (J, d_Y)
-        dirs = chi / math.sqrt(d_y)
-        amps = _split_budget(rng, raw, _term_cap(freqs, m + 1)
-                             * _term_cap(out_freqs, m_out), bound)
-        members.append(GridFunction.from_terms(d, m, d_y, resolution,
-                                               freqs, phases, amps, dirs))
-    descriptor = SmoothOutputDescriptor(d_out=d_out, m_out=m_out, bound=bound,
-                                        grid_out=grid_out)
-    return FunctionClass(members=tuple(members), b_descriptor=descriptor,
-                         d=d, m=m, d_y=d_y, resolution=resolution, seed=seed)
+        return chi / math.sqrt(descriptor.d_y), _term_cap(out_freqs, m_out)
+
+    return _generate(d, m, descriptor.d_y, count, seed, resolution, descriptor,
+                     n_terms, max_freq, 0, range_terms)
 
 
 def blend_members(g0: GridFunction, g1: GridFunction, weight: float) -> GridFunction:
@@ -697,7 +673,7 @@ def save_class(cls: FunctionClass, path) -> None:
         "version": 1,
         "d": cls.d, "m": cls.m, "d_y": cls.d_y, "resolution": cls.resolution,
         "count": len(cls), "seed": cls.seed,
-        "b_descriptor": cls.b_descriptor.to_json(),
+        "b_descriptor": fields_json(cls.b_descriptor),
         "multi_indices": [list(p) for p in multi_indices(cls.d, cls.m)],
         "n_terms": [int(g.amps.size) for g in cls.members],
     }

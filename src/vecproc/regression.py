@@ -33,9 +33,15 @@ _TAG_ERM_RAD = 505
 # peeling threshold
 
 
-def solve_delta_n(j_curve, n: int, t: float, bracket=(1e-8, 10.0)) -> float:
-    """Smallest delta with sqrt(n) delta^2 >= 8 (J(delta) + 4 delta sqrt(1+t)
-    + delta sqrt(8t/3)), located by bisection to relative precision 1e-6.
+# the search bracket for delta_n: the theorem places no ceiling on it, and
+# small n with trace-1 noise pushes it well past the class diameter
+_DELTA_BRACKET = (1e-8, 1e3)
+
+
+def solve_delta_n(j_curve, n: int, t: float) -> float:
+    """Smallest delta in _DELTA_BRACKET with sqrt(n) delta^2 >= 8 (J(delta)
+    + 4 delta sqrt(1+t) + delta sqrt(8t/3)), located by bisection to
+    relative precision 1e-6.
 
     The hypothesis that J(delta)/delta^2 is nonincreasing is checked on a
     24-point log grid over the bracket; under it the feasible set is an
@@ -43,7 +49,7 @@ def solve_delta_n(j_curve, n: int, t: float, bracket=(1e-8, 10.0)) -> float:
     """
     if t < 3.0 / 8.0:
         raise ValueError("theorem requires t >= 3/8")
-    lo, hi = bracket
+    lo, hi = _DELTA_BRACKET
     check_grid = np.geomspace(max(lo, 1e-6), hi, 24)
     ratios = np.array([j_curve(u) / u ** 2 for u in check_grid])
     if np.any(ratios < -1e-12):
@@ -68,17 +74,17 @@ def solve_delta_n(j_curve, n: int, t: float, bracket=(1e-8, 10.0)) -> float:
     return hi
 
 
-def measured_entropy_integral(dist_matrix: np.ndarray, center: int):
+def measured_entropy_integral(dist_matrix: np.ndarray):
     """Empirical J(delta) = 4 int_0^delta sqrt(2 H(u, ball(delta))) du.
 
-    H is the greedy-cover entropy of the members within delta of `center`
+    H is the greedy-cover entropy of the members within delta of member 0
     (the class shifted by g0), integrated on a 20-point log grid in u with the
     saturation value log(ball size) used below the grid; both choices only
     increase J, keeping any threshold solved from it valid. The returned
     callable is the nonincreasing-J/delta^2 envelope of the raw measurement,
     so the peeling hypothesis holds by construction.
     """
-    norms = dist_matrix[center]
+    norms = dist_matrix[0]
     positive = np.sort(norms[norms > 0])
     if positive.size == 0:
         return lambda delta: 0.0
@@ -225,11 +231,12 @@ def build_rate_pool(d: int, m: int, d_y: int, k_b: float, base_count: int,
                          d=d, m=m, d_y=d_y, resolution=resolution, seed=seed)
 
 
-def rate_experiment(pool: FunctionClass, g0_index: int, noise: CovarianceSpectrum,
+def rate_experiment(pool: FunctionClass, noise: CovarianceSpectrum,
                     n_grid, reps: int, seed: int, t: float = 2.0,
                     net_fraction: float = 1.0 / 64.0,
                     threads: int = 1) -> RateFit:
-    """Least-squares error decay over a shrinking net of the smooth class.
+    """Least-squares error decay over a shrinking net of the smooth class,
+    with member 0 of the pool, g0, the regression truth.
 
     Per sample size: measure the localized entropy integral J of the shifted
     pool on the fixed midpoint design, solve the peeling threshold delta_n,
@@ -254,16 +261,14 @@ def rate_experiment(pool: FunctionClass, g0_index: int, noise: CovarianceSpectru
         vals = pool.values_on(design)
         dist = PointCloud.from_values(vals).distance_matrix()
 
-        j_curve = measured_entropy_integral(dist, g0_index)
-        # the theorem places no ceiling on delta_n; small n with trace-1
-        # noise can push it past the conservative default bracket
-        delta_n = solve_delta_n(j_curve, int(n), t, bracket=(1e-8, 1e3))
+        j_curve = measured_entropy_integral(dist)
+        delta_n = solve_delta_n(j_curve, int(n), t)
         net_radius = net_fraction * delta_n
         cloud = PointCloud(dist, metric="matrix")
-        net = greedy_cover(cloud, net_radius, start=g0_index)
+        net = greedy_cover(cloud, net_radius)
         cand = net.center_indices          # g0 first
         vc = vals[cand].reshape(len(cand), -1)
-        truth = vals[g0_index].ravel()
+        truth = vals[0].ravel()
         g_norm = np.sum(vc ** 2, axis=1)
         a_cross = vc @ truth
 
@@ -273,7 +278,7 @@ def rate_experiment(pool: FunctionClass, g0_index: int, noise: CovarianceSpectru
             cross = eps @ vc.T
             scores = g_norm[None, :] - 2.0 * (a_cross[None, :] + cross)
             pick = np.argmin(scores, axis=1)
-            errs = dist[g0_index, cand[pick]]
+            errs = dist[0, cand[pick]]
             rows = np.arange(size)
             rhs = 2.0 * (cross[rows, pick] - cross[rows, 0]) / n
             return errs, errs ** 2 <= rhs + 1e-9

@@ -242,7 +242,7 @@ def test_c09_regression_rates():
     c = Criterion("C09 regression", 600.0)
     pool = reg.default_rate_pool(seed=11)
     noise = conc.CovarianceSpectrum.uniform(3)
-    fit = reg.rate_experiment(pool, 0, noise, [64, 256, 1024, 4096], reps=200,
+    fit = reg.rate_experiment(pool, noise, [64, 256, 1024, 4096], reps=200,
                               seed=0, t=2.0)
     c.check("per-replicate basic inequality holds exactly", fit.basic_ok)
     c.check("coverage P(error > delta_n) within (1+2/(e-1))e^-2 + 3se",

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -10,6 +12,7 @@ from vecproc import function_class as fc
 from vecproc.covering import PointCloud
 from vecproc.empirical_process import true_means
 from vecproc import regression as reg
+from vecproc.reports import fields_json
 from vecproc.rng import substream
 
 
@@ -469,6 +472,41 @@ def test_seeded_classes_keep_their_bytes(tmp_path, name, make, sha):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
+@pytest.mark.parametrize("make", [
+    lambda: fc.generate_finite_dim_ball_class(1, 1, 2, 1, 3, seed=0,
+                                              resolution=17),
+    lambda: fc.generate_span_class(1, 1, SPAN_PSI, radius=2, count=3, seed=0,
+                                   resolution=17),
+    lambda: fc.generate_smooth_output_class(1, 1, 1, 2, 2, 8, 3, seed=0,
+                                            resolution=17),
+], ids=["ball", "span", "smooth_output"])
+def test_integer_range_set_values_save_to_the_same_bytes(tmp_path, make):
+    # K_B, a span radius or an output bound given as an integer is read back
+    # as stored, so a loaded class saves to the same bytes
+    path, again = tmp_path / "class.vpfc", tmp_path / "again.vpfc"
+    fc.save_class(make(), path)
+    fc.save_class(fc.load_class(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_every_range_set_round_trips_through_its_fields():
+    # each descriptor is stored as its fields_json record: every dataclass
+    # with a kind field is in the reader's table and reads back equal
+    samples = [fc.BallDescriptor(1), fc.SpanDescriptor(SPAN_PSI, 2.5),
+               fc.SmoothOutputDescriptor(d_out=1, m_out=2, bound=2, grid_out=8)]
+    kinds = {c for c in vars(fc).values()
+             if isinstance(c, type) and dataclasses.is_dataclass(c)
+             and "kind" in {f.name for f in dataclasses.fields(c)}}
+    assert kinds == {type(s) for s in samples}
+    for s in samples:
+        assert fc._DESCRIPTORS[s.kind] is type(s)
+        record = json.loads(json.dumps(fields_json(s)))
+        back = fc.descriptor_from_json(record)
+        assert type(back) is type(s)
+        # SpanDescriptor holds an array, so dataclass == cannot compare it
+        assert fields_json(back) == fields_json(s)
+
+
 def test_building_a_class_tabulates_no_grid():
     # 200 members' values and derivatives of order <= 2 on 1025 nodes would
     # take 14.8 MB; a member holds only its terms until a grid is read
@@ -507,23 +545,34 @@ def test_reading_values_tabulates_one_grid(monkeypatch, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_one_output_column_does_not_depend_on_the_batch(d):
-    # with d_Y = 1, or one term, a point's value must not depend on how many
-    # points its call has (BLAS's matrix-vector path rounds a row by the
-    # batch size)
-    cls = fc.generate_finite_dim_ball_class(d, 1, 1, 1.0, 3, seed=5,
-                                            resolution=5)
-    one_term = []
-    for seed in range(4):
-        rng = substream(seed, 77, d)
-        one_term.append(fc.GridFunction.from_terms(
-            d, 1, 1, 5, rng.integers(0, 4, (1, d)), rng.uniform(0, 6.3, (1, d)),
-            rng.uniform(0.2, 1.0, 1), rng.standard_normal((1, 1))))
+    # with one point, d_Y = 1 or one term, a product would take BLAS's
+    # matrix-vector path, which rounds a row by the batch size: a point's
+    # value and derivatives must not depend on how many points its call has,
+    # through a member or through its class
     x = substream(9, d).uniform(size=(3001, d))
-    for g in cls.members + tuple(one_term):
+    for d_y, n_terms in itertools.product((1, 3), (1, 6)):
+        cls = fc.generate_finite_dim_ball_class(d, 1, d_y, 1.0, 3, seed=5,
+                                                resolution=5, n_terms=n_terms)
+        members = cls.members
+        if n_terms == 1:    # frequencies from 0, constant terms included
+            for seed in range(4):
+                rng = substream(seed, 77, d)
+                members += (fc.GridFunction.from_terms(
+                    d, 1, d_y, 5, rng.integers(0, 4, (1, d)),
+                    rng.uniform(0, 6.3, (1, d)), rng.uniform(0.2, 1.0, 1),
+                    rng.standard_normal((1, d_y))),)
+        cls = fc.FunctionClass(members=members, b_descriptor=cls.b_descriptor,
+                               d=d, m=1, d_y=d_y, resolution=5)
         for p in fc.multi_indices(d, 1):
-            whole = g.evaluate_deriv(x, p)
-            for row in (2, 3, 17, 256, 1000):
-                halves = [g.evaluate_deriv(c, p) for c in np.split(x, [row])]
-                assert np.array_equal(np.concatenate(halves), whole)
-            singles = [g.evaluate_deriv(x[i:i + 1], p) for i in range(50)]
-            assert np.array_equal(np.concatenate(singles), whole[:50])
+            stacked = cls.values_on(fc.EmpiricalDesign(x), p)
+            for row in (1, 2, 3, 17, 1000):
+                pieces = [cls.values_on(fc.EmpiricalDesign(c), p)
+                          for c in np.split(x, [row])]
+                assert np.array_equal(np.concatenate(pieces, axis=1), stacked)
+            for g, whole in zip(cls.members, stacked):
+                assert np.array_equal(g.evaluate_deriv(x, p), whole)
+                for row in (2, 3, 17, 256, 1000):
+                    halves = [g.evaluate_deriv(c, p) for c in np.split(x, [row])]
+                    assert np.array_equal(np.concatenate(halves), whole)
+                singles = [g.evaluate_deriv(x[i:i + 1], p) for i in range(50)]
+                assert np.array_equal(np.concatenate(singles), whole[:50])

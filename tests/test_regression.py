@@ -59,7 +59,7 @@ def test_measured_entropy_integral_envelope():
     rng = substream(3, 1)
     pts = rng.uniform(size=(40, 3))
     dm = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-    j = reg.measured_entropy_integral(dm, 0)
+    j = reg.measured_entropy_integral(dm)
     deltas = np.geomspace(1e-3, 2.0, 30)
     vals = np.array([j(d) for d in deltas])
     assert np.all(vals >= 0)
@@ -73,7 +73,7 @@ def test_measured_entropy_integral_envelope():
 def test_rate_experiment_structure():
     pool = reg.default_rate_pool(seed=11)
     noise = CovarianceSpectrum.uniform(3)
-    fit = reg.rate_experiment(pool, 0, noise, [64, 256], reps=50, seed=0)
+    fit = reg.rate_experiment(pool, noise, [64, 256], reps=50, seed=0)
     assert fit.basic_ok
     assert np.all(fit.coverage_ok)
     assert np.all(fit.median_errors > 0)
@@ -93,7 +93,7 @@ def test_rate_pool_membership_and_anchor():
 def test_rate_experiment_rejects_bad_noise():
     pool = reg.default_rate_pool(seed=11)
     with pytest.raises(ValueError):
-        reg.rate_experiment(pool, 0, CovarianceSpectrum(np.ones(3)), [64],
+        reg.rate_experiment(pool, CovarianceSpectrum(np.ones(3)), [64],
                             reps=10, seed=0)
 
 

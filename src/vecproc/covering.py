@@ -71,8 +71,6 @@ class PointCloud:
             out = 0.5 * (out + out.T)
             np.fill_diagonal(out, 0.0)
             return out
-        if self.metric == "matrix":
-            return self.points
         return np.stack([self.distances_to(i) for i in range(self.size)])
 
     def subset(self, indices) -> "PointCloud":

@@ -28,7 +28,7 @@ from .function_class import (EmpiricalDesign, FunctionClass, l2_distance_uniform
                              trig_tables)
 from .hilbert import distances, sup_sign_norms
 from .reports import TailReport, fields_json, tail_check
-from .rng import TABLE_CHUNK, map_blocks, rademacher_signs
+from .rng import TABLE_CHUNK, map_blocks, rademacher_signs, sample_block
 
 _TAG_SYM = 401
 _TAG_GC = 402
@@ -140,6 +140,7 @@ def symmetrization_check(cls: FunctionClass, n: int, reps: int, seed: int,
     three combined standard errors of slack. A replicate is reduced to its
     feature moments (P_n - P) phi, (P_n - P'_n) phi and P_n^sigma phi, the
     first and last from one table pass, and the class is one GEMM over them.
+    A block draws its points first, so it holds sample_block(n) replicates.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
@@ -156,7 +157,8 @@ def symmetrization_check(cls: FunctionClass, n: int, reps: int, seed: int,
              _norms(emp - emp2, centered, cls.d_y), _norms(rad, coefs, cls.d_y))
             for (emp, rad), (emp2,) in groups))]
 
-    parts = map_blocks(block, reps, threads, seed, _TAG_SYM)
+    parts = map_blocks(block, reps, threads, seed, _TAG_SYM,
+                       block=sample_block(n))
     dev, pair, rad = (np.concatenate(p) for p in zip(*parts))
     return SymmetrizationReport(
         mean_dev=float(dev.mean()), mean_pair=float(pair.mean()),
@@ -173,10 +175,14 @@ def symmetrization_probability_check(cls: FunctionClass, n: int, a_grid,
     """P(||P_n - P||_G > a) <= 4 P(||P_n^sigma||_G > a/4) where the
     per-member premise P(||(P_n - P) g|| > a/2) <= 1/2 holds empirically.
 
-    Returns rows (a, premise_max, lhs, rhs, applicable, ok).
+    Returns rows (a, premise_max, lhs, rhs, applicable, ok). A NaN
+    statistic makes its counts NaN, which fails every row it enters.
     """
     coefs, centered = cls.features[1], _centered(cls)
     a_vals = np.asarray(a_grid, float)
+    # statistic columns: each member's deviation, their max and the
+    # symmetrized sup, counted against a/2, a and a/4
+    scale = np.r_[np.full(len(cls), 2.0), 1.0, 4.0][:, None]
 
     def block(rng, size):
         x = rng.uniform(size=(size * n, cls.d))
@@ -185,21 +191,21 @@ def symmetrization_probability_check(cls: FunctionClass, n: int, a_grid,
             (_norms(emp, centered, cls.d_y, sup=False),
              _norms(signed, coefs, cls.d_y)) for emp, signed in
             _feature_means(cls, size, n, lambda a, b: x[a:b], signs))))
-        dev = per_member.max(axis=1)
-        prem = (per_member[:, :, None] > a_vals[None, None, :] / 2.0).sum(axis=0)
-        lhs = (dev[:, None] > a_vals[None, :]).sum(axis=0)
-        rhs = (rad[:, None] > a_vals[None, :] / 4.0).sum(axis=0)
-        return prem, lhs, rhs
+        stat = np.column_stack([per_member, per_member.max(axis=1),
+                                rad])[:, :, None]
+        return np.where(np.isnan(stat).any(axis=0), np.nan,
+                        (stat > a_vals / scale).sum(axis=0))
 
-    parts = map_blocks(block, reps, threads, seed, _TAG_SYMPROB)
-    # prem is (K, len(a)); lhs and rhs are (len(a),)
-    prem, lhs, rhs = (np.sum(p, axis=0) / reps for p in zip(*parts))
+    counts = np.sum(map_blocks(block, reps, threads, seed, _TAG_SYMPROB,
+                               block=sample_block(n)), axis=0) / reps
+    prem, lhs, rhs = counts[:-2], counts[-2], counts[-1]
     rows = []
     for j, a in enumerate(a_vals):
         premise_max = float(prem[:, j].max())
         applicable = premise_max <= 0.5
         se = math.sqrt(max(lhs[j] * (1 - lhs[j]), rhs[j] * (1 - rhs[j])) / reps)
-        ok = (not applicable) or lhs[j] <= 4.0 * rhs[j] + 3.0 * se
+        # written so that a NaN count fails the row
+        ok = premise_max > 0.5 or lhs[j] <= 4.0 * rhs[j] + 3.0 * se
         rows.append({"a": float(a), "premise_max": premise_max,
                      "lhs": float(lhs[j]), "rhs": float(rhs[j]),
                      "applicable": applicable, "ok": bool(ok)})

@@ -16,7 +16,7 @@ Values and partial derivatives up to order m on a uniform grid (the
 declared sup-norm approximation) are tabulated on first use, one grid at a
 time, by the same evaluation as any other points; only the sup-norm
 consumers ask for them: covers of the class under the sup norm read the
-values alone, membership checks and serialization every grid.
+values alone, membership checks every grid.
 
 Evaluation never forms a member's own cosines. By
 cos(2 pi k x + phi) = cos(phi) cos(2 pi k x) - sin(phi) sin(2 pi k x), with
@@ -37,16 +37,13 @@ means, and its all-constant row holds the exact means.
 from __future__ import annotations
 
 import functools
-import io
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hilbert import distances
-from .reports import fields_json
 from .rng import substream
 
 _TAG_MEMBER = 101
@@ -59,10 +56,8 @@ _DEFAULT_RESOLUTION = {1: 1025, 2: 65}
 
 def multi_indices(d: int, max_order: int):
     """All p in N_0^d with [p] <= max_order, in lexicographic order."""
-    out = [p for p in itertools.product(range(max_order + 1), repeat=d)
-           if sum(p) <= max_order]
-    out.sort()
-    return out
+    return [p for p in itertools.product(range(max_order + 1), repeat=d)
+            if sum(p) <= max_order]
 
 
 # --------------------------------------------------------------------------
@@ -74,7 +69,6 @@ class BallDescriptor:
     """B = closed ball of the given radius around the origin."""
 
     radius: float
-    kind: str = field(default="ball", init=False)
 
     @property
     def k_b(self) -> float:
@@ -90,10 +84,6 @@ class SpanDescriptor:
 
     psi: np.ndarray  # (r, d_Y)
     radius: float
-    kind: str = field(default="span", init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "psi", np.asarray(self.psi, float))
 
     @property
     def k_b(self) -> float:
@@ -121,7 +111,6 @@ class SmoothOutputDescriptor:
     m_out: int
     bound: float
     grid_out: int
-    kind: str = field(default="smooth_output", init=False)
 
     @property
     def d_y(self) -> int:
@@ -162,20 +151,6 @@ class SmoothOutputDescriptor:
                 if diff.size:
                     worst = max(worst, float(np.max(np.abs(diff))))
         return worst
-
-
-_DESCRIPTORS = {"ball": BallDescriptor, "span": SpanDescriptor,
-                "smooth_output": SmoothOutputDescriptor}
-
-
-def descriptor_from_json(obj) -> "BallDescriptor | SpanDescriptor | SmoothOutputDescriptor":
-    """The range set of a `fields_json` record, its values as stored, so a
-    loaded class saves to the same bytes."""
-    fields = dict(obj)
-    kind = fields.pop("kind")
-    if kind not in _DESCRIPTORS:
-        raise ValueError(f"unknown descriptor kind {kind!r}")
-    return _DESCRIPTORS[kind](**fields)
 
 
 # --------------------------------------------------------------------------
@@ -269,8 +244,7 @@ class GridFunction:
     def values(self) -> np.ndarray:
         """Values on the grid, (res^d, d_Y); tabulates no derivative."""
         p = (0,) * self.d
-        if p not in self._grids:
-            self._tabulate([p])
+        self._tabulate([p])
         return self._grids[p]
 
     def _tabulate(self, order) -> None:
@@ -353,7 +327,6 @@ class FunctionClass:
     m: int
     d_y: int
     resolution: int
-    seed: int | None = None
 
     def __post_init__(self):
         for g in self.members:
@@ -496,7 +469,7 @@ def _generate(d, m, d_y, count, seed, resolution, descriptor, n_terms,
         members.append(GridFunction.from_terms(d, m, d_y, resolution,
                                                freqs, phases, amps, dirs))
     return FunctionClass(members=tuple(members), b_descriptor=descriptor,
-                         d=d, m=m, d_y=d_y, resolution=resolution, seed=seed)
+                         d=d, m=m, d_y=d_y, resolution=resolution)
 
 
 def generate_finite_dim_ball_class(d, m, d_y, k_b, count, seed, resolution=None,
@@ -659,73 +632,3 @@ def l2_distance_uniform(g1: GridFunction, g2: GridFunction) -> float:
     """||g1 - g2||_{2,P} under the uniform law; exact."""
     sq = inner_uniform(g1, g1) - 2.0 * inner_uniform(g1, g2) + inner_uniform(g2, g2)
     return math.sqrt(max(sq, 0.0))
-
-
-# --------------------------------------------------------------------------
-# serialization: JSON header + little-endian float64 payload
-
-_MAGIC = b"VPFC"
-
-
-def save_class(cls: FunctionClass, path) -> None:
-    header = {
-        "format": "vecproc-function-class",
-        "version": 1,
-        "d": cls.d, "m": cls.m, "d_y": cls.d_y, "resolution": cls.resolution,
-        "count": len(cls), "seed": cls.seed,
-        "b_descriptor": fields_json(cls.b_descriptor),
-        "multi_indices": [list(p) for p in multi_indices(cls.d, cls.m)],
-        "n_terms": [int(g.amps.size) for g in cls.members],
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(np.uint32(len(blob)).astype("<u4").tobytes())
-    buf.write(blob)
-    order = multi_indices(cls.d, cls.m)
-    for g in cls.members:
-        for arr in (g.freqs.astype(float), g.phases, g.amps, g.dirs):
-            buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        for p in order:
-            buf.write(np.ascontiguousarray(g.derivs[p], dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
-
-
-def load_class(path) -> FunctionClass:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise ValueError("not a vecproc function-class file")
-    hlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-    header = json.loads(raw[8:8 + hlen].decode("utf-8"))
-    d, m, d_y = header["d"], header["m"], header["d_y"]
-    resolution = header["resolution"]
-    order = [tuple(p) for p in header["multi_indices"]]
-    nodes = resolution ** d
-    offset = 8 + hlen
-    data = np.frombuffer(raw, dtype="<f8", offset=offset)
-    pos = 0
-
-    def take(count):
-        nonlocal pos
-        out = data[pos:pos + count]
-        pos += count
-        return np.array(out)
-
-    members = []
-    for j in header["n_terms"]:
-        freqs = take(j * d).reshape(j, d).astype(int)
-        phases = take(j * d).reshape(j, d)
-        amps = take(j)
-        dirs = take(j * d_y).reshape(j, d_y)
-        g = GridFunction.from_terms(d, m, d_y, resolution, freqs, phases,
-                                    amps, dirs)
-        # the stored grids, so a loaded class saves to the same bytes
-        g._grids.update({p: take(nodes * d_y).reshape(nodes, d_y)
-                         for p in order})
-        members.append(g)
-    return FunctionClass(members=tuple(members),
-                         b_descriptor=descriptor_from_json(header["b_descriptor"]),
-                         d=d, m=m, d_y=d_y, resolution=resolution,
-                         seed=header.get("seed"))

@@ -85,6 +85,7 @@ def measured_entropy_integral(dist_matrix: np.ndarray):
     so the peeling hypothesis holds by construction.
     """
     norms = dist_matrix[0]
+    cloud = PointCloud(dist_matrix, metric="matrix")
     positive = np.sort(norms[norms > 0])
     if positive.size == 0:
         return lambda delta: 0.0
@@ -94,7 +95,7 @@ def measured_entropy_integral(dist_matrix: np.ndarray):
         inside = np.where(norms <= delta)[0]
         if inside.size <= 1:
             return 0.0
-        sub = PointCloud(dist_matrix[np.ix_(inside, inside)], metric="matrix")
+        sub = cloud.subset(inside)
         u_grid = np.geomspace(delta / 64.0, delta, 20)
         cover = greedy_cover(sub, u_grid[0])
         h_vals = np.array([math.log(cover.size_at(u)) for u in u_grid])
@@ -228,7 +229,7 @@ def build_rate_pool(d: int, m: int, d_y: int, k_b: float, base_count: int,
     if unfilled:
         raise ValueError(f"could not fill shells {unfilled}; enlarge the base pool")
     return FunctionClass(members=tuple(members), b_descriptor=base.b_descriptor,
-                         d=d, m=m, d_y=d_y, resolution=resolution, seed=seed)
+                         d=d, m=m, d_y=d_y, resolution=resolution)
 
 
 def rate_experiment(pool: FunctionClass, noise: CovarianceSpectrum,

@@ -114,12 +114,14 @@ def tail_check(stat, levels, rows, bounds, reps: int, threads: int, seed: int,
     """Row j: rows[j], the frequency of stat >= levels[j] and bounds[j].
 
     stat(rng, size) gives `size` replicates of the statistic from a block's
-    generator; map_blocks(..., seed, *path) hands each block its own.
+    generator; map_blocks(..., seed, *path) hands each block its own. A NaN
+    replicate makes every frequency NaN, which fails every row.
     """
     levels = np.asarray(levels, float)
 
     def block(rng, size):
-        return (stat(rng, size)[:, None] >= levels[None, :]).sum(axis=0)
+        s = stat(rng, size)[:, None]
+        return np.where(np.isnan(s).any(), np.nan, (s >= levels).sum(axis=0))
 
     counts = np.sum(map_blocks(block, reps, threads, seed, *path), axis=0)
     freqs = counts / reps

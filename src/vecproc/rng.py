@@ -26,6 +26,10 @@ _M64 = 0xFFFFFFFFFFFFFFFF
 # boundaries are part of the deterministic-accumulation contract.
 BLOCK_SIZE = 8192
 
+# Most points a block of whole n-point samples draws: such a kernel runs
+# sample_block(n) replicates per block. Fixed like BLOCK_SIZE.
+BLOCK_POINTS = 2 ** 19
+
 # Most feature-table entries a Monte-Carlo block tabulates at once: a chunk
 # is TABLE_CHUNK // F points of a class with F features, whole replicates
 # where they fit, else pieces of one. Fixed like BLOCK_SIZE: a replicate's
@@ -84,6 +88,12 @@ def block_sizes(reps: int, block: int = BLOCK_SIZE):
         raise ValueError("reps must be positive")
     full, rest = divmod(reps, block)
     return [block] * full + [rest] * (rest > 0)
+
+
+def sample_block(n: int) -> int:
+    """Replicates per block of a kernel whose replicate draws n points:
+    BLOCK_POINTS // n, between 1 and BLOCK_SIZE."""
+    return max(1, min(BLOCK_SIZE, BLOCK_POINTS // n))
 
 
 def map_blocks(fn, reps: int, threads: int, seed: int, *path: int,

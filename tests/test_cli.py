@@ -4,8 +4,13 @@ import time
 import numpy as np
 import pytest
 
+from vecproc import concentration as conc
+from vecproc import covering as cov
+from vecproc import dimension as dim
+from vecproc import function_class as fc
 from vecproc import rademacher as rad
-from vecproc.cli import main
+from vecproc.cli import _TAG_CLI_DESIGN, main
+from vecproc.rng import substream
 
 
 def run_cli(args, tmp_path, name):
@@ -118,6 +123,86 @@ def test_dimension_subcommand(tmp_path):
     assert code == 0
     fit = json.loads((out / "box_dimension.json").read_text())
     assert 0.8 <= fit["slope"] <= 1.2
+
+
+def written(out, *names):
+    """The manifest's outputs are exactly these files in out, all present."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == [str(out / name) for name in names]
+    assert all((out / name).exists() for name in names)
+
+
+def test_cover_exact_mode(tmp_path):
+    pts = tmp_path / "points.csv"
+    cloud = cov.PointCloud(substream(4).uniform(size=(12, 2)))
+    np.savetxt(pts, cloud.points, delimiter=",", fmt="%.17g")
+    code, out = run_cli(["cover", "--input", str(pts), "--delta", "0.3",
+                         "--mode", "exact"], tmp_path, "exact")
+    assert code == 0
+    written(out, "cover.csv", "cover.json")
+    summary = json.loads((out / "cover.json").read_text())
+    assert summary["exact_size"] == cov.exact_cover_number(cloud, 0.3)
+    assert summary["exact_size"] <= summary["greedy_size"]
+
+
+def line_cloud(tmp_path):
+    pts = tmp_path / "line.csv"
+    t = np.linspace(0, 1, 400)
+    np.savetxt(pts, np.stack([t, np.zeros_like(t)], axis=1), delimiter=",",
+               fmt="%.17g")
+    return pts, cov.PointCloud(np.loadtxt(pts, delimiter=",", ndmin=2))
+
+
+def test_dimension_box_default_radius_window(tmp_path):
+    pts, cloud = line_cloud(tmp_path)
+    code, out = run_cli(["dimension", "--input", str(pts), "--check", "box"],
+                        tmp_path, "box")
+    assert code == 0
+    written(out, "box_dimension.csv", "box_dimension.json")
+    lo, hi = dim.default_radius_window(cloud)
+    fit = dim.box_dimension_estimate(cloud, list(np.geomspace(hi, lo, 8)))
+    rows = (out / "box_dimension.csv").read_text().splitlines()[1:]
+    assert [tuple(map(float, r.split(","))) for r in rows] \
+        == list(zip(fit.delta_grid, fit.entropies))
+    assert 0.8 <= json.loads((out / "box_dimension.json").read_text())[
+        "slope"] <= 1.2
+
+
+def test_dimension_assouad(tmp_path):
+    pts, cloud = line_cloud(tmp_path)
+    code, out = run_cli(["dimension", "--input", str(pts), "--check",
+                         "assouad", "--trials", "8", "--seed", "2"],
+                        tmp_path, "assouad")
+    assert code == 0
+    written(out, "assouad.json")
+    data = json.loads((out / "assouad.json").read_text())
+    assert (data["m"], data["tau"]) == dim.assouad_estimate(cloud, 2, 8)
+
+
+def test_concentration_hoeffding_real(tmp_path):
+    code, out = run_cli(["concentration", "--check", "hoeffding-real",
+                         "--n", "10", "--t", "0.5,1", "--reps", "4000",
+                         "--seed", "2"], tmp_path, "real")
+    assert code == 0
+    written(out, "tail_report.csv", "tail_report.json")
+    rep = conc.hoeffding_real_check(1.0, 10, [0.5, 1.0], 4000, 2)
+    rows = (out / "tail_report.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows] == list(rep.freqs)
+    assert json.loads((out / "tail_report.json").read_text())["all_ok"] is True
+
+
+def test_rademacher_norm(tmp_path):
+    code, out = run_cli(["rademacher", "--check", "norm", "--count", "4",
+                         "--n", "8"], tmp_path, "norm")
+    assert code == 0
+    written(out, "rademacher.json")
+    # the subcommand's defaults: d = m = 1, d_Y = 3, K_B = 1, class seed 7
+    cls = fc.generate_finite_dim_ball_class(1, 1, 3, 1.0, 4, seed=7)
+    design = fc.EmpiricalDesign.uniform(8, 1, substream(0, _TAG_CLI_DESIGN))
+    est = rad.norm_rademacher_values(cls.values_on(design))
+    data = json.loads((out / "rademacher.json").read_text())
+    assert data["value"] == est.value
+    assert data["n_patterns"] == 2 ** 8
 
 
 def test_smooth_cover_subcommand(tmp_path):

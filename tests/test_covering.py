@@ -258,7 +258,7 @@ def _twin_class(count, seed, resolution=257, eps=1e-3):
             g.amps * (1.0 - eps), g.dirs))
     return fc.FunctionClass(members=tuple(members + twins),
                             b_descriptor=base.b_descriptor, d=1, m=2, d_y=3,
-                            resolution=resolution, seed=seed)
+                            resolution=resolution)
 
 
 def test_smooth_cover_same_signature_implies_close():
@@ -381,8 +381,8 @@ def test_cover_rows_match_the_pairwise_and_per_center_loops(make, delta):
 
 
 def test_nan_grid_value_fails_the_cover_check():
-    # a NaN in a stored grid (as load_class reads one from a file) must
-    # fail the check, not drop out of the maximum
+    # a NaN in a tabulated grid (a NaN amplitude gives one) must fail the
+    # check, not drop out of the maximum
     cls = fc.generate_finite_dim_ball_class(1, 1, 3, 1.0, 200, seed=3)
     plan = cov.build_smooth_cover(cls, 0.1)
     assert cov.verify_cover_validity(cls, plan).ok
@@ -394,6 +394,18 @@ def test_nan_grid_value_fails_the_cover_check():
     report = cov.verify_cover_validity(cls, plan)
     assert math.isnan(report.max_violation)
     assert not report.ok
+
+
+def test_sup_and_matrix_distance_matrices_read_the_rows():
+    vals = substream(3).uniform(size=(5, 4, 2))
+    want = np.array([[np.max(np.linalg.norm(a - b, axis=-1)) for b in vals]
+                     for a in vals])
+    assert np.array_equal(cov.PointCloud(vals, metric="sup").distance_matrix(),
+                          want)
+    matrix = cov.PointCloud(want, metric="matrix")
+    assert np.array_equal(matrix.distance_matrix(), want)
+    assert np.array_equal(matrix.subset([3, 1]).points, want[np.ix_([3, 1],
+                                                                    [3, 1])])
 
 
 def test_greedy_cover_deterministic():

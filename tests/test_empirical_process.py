@@ -8,7 +8,7 @@ import pytest
 from vecproc import empirical_process as ep
 from vecproc import function_class as fc
 from vecproc.covering import PointCloud, greedy_cover
-from vecproc.rng import (BLOCK_SIZE, TABLE_CHUNK, block_sizes,
+from vecproc.rng import (BLOCK_POINTS, BLOCK_SIZE, TABLE_CHUNK, block_sizes,
                          rademacher_signs, substream)
 
 
@@ -218,6 +218,22 @@ def test_symmetrization_peak_memory_grows_only_with_its_draws():
     assert peak(1600) - peak(200) <= 1.5 * extra_draws
 
 
+@pytest.mark.parametrize("kernel", ["plain", "probability"])
+def test_symmetrization_block_draws_do_not_grow_with_n(kernel):
+    # four replicates of n points: one block at n = BLOCK_POINTS // 4, four
+    # blocks of BLOCK_POINTS points at n = BLOCK_POINTS
+    cls = ball_class(5, seed=11)
+    cls.features
+
+    def peak(n):
+        if kernel == "plain":
+            return traced_peak(lambda: ep.symmetrization_check(cls, n, 4, 1))
+        return traced_peak(lambda: ep.symmetrization_probability_check(
+            cls, n, [0.01], 4, 1))
+
+    assert peak(BLOCK_POINTS) < 1.25 * peak(BLOCK_POINTS // 4)
+
+
 def test_symmetrization_rejects_single_replicate_and_empty_class():
     with pytest.raises(ValueError, match="reps must be at least 2"):
         ep.symmetrization_check(zero_class(), 10, 1, seed=0)
@@ -236,6 +252,21 @@ def test_symmetrization_probability_rows():
                                                600, seed=4)
     assert any(r["applicable"] for r in rows)
     assert all(r["ok"] for r in rows)
+
+
+def test_symmetrization_probability_nan_member_fails_every_row():
+    cls = ball_class(2, seed=13, min_freq=1)
+    g = cls[1]
+    bad = fc.GridFunction.from_terms(g.d, g.m, g.d_y, g.resolution, g.freqs,
+                                     g.phases, np.where(g.amps > 0, np.nan,
+                                                        g.amps), g.dirs)
+    three = fc.FunctionClass(members=(*cls.members, bad),
+                             b_descriptor=cls.b_descriptor, d=1, m=1, d_y=3,
+                             resolution=g.resolution)
+    rows = ep.symmetrization_probability_check(three, 100, [0.002, 0.02, 1.0],
+                                               300, seed=4)
+    assert all(np.isnan(r["premise_max"]) for r in rows)
+    assert not any(r["ok"] or r["applicable"] for r in rows)
 
 
 # ----------------------------------------------------------------- GC decay

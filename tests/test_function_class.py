@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -12,7 +11,6 @@ from vecproc import function_class as fc
 from vecproc.covering import PointCloud
 from vecproc.empirical_process import true_means
 from vecproc import regression as reg
-from vecproc.reports import fields_json
 from vecproc.rng import substream
 
 
@@ -129,6 +127,22 @@ def test_smooth_output_finite_difference_slopes():
             assert np.max(np.abs(slopes)) <= 1.05
     assert desc.max_difference_quotient(
         np.concatenate([v for v in cls[0].derivs.values()])) <= 1.05
+
+
+def test_smooth_output_membership_reads_every_grid():
+    # validate_membership checks every derivative grid through
+    # SmoothOutputDescriptor.contains: the class passes, and a member scaled
+    # past the bound's 5% tolerance fails
+    cls = fc.generate_smooth_output_class(1, 1, 1, 2, 1.0, 8, 4, seed=2,
+                                          resolution=33)
+    assert cls.validate_membership()
+    g = cls[1]
+    worst = cls.b_descriptor.max_difference_quotient(
+        np.concatenate(list(g.derivs.values())))
+    over = fc.FunctionClass(members=(cls[0], g.scaled(1.1 * 1.05 / worst)),
+                            b_descriptor=cls.b_descriptor, d=1, m=1,
+                            d_y=cls.d_y, resolution=33)
+    assert not over.validate_membership()
 
 
 def test_smooth_output_deterministic():
@@ -270,61 +284,6 @@ def test_l2_distance_uniform_2d():
     assert exact == pytest.approx(quad, abs=5e-3)
 
 
-# ------------------------------------------------------------- serialization
-
-
-def test_class_serialization_round_trip(tmp_path):
-    cls = fc.generate_finite_dim_ball_class(1, 2, 4, 1.5, 6, seed=23,
-                                            resolution=33)
-    path = tmp_path / "class.vpfc"
-    fc.save_class(cls, path)
-    loaded = fc.load_class(path)
-    assert (loaded.d, loaded.m, loaded.d_y, loaded.resolution) == (1, 2, 4, 33)
-    assert len(loaded) == 6
-    assert loaded.b_descriptor.radius == 1.5
-    for ga, gb in zip(cls.members, loaded.members):
-        assert np.array_equal(ga.values, gb.values)
-        for p in ga.derivs:
-            assert np.array_equal(ga.derivs[p], gb.derivs[p])
-        assert np.allclose(ga.evaluate(np.array([[0.123]])),
-                           gb.evaluate(np.array([[0.123]])), atol=0)
-
-
-def test_serialization_span_and_smooth_output(tmp_path):
-    rng = np.random.default_rng(3)
-    psi = rng.standard_normal((2, 6))
-    span = fc.generate_span_class(1, 1, psi, radius=1.5, count=3, seed=2,
-                                  resolution=17)
-    path = tmp_path / "span.vpfc"
-    fc.save_class(span, path)
-    loaded = fc.load_class(path)
-    assert loaded.b_descriptor.kind == "span"
-    assert np.allclose(loaded.b_descriptor.psi, psi, atol=0)
-    assert loaded.validate_membership()
-
-    smooth = fc.generate_smooth_output_class(1, 1, 1, 2, 1.0, 8, 2, seed=2,
-                                             resolution=17)
-    path2 = tmp_path / "smooth.vpfc"
-    fc.save_class(smooth, path2)
-    loaded2 = fc.load_class(path2)
-    assert loaded2.b_descriptor.kind == "smooth_output"
-    assert loaded2.b_descriptor.grid_out == 8
-    assert np.array_equal(loaded2[1].values, smooth[1].values)
-
-
-def test_serialization_header_is_json(tmp_path):
-    import json
-    cls = fc.generate_finite_dim_ball_class(1, 1, 2, 1.0, 2, seed=1,
-                                            resolution=17)
-    path = tmp_path / "c.vpfc"
-    fc.save_class(cls, path)
-    raw = path.read_bytes()
-    hlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-    header = json.loads(raw[8:8 + hlen])
-    assert header["count"] == 2
-    assert header["b_descriptor"]["kind"] == "ball"
-
-
 def test_blend_members_stays_in_class():
     cls = fc.generate_finite_dim_ball_class(1, 1, 3, 1.0, 4, seed=29,
                                             resolution=65)
@@ -425,86 +384,45 @@ def test_class_tables_give_the_member_values_bitwise(n):
                 assert np.array_equal(stacked[k], g.evaluate_deriv(x, p)), name
 
 
-def test_save_load_v1_round_trip_evaluates_bitwise(tmp_path):
-    cls = fc.generate_finite_dim_ball_class(2, 2, 3, 1.0, 4, seed=31,
-                                            resolution=9)
-    path = tmp_path / "class.vpfc"
-    fc.save_class(cls, path)
-    raw = path.read_bytes()
-    hlen = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-    assert json.loads(raw[8:8 + hlen])["version"] == 1
-    loaded = fc.load_class(path)
-    again = tmp_path / "again.vpfc"
-    fc.save_class(loaded, again)
-    assert again.read_bytes() == raw
-    x = substream(8).uniform(size=(100, 2))
-    assert np.array_equal(loaded.values_on(fc.EmpiricalDesign(x)),
-                          cls.values_on(fc.EmpiricalDesign(x)))
-    for ga, gb in zip(cls.members, loaded.members):
-        for p in fc.multi_indices(2, 2):
-            assert np.array_equal(ga.evaluate_deriv(x, p), gb.evaluate_deriv(x, p))
-            assert np.array_equal(gb.derivs[p], ga.derivs[p])
-
-
 SPAN_PSI = np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, -0.5, 2.0]])
 
 
-@pytest.mark.parametrize("name, make, sha", [
-    ("ball", lambda: fc.generate_finite_dim_ball_class(2, 1, 3, 1.0, 12, seed=7,
-                                                       resolution=17),
-     "d3145d714d7f4f508868f5a48491a83a3249cea207b3e0b84a6316bb8d2b2e28"),
-    ("rate_pool", reg.default_rate_pool,
-     "1cf154fe71a576e8c3046205454d1c69a52e1ffa2ef3d594e0e2ee17205a01c8"),
-    # taken while every generator still tabulated its grids when it built a
-    # member: tabulating on first use must store the same bits
-    ("span", lambda: fc.generate_span_class(2, 1, SPAN_PSI, radius=1.5,
-                                            count=6, seed=7, resolution=17),
-     "cd84b2234dc7684d187307476dd031d81f2638e3a95a62a86ecb4f40d9de1fd7"),
-    ("smooth_output", lambda: fc.generate_smooth_output_class(
+def class_digest(cls) -> str:
+    """sha256 of a class's shape, then per member its terms and every
+    derivative grid in multi_indices order, as little-endian float64."""
+    h = hashlib.sha256(json.dumps([cls.d, cls.m, cls.d_y, cls.resolution,
+                                   [int(g.amps.size) for g in cls.members]]
+                                  ).encode())
+    for g in cls.members:
+        for arr in (g.freqs.astype(float), g.phases, g.amps, g.dirs,
+                    *(g.derivs[p] for p in fc.multi_indices(cls.d, cls.m))):
+            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("make, sha", [
+    pytest.param(lambda: fc.generate_finite_dim_ball_class(
+        2, 1, 3, 1.0, 12, seed=7, resolution=17),
+        "30996469fac363fce0def55af1d10a2c85146d8b19afdf01279b02eb04bdebba",
+        id="ball"),
+    pytest.param(
+        reg.default_rate_pool,
+        "7b49b55745392bbce9d44cc6e621b23f79157720209e97d3ce9d2e4c07974ae9",
+        id="rate_pool"),
+    pytest.param(lambda: fc.generate_span_class(
+        2, 1, SPAN_PSI, radius=1.5, count=6, seed=7, resolution=17),
+        "7dbc7beaf6a8854817156a374a9377442c816ee764d6e64d14b8dcf5ecfa5321",
+        id="span"),
+    pytest.param(lambda: fc.generate_smooth_output_class(
         1, 2, 1, 2, 1.0, 8, 6, seed=7, resolution=65),
-     "919400ee7ebe9ed5667cc8de95a9dbef46eae4f9da8edc1712836a6866596355"),
+        "d2eb8214f888fb64883f5765183d167e194eddf99f6fec385ad65397d2513709",
+        id="smooth_output"),
 ])
-def test_seeded_classes_keep_their_bytes(tmp_path, name, make, sha):
+def test_seeded_classes_keep_their_bytes(make, sha):
     # a seed names one class: its draws, including the amplitude signs, must
-    # not follow changes to the Monte-Carlo samplers
-    path = tmp_path / f"{name}.vpfc"
-    fc.save_class(make(), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
-
-
-@pytest.mark.parametrize("make", [
-    lambda: fc.generate_finite_dim_ball_class(1, 1, 2, 1, 3, seed=0,
-                                              resolution=17),
-    lambda: fc.generate_span_class(1, 1, SPAN_PSI, radius=2, count=3, seed=0,
-                                   resolution=17),
-    lambda: fc.generate_smooth_output_class(1, 1, 1, 2, 2, 8, 3, seed=0,
-                                            resolution=17),
-], ids=["ball", "span", "smooth_output"])
-def test_integer_range_set_values_save_to_the_same_bytes(tmp_path, make):
-    # K_B, a span radius or an output bound given as an integer is read back
-    # as stored, so a loaded class saves to the same bytes
-    path, again = tmp_path / "class.vpfc", tmp_path / "again.vpfc"
-    fc.save_class(make(), path)
-    fc.save_class(fc.load_class(path), again)
-    assert again.read_bytes() == path.read_bytes()
-
-
-def test_every_range_set_round_trips_through_its_fields():
-    # each descriptor is stored as its fields_json record: every dataclass
-    # with a kind field is in the reader's table and reads back equal
-    samples = [fc.BallDescriptor(1), fc.SpanDescriptor(SPAN_PSI, 2.5),
-               fc.SmoothOutputDescriptor(d_out=1, m_out=2, bound=2, grid_out=8)]
-    kinds = {c for c in vars(fc).values()
-             if isinstance(c, type) and dataclasses.is_dataclass(c)
-             and "kind" in {f.name for f in dataclasses.fields(c)}}
-    assert kinds == {type(s) for s in samples}
-    for s in samples:
-        assert fc._DESCRIPTORS[s.kind] is type(s)
-        record = json.loads(json.dumps(fields_json(s)))
-        back = fc.descriptor_from_json(record)
-        assert type(back) is type(s)
-        # SpanDescriptor holds an array, so dataclass == cannot compare it
-        assert fields_json(back) == fields_json(s)
+    # not follow changes to the Monte-Carlo samplers, and its grids must not
+    # follow changes to how or when they are tabulated
+    assert class_digest(make()) == sha
 
 
 def test_building_a_class_tabulates_no_grid():

@@ -78,9 +78,12 @@ class BallDescriptor:
         return bool(np.all(np.linalg.norm(points, axis=-1) <= self.radius + 1e-9))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanDescriptor:
-    """B = span of the psi vectors, intersected with the radius-R ball."""
+    """B = span of the psi vectors, intersected with the radius-R ball.
+
+    Compared and hashed by identity: field equality would compare arrays.
+    """
 
     psi: np.ndarray  # (r, d_Y)
     radius: float

@@ -340,14 +340,11 @@ def gaussian_chaining_check(cls: FunctionClass, design: EmpiricalDesign,
 # Lipschitz-loss empirical risk minimisation (random design)
 
 
-# loss values per population-risk chunk (noise draws x quadrature points):
-# each of the two loss buffers is then 256 KB and stays in cache
+# values per population-risk buffer: a chunk of noise draws fills one
+# (draws, x_quad) tile per output coordinate and two loss buffers of about
+# this many values (256 KB each, so they stay in cache), and a group of
+# members holds at most this many per-draw means
 _LOSS_CHUNK = 1 << 15
-# sign patterns drawn at a time into the ERM replicate's sign matrix: 256 n
-# signs are whole 32-bit words, so the draws continue one stream and the
-# matrix equals one (patterns, n) draw; it is refilled in place instead of
-# allocated anew per replicate
-_SIGN_ROWS = 256
 
 
 def clipped_loss(y: np.ndarray, yhat: np.ndarray, cap: float,
@@ -415,21 +412,24 @@ class ErmReport:
 
 def population_risks(cls: FunctionClass, noise: CovarianceSpectrum,
                      cap: float, lipschitz: float, seed: int,
-                     x_quad: int = 512, noise_quad: int = 100_000):
+                     x_quad: int = 512, noise_quad: int = 100_000,
+                     threads: int = 1):
     """R(g) = E min-loss for every member, member 0 the regression truth:
     x-quadrature times common-random-number noise Monte Carlo; the shared
     noise sample keeps the member ordering exact and the recorded error
     estimate is the largest standard error across members.
 
     The residual y - g(x) = (g_true(x) - g(x)) + eps is formed by
-    clipped_loss as eps - (g(x) - g_true(x)), the same float. For each
-    member the noise draws of a block run in row chunks of about
-    _LOSS_CHUNK loss values (x_quad per draw, at least one draw) through
-    one pair of loss buffers per block; each chunk's per-draw means go into
-    one buffer that is summed over the whole block, so no sum depends on
-    the chunk size and memory does not grow with the block or the class.
-    The draws and g - g_true are held coordinate-major, so every coordinate
-    slice clipped_loss reads is contiguous.
+    clipped_loss as eps - (g(x) - g_true(x)), the same float. A block's
+    noise draws run in chunks of about _LOSS_CHUNK // x_quad draws (at
+    least one): each chunk's draws are copied once into contiguous
+    coordinate tiles, one (draws, x_quad) tile per output coordinate, and
+    every member's loss is taken against them with its g - g_true row
+    broadcast over the draws. Each draw's mean is over its whole x_quad
+    row and a member's per-draw means are summed over the whole block, so
+    no sum depends on the chunk size. Members run in groups whose per-draw
+    means fill at most _LOSS_CHUNK values, so a block's buffers grow
+    neither with the class nor with noise_quad.
     """
     xq = EmpiricalDesign.midpoint_grid(x_quad, cls.d)
     vals = cls.values_on(xq)                     # (K, xq, d_Y)
@@ -441,21 +441,29 @@ def population_risks(cls: FunctionClass, noise: CovarianceSpectrum,
         eps = np.ascontiguousarray(sample_gaussian_batch(noise, rng, size).T)
         out_sum = np.zeros(len(cls))
         out_sq = np.zeros(len(cls))
-        per_draw = np.empty(size)
+        group = max(1, _LOSS_CHUNK // size)
+        per_draw = np.empty((min(group, len(cls)), size))
+        tiles = np.empty((cls.d_y, min(rows, size), x_quad))
         work = np.empty((2, min(rows, size), x_quad))
-        for k in range(len(cls)):
-            yhat = neg_diff[k].T[None]                   # (1, xq, d_Y)
+        for k0 in range(0, len(cls), group):
+            members = range(k0, min(k0 + group, len(cls)))
             for lo in range(0, size, rows):
                 hi = min(lo + rows, size)
-                loss = clipped_loss(eps[:, lo:hi].T[:, None], yhat, cap,
-                                    lipschitz, out=work[0, :hi - lo],
-                                    scratch=work[1, :hi - lo])  # (rows, xq)
-                np.mean(loss, axis=1, out=per_draw[lo:hi])
-            out_sum[k] = per_draw.sum()
-            out_sq[k] = (per_draw ** 2).sum()
+                tile = tiles[:, :hi - lo]
+                np.copyto(tile, eps[:, lo:hi, None])  # (d_Y, rows, xq)
+                for i, k in enumerate(members):
+                    loss = clipped_loss(tile.transpose(1, 2, 0),
+                                        neg_diff[k].T[None], cap, lipschitz,
+                                        out=work[0, :hi - lo],
+                                        scratch=work[1, :hi - lo])
+                    np.add.reduce(loss, axis=1, out=per_draw[i, lo:hi])
+            per_draw /= x_quad                  # np.mean's own division
+            for i, k in enumerate(members):
+                out_sum[k] = per_draw[i].sum()
+                out_sq[k] = (per_draw[i] ** 2).sum()
         return out_sum, out_sq
 
-    parts = map_blocks(block, noise_quad, 1, seed, _TAG_ERM, block=4096)
+    parts = map_blocks(block, noise_quad, threads, seed, _TAG_ERM, block=4096)
     risks, risk_sq = (np.sum(p, axis=0) / noise_quad for p in zip(*parts))
     se = np.sqrt(np.maximum(risk_sq - risks ** 2, 0.0) / noise_quad)
     return risks, float(se.max())
@@ -483,7 +491,8 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
         raise ValueError("cap and Lipschitz constant must be finite and "
                          "positive")
     risks, risk_se = population_risks(cls, noise, cap, lipschitz, seed,
-                                      x_quad=x_quad, noise_quad=noise_quad)
+                                      x_quad=x_quad, noise_quad=noise_quad,
+                                      threads=threads)
     g_star = int(np.argmin(risks))
     c_bound = lipschitz * cap
     rows = []
@@ -507,10 +516,9 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
                 excesses[b] = excess
                 decomp[b] = excess <= (np.max(risks - emp)
                                        + emp[g_star] - risks[g_star] + 1e-12)
-                for lo in range(0, rad_patterns, _SIGN_ROWS):
-                    signs[lo:lo + _SIGN_ROWS] = rademacher_signs(
-                        rng, (min(_SIGN_ROWS, rad_patterns - lo), n))
-                rads[b] = sup_sign_norms(signs, loss[:, :, None]).mean()
+                rads[b] = sup_sign_norms(
+                    rademacher_signs(rng, signs.shape, out=signs),
+                    loss[:, :, None]).mean()
             return excesses, rads, decomp
 
         parts = map_blocks(block, reps, threads, seed, _TAG_ERM_RAD, pos,

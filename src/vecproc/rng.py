@@ -68,7 +68,8 @@ _BYTE_SIGNS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
                             axis=1) * 2.0 - 1.0
 
 
-def rademacher_signs(gen: np.random.Generator, shape) -> np.ndarray:
+def rademacher_signs(gen: np.random.Generator, shape,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Independent +-1.0 float64 signs of the given shape: the package's one
     sign sampler, so every Rademacher draw consumes the stream the same way.
 
@@ -76,10 +77,26 @@ def rademacher_signs(gen: np.random.Generator, shape) -> np.ndarray:
     gen.bytes(ceil(N / 8)) in np.unpackbits order. gen.bytes consumes whole
     32-bit words, so consecutive draws of whole words each (N a multiple of
     32) continue the stream exactly as one draw of their total would.
+
+    `out` is an optional C-contiguous float64 buffer of the given shape,
+    for callers that draw the same shape many times; the signs are written
+    into it and it is the result. With or without it the draw is the same.
     """
     count = int(np.prod(shape, dtype=np.int64))
+    if out is None:
+        out = np.empty(shape)
+    elif (out.size != count or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous float64 array of "
+                         "the given size")
+    flat = out.reshape(-1)
     raw = np.frombuffer(gen.bytes((count + 7) // 8), dtype=np.uint8)
-    return np.take(_BYTE_SIGNS, raw, axis=0).reshape(-1)[:count].reshape(shape)
+    whole = count // 8
+    # mode="clip" cannot clip a uint8 index; "raise" would buffer `out`
+    np.take(_BYTE_SIGNS, raw[:whole], axis=0, mode="clip",
+            out=flat[:8 * whole].reshape(whole, 8))
+    flat[8 * whole:] = _BYTE_SIGNS[raw[whole:]].reshape(-1)[:count - 8 * whole]
+    return out
 
 
 def block_sizes(reps: int, block: int = BLOCK_SIZE):

@@ -92,6 +92,12 @@ def test_span_class_dependent_basis_rejected():
         fc.generate_span_class(1, 1, psi, 1.0, 2, seed=0)
 
 
+def test_span_descriptors_compare_and_hash_by_identity():
+    a, b = fc.SpanDescriptor(np.eye(2), 1.0), fc.SpanDescriptor(np.eye(2), 1.0)
+    assert a == a and not a == b and a != b
+    assert hash(a) != hash(b) and {a: 1}[a] == 1
+
+
 def test_span_class_projection_residual():
     rng = np.random.default_rng(1)
     psi = rng.standard_normal((3, 10))

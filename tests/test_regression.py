@@ -207,6 +207,31 @@ def test_population_risks_match_stacked_reference(d_y, x_quad):
         assert se == pytest.approx(ref_se, rel=1e-12)
 
 
+@pytest.mark.parametrize("chunk", [1, 777, reg._LOSS_CHUNK])
+def test_population_risks_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    # ten members: the default chunk runs them in two groups of a 4096-draw
+    # block, chunk 1 one draw and one member at a time
+    cls = ball_class(10, seed=4)
+    noise = CovarianceSpectrum.uniform(3)
+    args = (cls, noise, 0.7, 1.3, 8)
+    kw = dict(x_quad=64, noise_quad=5000)
+    want = reg.population_risks(*args, **kw)
+    monkeypatch.setattr(reg, "_LOSS_CHUNK", chunk)
+    risks, se = reg.population_risks(*args, **kw)
+    assert np.array_equal(risks, want[0]) and se == want[1]
+    assert np.array_equal(risks, stacked_population_risks(*args, **kw)[0])
+
+
+def test_population_risks_do_not_depend_on_threads():
+    cls = ball_class(6, seed=4)
+    noise = CovarianceSpectrum.uniform(3)
+    args = (cls, noise, 0.7, 1.3, 8)
+    runs = [reg.population_risks(*args, x_quad=64, noise_quad=9000,
+                                 threads=threads) for threads in (1, 2, 3)]
+    for risks, se in runs[1:]:
+        assert risks.tobytes() == runs[0][0].tobytes() and se == runs[0][1]
+
+
 def test_erm_singleton_class():
     cls = ball_class(1, seed=11)
     noise = CovarianceSpectrum.uniform(3)
@@ -301,8 +326,9 @@ def test_erm_excess_risks_do_not_depend_on_the_sign_sampler(monkeypatch):
     kw = dict(reps=5, seed=2, rad_patterns=300, x_quad=64, noise_quad=3000)
     rep = reg.erm_lipschitz_experiment(cls, noise, [9, 40], **kw)
     # signs from one 64-bit draw each: another stream consumption
-    monkeypatch.setattr(reg, "rademacher_signs", lambda gen, shape: np.where(
-        gen.random(shape) < 0.5, -1.0, 1.0))
+    monkeypatch.setattr(reg, "rademacher_signs",
+                        lambda gen, shape, out=None: np.where(
+                            gen.random(shape) < 0.5, -1.0, 1.0))
     other = reg.erm_lipschitz_experiment(cls, noise, [9, 40], **kw)
     assert np.array_equal(rep.risks, other.risks)
     for row, alt in zip(rep.rows, other.rows):

@@ -39,6 +39,23 @@ def test_whole_word_chunks_continue_one_draw(n):
     assert gen.uniform() == one.uniform()
 
 
+@pytest.mark.parametrize("shape", [13, 64, (3, 7), (40, 9)])
+def test_signs_into_a_buffer_match_a_fresh_draw(shape):
+    gen, ref = substream(4, 7), substream(4, 7)
+    buf = np.full(shape, np.nan)
+    got = rademacher_signs(gen, shape, out=buf)
+    assert got is buf and np.shares_memory(got, buf)
+    assert np.array_equal(got, rademacher_signs(ref, shape))
+    assert gen.uniform() == ref.uniform()      # the stream continues alike
+
+
+@pytest.mark.parametrize("out", [np.empty(12), np.empty(26)[::2],
+                                 np.empty(13, dtype=np.float32)])
+def test_signs_reject_a_buffer_of_another_size_layout_or_dtype(out):
+    with pytest.raises(ValueError, match="out must be"):
+        rademacher_signs(substream(0), 13, out=out)
+
+
 @pytest.mark.parametrize("reps, block", [(1, 8192), (20_000, 8192), (100, 7)])
 def test_map_blocks_hands_block_i_its_substream(reps, block):
     def first_draws(rng, size):

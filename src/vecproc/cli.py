@@ -329,10 +329,9 @@ def _run_bounds(args):
         raise ValueError("rkhs variant needs --h")
     cloud = None
     if args.measure_count > 0:
-        cloud = cov.PointCloud.from_grid_functions(
-            fc.generate_finite_dim_ball_class(
-                d=args.d, m=args.m, d_y=args.dy, k_b=args.kb,
-                count=args.measure_count, seed=args.seed))
+        cloud = cov.PointCloud(fc.generate_finite_dim_ball_class(
+            d=args.d, m=args.m, d_y=args.dy, k_b=args.kb,
+            count=args.measure_count, seed=args.seed).grid(), metric="sup")
     tau = args.h if args.variant == "rkhs" else args.tau
     rows = []
     for delta in args.deltas:

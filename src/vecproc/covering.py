@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .function_class import EmpiricalDesign, FunctionClass, multi_indices
+from .function_class import (EmpiricalDesign, FunctionClass, grid_nodes,
+                             multi_indices)
 from .hilbert import distances
 
 
@@ -78,11 +79,6 @@ class PointCloud:
         if self.metric == "matrix":
             return PointCloud(self.points[np.ix_(indices, indices)], metric="matrix")
         return PointCloud(self.points[indices], metric=self.metric)
-
-    @staticmethod
-    def from_grid_functions(cls: FunctionClass) -> "PointCloud":
-        """Members under the sup-norm metric, via their stored grids."""
-        return PointCloud(np.stack([g.values for g in cls.members]), metric="sup")
 
     @staticmethod
     def from_values(vals: np.ndarray) -> "PointCloud":
@@ -173,19 +169,24 @@ def _ball_masks(cloud: PointCloud, delta: float) -> list:
     return [int((cloud.distances_to(j) <= delta) @ bits) for j in range(cloud.size)]
 
 
+# largest cloud exact_cover_number takes: its branch and bound is exponential
+EXACT_COVER_MAX = 20
+
+
 def exact_cover_number(cloud: PointCloud, delta: float) -> int:
     """Minimum number of radius-delta balls with centers in the cloud.
 
     Branch and bound over ball masks from the rows greedy_cover reads, with
-    a greedy cover as the first bound; exponential, so at most 20 points.
+    a greedy cover as the first bound; at most EXACT_COVER_MAX points.
     """
     if not 0 < delta < math.inf:     # rejects NaN too
         raise ValueError("delta must be positive and finite")
     n = cloud.size
     if n == 0:
         raise ValueError("cloud must be nonempty")
-    if n > 20:
-        raise ValueError("exact cover limited to clouds of at most 20 points")
+    if n > EXACT_COVER_MAX:
+        raise ValueError("exact cover limited to clouds of at most "
+                         f"{EXACT_COVER_MAX} points")
     masks = _ball_masks(cloud, delta)
     full = (1 << n) - 1
     best = len(greedy_cover(cloud, delta).center_indices)
@@ -371,15 +372,17 @@ def verify_cover_validity(cls: FunctionClass, plan: SmoothCoverPlan) -> CoverVal
     """Same cell signature must imply sup-distance at most delta.
 
     One row of grid distances per member of a shared cell, against the
-    members after it; members alone in their cell are never tabulated. A
-    NaN distance propagates to max_violation and fails the check.
+    members after it; only members that share a cell are evaluated on the
+    grid, one cell at a time. A NaN distance propagates to max_violation
+    and fails the check.
     """
+    nodes = grid_nodes(cls.d, cls.resolution)
     pairs = 0
     worst = 0.0
     for group in plan.groups():
         if len(group) < 2:
             continue
-        vals = np.stack([cls[i].values for i in group])
+        vals = np.stack([cls[i].evaluate(nodes) for i in group])
         for a in range(len(group) - 1):
             row = distances(vals[a + 1:], vals[a]).max(axis=1)
             worst = np.maximum(worst, row.max() / plan.delta)

@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covering import PointCloud, exact_cover_number, greedy_cover
+from .covering import (EXACT_COVER_MAX, PointCloud, exact_cover_number,
+                       greedy_cover)
 from .reports import fields_json
 from .rng import substream
 
 _TAG_TRIAL = 201
-
-EXACT_LOCAL_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,7 @@ def _local_cover_number(cloud: PointCloud, center: int, radius_big: float,
     dist = cloud.distances_to(center)
     local_idx = np.where(dist <= radius_big)[0]
     local = cloud.subset(local_idx)
-    if local.size <= EXACT_LOCAL_MAX:
+    if local.size <= EXACT_COVER_MAX:
         return exact_cover_number(local, radius_small), True, local.size
     return _smallest_cover_sizes(local, [radius_small], 8)[0], False, local.size
 

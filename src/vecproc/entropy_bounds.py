@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covering import (PointCloud, exact_cover_number, smooth_cover_constants)
+from .covering import (EXACT_COVER_MAX, PointCloud, exact_cover_number,
+                       smooth_cover_constants)
 from .function_class import EmpiricalDesign, FunctionClass
 from .regression import clipped_loss
 
@@ -107,8 +108,9 @@ def lipschitz_contraction_check(cls: FunctionClass, loss_c: float,
     """
     if loss_c <= 0:
         raise ValueError("Lipschitz constant must be positive")
-    if len(cls) > 20:
-        raise ValueError("exact contraction check limited to 20 members")
+    if len(cls) > EXACT_COVER_MAX:
+        raise ValueError("exact contraction check limited to "
+                         f"{EXACT_COVER_MAX} members")
     targets = np.atleast_2d(np.asarray(targets, float))
     if targets.shape != (design.n, cls.d_y):
         raise ValueError("targets must have shape (n, d_y)")

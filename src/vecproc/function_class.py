@@ -11,12 +11,12 @@ derivative values up to total order m+1 stay inside the declared range set B;
 no numerical differentiation happens anywhere in the class itself.
 
 A member is its terms: they give exact values and derivatives anywhere,
-exact means and exact L2 inner products under the uniform law on [0,1]^d.
-Values and partial derivatives up to order m on a uniform grid (the
-declared sup-norm approximation) are tabulated on first use, one grid at a
-time, by the same evaluation as any other points; only the sup-norm
-consumers ask for them: covers of the class under the sup norm read the
-values alone, membership checks every grid.
+exact means and exact L2 inner products under the uniform law on [0,1]^d,
+and a member stores nothing else. The uniform grid that approximates
+sup_x (the declared sup-norm approximation) is a setting of the class:
+`FunctionClass.grid(p)` evaluates D^p of every member on it when asked and
+keeps nothing. Covers of the class under the sup norm read its values,
+membership checks every D^p.
 
 Evaluation never forms a member's own cosines. By
 cos(2 pi k x + phi) = cos(phi) cos(2 pi k x) - sin(phi) sin(2 pi k x), with
@@ -202,28 +202,24 @@ def _gemm(a, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """One member: its trig-sum terms, with the grid tabulated on first use."""
+    """One member: its trig-sum terms."""
 
     d: int
     m: int
     d_y: int
-    resolution: int
     freqs: np.ndarray    # (J, d) nonnegative ints
     phases: np.ndarray   # (J, d)
     amps: np.ndarray     # (J,)
     dirs: np.ndarray     # (J, d_Y)
-    # {p: _coefficients(p)} and {p: D^p on the grid}, filled on first use;
-    # two threads filling the same entry store equal values
+    # {p: _coefficients(p)}, filled on first use; two threads filling the
+    # same entry store equal values
     _coefs: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-    _grids: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     @classmethod
-    def from_terms(cls, d, m, d_y, resolution, freqs, phases, amps, dirs):
-        """The member with these terms; nothing is tabulated until `derivs`
-        is read."""
-        return cls(d=d, m=m, d_y=d_y, resolution=resolution,
+    def from_terms(cls, d, m, d_y, freqs, phases, amps, dirs):
+        """The member with these terms."""
+        return cls(d=d, m=m, d_y=d_y,
                    freqs=np.asarray(freqs, int), phases=np.asarray(phases, float),
                    amps=np.asarray(amps, float), dirs=np.asarray(dirs, float))
 
@@ -235,27 +231,6 @@ class GridFunction:
         knorm = np.linalg.norm(self.freqs.astype(float), axis=1)
         return float(np.sum(np.abs(self.amps) * np.linalg.norm(self.dirs, axis=1)
                             * (TWO_PI * knorm) ** (self.m + 1)))
-
-    @property
-    def derivs(self) -> dict:
-        """{p: D^p on the grid, (res^d, d_Y)} for every [p] <= m."""
-        order = multi_indices(self.d, self.m)
-        self._tabulate(order)
-        return {p: self._grids[p] for p in order}
-
-    @property
-    def values(self) -> np.ndarray:
-        """Values on the grid, (res^d, d_Y); tabulates no derivative."""
-        p = (0,) * self.d
-        self._tabulate([p])
-        return self._grids[p]
-
-    def _tabulate(self, order) -> None:
-        """Tabulate each grid D^p, p in order, on its first use."""
-        todo = [p for p in order if p not in self._grids]
-        if todo:
-            nodes = grid_nodes(self.d, self.resolution)
-            self._grids.update({p: self.evaluate_deriv(nodes, p) for p in todo})
 
     @property
     def width(self) -> int:
@@ -275,9 +250,8 @@ class GridFunction:
 
     def scaled(self, factor: float) -> "GridFunction":
         """The member factor*g (same generator family)."""
-        return GridFunction.from_terms(self.d, self.m, self.d_y, self.resolution,
-                                       self.freqs, self.phases,
-                                       self.amps * factor, self.dirs)
+        return GridFunction.from_terms(self.d, self.m, self.d_y, self.freqs,
+                                       self.phases, self.amps * factor, self.dirs)
 
     def _coefficients(self, p) -> tuple:
         """D^p over the tables. Per axis a (2W+1, J) matrix: row 0 is each
@@ -329,12 +303,12 @@ class FunctionClass:
     d: int
     m: int
     d_y: int
-    resolution: int
+    resolution: int      # grid nodes per axis of the sup-norm approximation
 
     def __post_init__(self):
         for g in self.members:
-            if (g.d, g.m, g.d_y, g.resolution) != (self.d, self.m, self.d_y, self.resolution):
-                raise ValueError("members disagree on (d, m, d_y, resolution)")
+            if (g.d, g.m, g.d_y) != (self.d, self.m, self.d_y):
+                raise ValueError("members disagree on (d, m, d_y)")
 
     def __len__(self):
         return len(self.members)
@@ -343,9 +317,9 @@ class FunctionClass:
         return self.members[i]
 
     def validate_membership(self) -> bool:
-        """Every tabulated derivative value of every member lies in B."""
-        return all(self.b_descriptor.contains(
-            np.concatenate(list(g.derivs.values()))) for g in self.members)
+        """Every derivative value of every member on the grid lies in B."""
+        return all(self.b_descriptor.contains(self.grid(p))
+                   for p in multi_indices(self.d, self.m))
 
     @functools.cached_property
     def width(self) -> int:
@@ -399,6 +373,12 @@ class FunctionClass:
         for k, g in enumerate(self.members):
             out[k] = g._combine(tables, p)
         return out
+
+    def grid(self, p=None) -> np.ndarray:
+        """D^p of every member on the uniform grid of `resolution` nodes
+        per axis, (K, res^d, d_Y); evaluated on each call, kept nowhere."""
+        nodes = grid_nodes(self.d, self.resolution)
+        return self.values_on(EmpiricalDesign(nodes), p)
 
 
 @dataclass(frozen=True)
@@ -469,8 +449,8 @@ def _generate(d, m, d_y, count, seed, resolution, descriptor, n_terms,
         share = np.abs(raw) / np.abs(raw).sum() * descriptor.k_b \
             * rng.uniform(0.35, 1.0)
         amps = np.sign(raw) * share / (_term_cap(freqs, m + 1) * cap)
-        members.append(GridFunction.from_terms(d, m, d_y, resolution,
-                                               freqs, phases, amps, dirs))
+        members.append(GridFunction.from_terms(d, m, d_y, freqs, phases,
+                                               amps, dirs))
     return FunctionClass(members=tuple(members), b_descriptor=descriptor,
                          d=d, m=m, d_y=d_y, resolution=resolution)
 
@@ -557,10 +537,10 @@ def blend_members(g0: GridFunction, g1: GridFunction, weight: float) -> GridFunc
     """
     if not 0.0 <= weight <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
-    if (g0.d, g0.m, g0.d_y, g0.resolution) != (g1.d, g1.m, g1.d_y, g1.resolution):
-        raise ValueError("members disagree on (d, m, d_y, resolution)")
+    if (g0.d, g0.m, g0.d_y) != (g1.d, g1.m, g1.d_y):
+        raise ValueError("members disagree on (d, m, d_y)")
     return GridFunction.from_terms(
-        g0.d, g0.m, g0.d_y, g0.resolution,
+        g0.d, g0.m, g0.d_y,
         np.vstack([g0.freqs, g1.freqs]),
         np.vstack([g0.phases, g1.phases]),
         np.concatenate([(1.0 - weight) * g0.amps, weight * g1.amps]),
@@ -571,9 +551,11 @@ def blend_members(g0: GridFunction, g1: GridFunction, weight: float) -> GridFunc
 # seminorms and checks
 
 
-def sup_norm(g: GridFunction) -> float:
-    """Grid approximation of sup_x ||g(x)||: max over stored nodes."""
-    return float(np.max(distances(g.values, 0.0))) if g.values.size else 0.0
+def sup_norm(g: GridFunction, resolution: int) -> float:
+    """Grid approximation of sup_x ||g(x)||: max over the nodes of the
+    uniform grid with `resolution` nodes per axis."""
+    values = g.evaluate(grid_nodes(g.d, resolution))
+    return float(np.max(distances(values, 0.0))) if values.size else 0.0
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,10 @@ from .concentration import CovarianceSpectrum, sample_gaussian_batch
 from .covering import PointCloud, greedy_cover
 from .covering import greedy_cover as greedy_cover_from  # former name, kept for callers
 from .empirical_process import build_chaining_plan
-from .function_class import EmpiricalDesign, FunctionClass, SmoothOutputDescriptor
+from .function_class import (EmpiricalDesign, FunctionClass,
+                             SmoothOutputDescriptor, blend_members,
+                             generate_finite_dim_ball_class,
+                             l2_distance_uniform)
 from .hilbert import sup_sign_norms
 from .reports import TailReport, fields_json, jsonable, tail_check
 from .rng import map_blocks, rademacher_signs
@@ -171,29 +174,21 @@ DEFAULT_SHELL_COUNTS = (3, 3, 3, 3, 4, 4, 5, 6, 7, 9, 11, 14, 18, 24, 32, 150)
 
 def default_rate_pool(seed: int = 11, d_y: int = 3, k_b: float = 250.0,
                       base_count: int = 150) -> FunctionClass:
-    return build_rate_pool(d=1, m=1, d_y=d_y, k_b=k_b, base_count=base_count,
-                           shell_radii=DEFAULT_SHELL_RADII,
-                           shell_counts=DEFAULT_SHELL_COUNTS, seed=seed)
+    """Net-like pool on [0, 1] (d = m = 1): random members with eight terms
+    of frequencies 1..8, on a 257-node grid, plus convex blends at fixed
+    distances from member 0.
 
-
-def build_rate_pool(d: int, m: int, d_y: int, k_b: float, base_count: int,
-                    shell_radii, shell_counts, seed: int) -> FunctionClass:
-    """Net-like pool: random members with eight terms of frequencies 1..8,
-    on a 257-node grid, plus convex blends at fixed distances from member 0.
-
-    The blends populate shells around the regression truth at the given
-    L2(P) radii, realizing a local entropy profile dense enough for the
-    least-squares error to track the peeling threshold instead of collapsing
-    to zero once the raw pool's nearest-neighbour spacing is reached. Blends
-    are convex combinations, so every pool member stays inside the class.
+    The blends populate shells around the regression truth, with
+    DEFAULT_SHELL_COUNTS[i] blends at the L2(P) radius DEFAULT_SHELL_RADII[i],
+    realizing a local entropy profile dense enough for the least-squares
+    error to track the peeling threshold instead of collapsing to zero once
+    the raw pool's nearest-neighbour spacing is reached. Blends are convex
+    combinations, so every pool member stays inside the class.
     """
-    from .function_class import blend_members, generate_finite_dim_ball_class
-    from .function_class import l2_distance_uniform
-
     if base_count < 1:
         raise ValueError("base_count must be at least 1")
     resolution, max_freq = 257, 8
-    base = generate_finite_dim_ball_class(d, m, d_y, k_b, base_count, seed,
+    base = generate_finite_dim_ball_class(1, 1, d_y, k_b, base_count, seed,
                                           resolution=resolution, n_terms=8,
                                           max_freq=max_freq, min_freq=1)
     # anchor the truth near the centre of the pool: rays from it toward the
@@ -204,32 +199,32 @@ def build_rate_pool(d: int, m: int, d_y: int, k_b: float, base_count: int,
     # shell directions spread over the whole frequency range instead of
     # collapsing onto the lowest mode, so the local direction space widens
     # as the shell radius shrinks (the smooth-class geometry)
-    per_freq = (2 * sum(shell_counts)) // max_freq + 32
+    per_freq = (2 * sum(DEFAULT_SHELL_COUNTS)) // max_freq + 32
     partner_pools = [
-        generate_finite_dim_ball_class(d, m, d_y, k_b, per_freq,
+        generate_finite_dim_ball_class(1, 1, d_y, k_b, per_freq,
                                        seed + 7919 * k, resolution=resolution,
                                        n_terms=2, max_freq=k, min_freq=k)
         for k in range(1, max_freq + 1)
     ]
     partners = [pool[i] for i in range(per_freq) for pool in partner_pools]
-    order = np.argsort(-np.asarray(shell_radii, float))
-    needs = {int(i): int(shell_counts[i]) for i in order}
+    order = np.argsort(-np.asarray(DEFAULT_SHELL_RADII, float))
+    needs = {int(i): int(DEFAULT_SHELL_COUNTS[i]) for i in order}
     for partner in partners:
         if not any(needs.values()):
             break
         dist = l2_distance_uniform(partner, g0)
         # largest still-unfilled shell this partner can reach
         for i in order:
-            radius = shell_radii[i]
+            radius = DEFAULT_SHELL_RADII[i]
             if needs[int(i)] > 0 and dist > radius:
                 members.append(blend_members(g0, partner, radius / dist))
                 needs[int(i)] -= 1
                 break
-    unfilled = {shell_radii[i]: c for i, c in needs.items() if c > 0}
+    unfilled = {DEFAULT_SHELL_RADII[i]: c for i, c in needs.items() if c > 0}
     if unfilled:
         raise ValueError(f"could not fill shells {unfilled}; enlarge the base pool")
     return FunctionClass(members=tuple(members), b_descriptor=base.b_descriptor,
-                         d=d, m=m, d_y=d_y, resolution=resolution)
+                         d=1, m=1, d_y=d_y, resolution=resolution)
 
 
 def rate_experiment(pool: FunctionClass, noise: CovarianceSpectrum,
@@ -364,13 +359,11 @@ def clipped_loss(y: np.ndarray, yhat: np.ndarray, cap: float,
     `out` and `scratch` are optional float64 buffers of the broadcast shape,
     for callers that evaluate the loss many times; the result is `out`.
     """
-    shape = np.broadcast_shapes(np.shape(y)[:-1], np.shape(yhat)[:-1])
     d_y = np.shape(y)[-1]
-    sq = np.empty(shape) if out is None else out
-    np.subtract(y[..., 0], yhat[..., 0], out=sq)
+    sq = np.asarray(np.subtract(y[..., 0], yhat[..., 0], out=out))
     sq *= sq
     if d_y > 1:
-        tmp = np.empty(shape) if scratch is None else scratch
+        tmp = np.empty_like(sq) if scratch is None else scratch
         for j in range(1, d_y):
             np.subtract(y[..., j], yhat[..., j], out=tmp)
             tmp *= tmp

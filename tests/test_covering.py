@@ -229,7 +229,7 @@ def test_smooth_cover_constants_example():
 
 
 def test_smooth_cover_single_constant_member():
-    g = fc.GridFunction.from_terms(1, 1, 2, 65, np.zeros((1, 1), int),
+    g = fc.GridFunction.from_terms(1, 1, 2, np.zeros((1, 1), int),
                                    np.zeros((1, 1)), np.array([0.5]),
                                    np.array([[1.0, 0.0]]))
     cls = fc.FunctionClass(members=(g,), b_descriptor=fc.BallDescriptor(1.0),
@@ -254,7 +254,7 @@ def _twin_class(count, seed, resolution=257, eps=1e-3):
     twins = []
     for g in members[: count // 2]:
         twins.append(fc.GridFunction.from_terms(
-            g.d, g.m, g.d_y, g.resolution, g.freqs, g.phases,
+            g.d, g.m, g.d_y, g.freqs, g.phases,
             g.amps * (1.0 - eps), g.dirs))
     return fc.FunctionClass(members=tuple(members + twins),
                             b_descriptor=base.b_descriptor, d=1, m=2, d_y=3,
@@ -328,10 +328,11 @@ def test_smooth_cover_two_dimensional_inputs():
 def verify_cover_validity_pairwise(cls, plan):
     """The per-pair loop verify_cover_validity replaced: (pairs, worst)."""
     pairs, worst = 0, 0.0
+    values = cls.grid()
     for group in plan.groups():
         for a in range(len(group)):
             for b in range(a + 1, len(group)):
-                diff = cls[group[a]].values - cls[group[b]].values
+                diff = values[group[a]] - values[group[b]]
                 dist = float(np.max(np.linalg.norm(diff, axis=1)))
                 worst = max(worst, dist / plan.delta)
                 pairs += 1
@@ -381,16 +382,22 @@ def test_cover_rows_match_the_pairwise_and_per_center_loops(make, delta):
 
 
 def test_nan_grid_value_fails_the_cover_check():
-    # a NaN in a tabulated grid (a NaN amplitude gives one) must fail the
-    # check, not drop out of the maximum
+    # a NaN amplitude makes a member's grid values NaN; checked against the
+    # plan of the finite class, that must fail the check, not drop out of
+    # the maximum
     cls = fc.generate_finite_dim_ball_class(1, 1, 3, 1.0, 200, seed=3)
     plan = cov.build_smooth_cover(cls, 0.1)
     assert cov.verify_cover_validity(cls, plan).ok
     shared = next(group for group in plan.groups() if len(group) > 1)
     g = cls[shared[0]]
-    vals = g.values.copy()
-    vals[0, 0] = np.nan
-    g._grids[(0,)] = vals
+    bad = fc.GridFunction.from_terms(g.d, g.m, g.d_y, g.freqs, g.phases,
+                                     np.where(np.arange(g.amps.size) == 0,
+                                              np.nan, g.amps), g.dirs)
+    members = list(cls.members)
+    members[shared[0]] = bad
+    cls = fc.FunctionClass(members=tuple(members),
+                           b_descriptor=cls.b_descriptor, d=1, m=1, d_y=3,
+                           resolution=cls.resolution)
     report = cov.verify_cover_validity(cls, plan)
     assert math.isnan(report.max_violation)
     assert not report.ok

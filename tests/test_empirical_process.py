@@ -17,8 +17,8 @@ def ball_class(count, seed, d_y=3, m=1, resolution=129, d=1, **kw):
                                              resolution=resolution, **kw)
 
 
-def zero_member(d=1, d_y=2, resolution=33):
-    return fc.GridFunction.from_terms(d, 1, d_y, resolution,
+def zero_member(d=1, d_y=2):
+    return fc.GridFunction.from_terms(d, 1, d_y,
                                       np.zeros((0, d), int), np.zeros((0, d)),
                                       np.zeros(0), np.zeros((0, d_y)))
 
@@ -35,7 +35,7 @@ def oracle_class(d=1, d_y=3, count=4, seed=21, zero=False):
     cls = ball_class(count, seed, d_y=d_y, d=d)
     if not zero:
         return cls
-    members = (zero_member(d, d_y, cls.resolution),) + cls.members
+    members = (zero_member(d, d_y),) + cls.members
     return fc.FunctionClass(members=members, b_descriptor=cls.b_descriptor,
                             d=d, m=1, d_y=d_y, resolution=cls.resolution)
 
@@ -257,12 +257,12 @@ def test_symmetrization_probability_rows():
 def test_symmetrization_probability_nan_member_fails_every_row():
     cls = ball_class(2, seed=13, min_freq=1)
     g = cls[1]
-    bad = fc.GridFunction.from_terms(g.d, g.m, g.d_y, g.resolution, g.freqs,
-                                     g.phases, np.where(g.amps > 0, np.nan,
-                                                        g.amps), g.dirs)
+    bad = fc.GridFunction.from_terms(g.d, g.m, g.d_y, g.freqs, g.phases,
+                                     np.where(g.amps > 0, np.nan, g.amps),
+                                     g.dirs)
     three = fc.FunctionClass(members=(*cls.members, bad),
                              b_descriptor=cls.b_descriptor, d=1, m=1, d_y=3,
-                             resolution=g.resolution)
+                             resolution=cls.resolution)
     rows = ep.symmetrization_probability_check(three, 100, [0.002, 0.02, 1.0],
                                                300, seed=4)
     assert all(np.isnan(r["premise_max"]) for r in rows)

@@ -133,7 +133,7 @@ def test_measured_entropy_below_bounds():
     # sup-norm cover entropy never exceeds them
     cls = fc.generate_finite_dim_ball_class(1, 2, 3, 1.0, 40, seed=3,
                                             resolution=257)
-    cloud = cov.PointCloud.from_grid_functions(cls)
+    cloud = cov.PointCloud(cls.grid(), metric="sup")
     for delta in (0.3, 0.2, 0.1):
         measured = cov.entropy(cloud, delta)
         assert measured <= eb.bound_assouad(1, 2, 1.0, delta, 5.0 ** 3, 3.0)

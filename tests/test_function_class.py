@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -8,31 +9,31 @@ import numpy as np
 import pytest
 
 from vecproc import function_class as fc
-from vecproc.covering import PointCloud
+from vecproc.covering import PointCloud, build_smooth_cover, verify_cover_validity
 from vecproc.empirical_process import true_means
 from vecproc import regression as reg
 from vecproc.rng import substream
 
 
-def constant_member(vec, d=1, m=1, resolution=65):
+def constant_member(vec, d=1, m=1):
     vec = np.asarray(vec, float)
     return fc.GridFunction.from_terms(
-        d, m, vec.size, resolution,
+        d, m, vec.size,
         freqs=np.zeros((1, d), dtype=int), phases=np.zeros((1, d)),
         amps=np.array([1.0]), dirs=vec[None, :])
 
 
-def sine_member(resolution=1025, m=1):
+def sine_member(m=1):
     # cos(2 pi x - pi/2) = sin(2 pi x)
     return fc.GridFunction.from_terms(
-        1, m, 1, resolution,
+        1, m, 1,
         freqs=np.array([[1]]), phases=np.array([[-math.pi / 2]]),
         amps=np.array([1.0]), dirs=np.array([[1.0]]))
 
 
-def zero_member(d=1, m=1, d_y=2, resolution=33):
+def zero_member(d=1, m=1, d_y=2):
     return fc.GridFunction.from_terms(
-        d, m, d_y, resolution, freqs=np.zeros((0, d), dtype=int),
+        d, m, d_y, freqs=np.zeros((0, d), dtype=int),
         phases=np.zeros((0, d)), amps=np.zeros(0), dirs=np.zeros((0, d_y)))
 
 
@@ -42,9 +43,8 @@ def zero_member(d=1, m=1, d_y=2, resolution=33):
 def test_ball_class_single_member_bounds():
     cls = fc.generate_finite_dim_ball_class(1, 1, 1, 1.0, 1, seed=0,
                                             resolution=513)
-    g = cls[0]
     for p in fc.multi_indices(1, 1):
-        assert np.all(np.linalg.norm(g.derivs[p], axis=1) <= 1.0 + 1e-12)
+        assert np.all(np.linalg.norm(cls.grid(p)[0], axis=1) <= 1.0 + 1e-12)
 
 
 def test_ball_class_empty():
@@ -56,18 +56,17 @@ def test_ball_class_membership_scan():
     cls = fc.generate_finite_dim_ball_class(2, 2, 5, 2.0, 50, seed=7,
                                             resolution=17)
     assert len(cls) == 50
-    # exhaustive grid scan of every stored derivative value
-    for g in cls.members:
-        for arr in g.derivs.values():
-            assert np.all(np.linalg.norm(arr, axis=1) <= 2.0 + 1e-9)
+    # exhaustive grid scan of every derivative value
+    for p in fc.multi_indices(2, 2):
+        assert np.all(np.linalg.norm(cls.grid(p), axis=-1) <= 2.0 + 1e-9)
     assert cls.validate_membership()
 
 
 def test_ball_class_deterministic():
     a = fc.generate_finite_dim_ball_class(1, 1, 3, 1.0, 5, seed=3, resolution=65)
     b = fc.generate_finite_dim_ball_class(1, 1, 3, 1.0, 5, seed=3, resolution=65)
+    assert np.array_equal(a.grid(), b.grid())
     for ga, gb in zip(a.members, b.members):
-        assert np.array_equal(ga.values, gb.values)
         assert np.array_equal(ga.amps, gb.amps)
 
 
@@ -75,10 +74,10 @@ def test_span_class_one_dimensional():
     psi = np.array([[1.0, 0.0, 0.0]])
     cls = fc.generate_span_class(1, 1, psi, radius=1.0, count=4, seed=0,
                                  resolution=65)
-    for g in cls.members:
-        for arr in g.derivs.values():
-            assert np.all(np.abs(arr[:, 1:]) < 1e-12)
-            assert np.all(np.abs(arr[:, 0]) <= 1.0 + 1e-9)
+    for p in fc.multi_indices(1, 1):
+        arr = cls.grid(p)
+        assert np.all(np.abs(arr[..., 1:]) < 1e-12)
+        assert np.all(np.abs(arr[..., 0]) <= 1.0 + 1e-9)
 
 
 def test_span_class_empty_basis_rejected():
@@ -104,10 +103,10 @@ def test_span_class_projection_residual():
     cls = fc.generate_span_class(1, 2, psi, radius=2.0, count=20, seed=4,
                                  resolution=33)
     q, _ = np.linalg.qr(psi.T)
-    for g in cls.members:
-        for arr in g.derivs.values():
-            resid = arr.T - q @ (q.T @ arr.T)
-            assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-9
+    for p in fc.multi_indices(1, 2):
+        arr = cls.grid(p).reshape(-1, cls.d_y)
+        resid = arr.T - q @ (q.T @ arr.T)
+        assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-9
     assert cls.validate_membership()
 
 
@@ -126,13 +125,13 @@ def test_smooth_output_finite_difference_slopes():
                                           resolution=33)
     desc = cls.b_descriptor
     h = 1.0 / 31
-    for g in cls.members:
-        for arr in g.derivs.values():
-            f = arr * math.sqrt(cls.d_y)
-            slopes = np.diff(f, axis=1) / h
-            assert np.max(np.abs(slopes)) <= 1.05
+    grids = [cls.grid(p) for p in fc.multi_indices(1, 1)]
+    for arr in grids:
+        f = arr * math.sqrt(cls.d_y)
+        slopes = np.diff(f, axis=-1) / h
+        assert np.max(np.abs(slopes)) <= 1.05
     assert desc.max_difference_quotient(
-        np.concatenate([v for v in cls[0].derivs.values()])) <= 1.05
+        np.concatenate([grid[0] for grid in grids])) <= 1.05
 
 
 def test_smooth_output_membership_reads_every_grid():
@@ -144,7 +143,7 @@ def test_smooth_output_membership_reads_every_grid():
     assert cls.validate_membership()
     g = cls[1]
     worst = cls.b_descriptor.max_difference_quotient(
-        np.concatenate(list(g.derivs.values())))
+        np.concatenate([cls.grid(p)[1] for p in fc.multi_indices(1, 1)]))
     over = fc.FunctionClass(members=(cls[0], g.scaled(1.1 * 1.05 / worst)),
                             b_descriptor=cls.b_descriptor, d=1, m=1,
                             d_y=cls.d_y, resolution=33)
@@ -156,22 +155,21 @@ def test_smooth_output_deterministic():
                                         resolution=33)
     b = fc.generate_smooth_output_class(1, 1, 1, 2, 1.0, 16, 5, seed=3,
                                         resolution=33)
-    for ga, gb in zip(a.members, b.members):
-        assert np.array_equal(ga.values, gb.values)
+    assert np.array_equal(a.grid(), b.grid())
 
 
 # ---------------------------------------------------------------- seminorms
 
 
 def test_sup_norm_zero_and_constant():
-    assert fc.sup_norm(zero_member()) == 0.0
+    assert fc.sup_norm(zero_member(), 33) == 0.0
     c = constant_member([0.0, 2.0])
-    assert fc.sup_norm(c) == pytest.approx(2.0, abs=1e-12)
+    assert fc.sup_norm(c, 65) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_sup_norm_sine_grid():
-    g = sine_member(resolution=1025)
-    assert fc.sup_norm(g) == pytest.approx(1.0, abs=1e-4)
+    g = sine_member()
+    assert fc.sup_norm(g, 1025) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_sup_norm_dominates_lp_seminorm():
@@ -182,7 +180,7 @@ def test_sup_norm_dominates_lp_seminorm():
     empirical = np.linalg.norm(
         PointCloud.from_values(cls.values_on(design)).points, axis=1)
     for g, norm in zip(cls.members, empirical):
-        assert fc.sup_norm(g) + 1e-9 >= norm
+        assert fc.sup_norm(g, cls.resolution) + 1e-9 >= norm
 
 
 # ---------------------------------------------------------------- Taylor
@@ -197,7 +195,7 @@ def test_taylor_constant_function():
 
 def test_taylor_cosine_hand_value():
     # order-1 expansion of cos(2 pi x) at 0: remainder is 1 - cos(2 pi h)
-    g = fc.GridFunction.from_terms(1, 1, 1, 65, np.array([[1]]),
+    g = fc.GridFunction.from_terms(1, 1, 1, np.array([[1]]),
                                    np.zeros((1, 1)), np.array([1.0]),
                                    np.array([[1.0]]))
     h = 0.25
@@ -321,9 +319,12 @@ def cos_product_terms(x, g, p):
 
 
 def small_rate_pool():
-    from vecproc.regression import build_rate_pool
-    return build_rate_pool(d=1, m=1, d_y=3, k_b=250.0, base_count=6,
-                           shell_radii=(0.3, 0.1), shell_counts=(2, 2), seed=11)
+    """Ten members of a rate pool: its scaled truth, five base members, and
+    blends from its first and last shells."""
+    pool = reg.default_rate_pool(base_count=6)
+    return fc.FunctionClass(members=pool.members[:8] + pool.members[-2:],
+                            b_descriptor=pool.b_descriptor, d=1, m=1,
+                            d_y=pool.d_y, resolution=pool.resolution)
 
 
 def kernel_cases():
@@ -351,9 +352,10 @@ def test_kernel_matches_cos_product_formula():
                 np.testing.assert_allclose(g.evaluate_deriv(x, p),
                                            cos_product_terms(x, g, p),
                                            rtol=0, atol=1e-12, err_msg=name)
-            nodes = fc.grid_nodes(cls.d, cls.resolution)
-            for p, tabulated in g.derivs.items():
-                np.testing.assert_allclose(tabulated, cos_product_terms(nodes, g, p),
+        nodes = fc.grid_nodes(cls.d, cls.resolution)
+        for p in fc.multi_indices(cls.d, cls.m):
+            for g, grid in zip(cls.members, cls.grid(p)):
+                np.testing.assert_allclose(grid, cos_product_terms(nodes, g, p),
                                            rtol=0, atol=1e-12, err_msg=name)
 
 
@@ -399,9 +401,10 @@ def class_digest(cls) -> str:
     h = hashlib.sha256(json.dumps([cls.d, cls.m, cls.d_y, cls.resolution,
                                    [int(g.amps.size) for g in cls.members]]
                                   ).encode())
-    for g in cls.members:
+    grids = [cls.grid(p) for p in fc.multi_indices(cls.d, cls.m)]
+    for k, g in enumerate(cls.members):
         for arr in (g.freqs.astype(float), g.phases, g.amps, g.dirs,
-                    *(g.derivs[p] for p in fc.multi_indices(cls.d, cls.m))):
+                    *(grid[k] for grid in grids)):
             h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return h.hexdigest()
 
@@ -433,7 +436,7 @@ def test_seeded_classes_keep_their_bytes(make, sha):
 
 def test_building_a_class_tabulates_no_grid():
     # 200 members' values and derivatives of order <= 2 on 1025 nodes would
-    # take 14.8 MB; a member holds only its terms until a grid is read
+    # take 14.8 MB; a member holds only its terms
     tracemalloc.start()
     try:
         cls = fc.generate_finite_dim_ball_class(1, 2, 3, 1.0, 200, seed=5,
@@ -445,26 +448,34 @@ def test_building_a_class_tabulates_no_grid():
     assert peak < 2_000_000
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_reading_values_tabulates_one_grid(monkeypatch, d):
-    # the sup-norm covers read only the values; the derivatives of order
-    # <= 2 are tabulated when derivs is read, each grid once
-    g = fc.generate_finite_dim_ball_class(d, 2, 3, 1.0, 1, seed=5,
-                                          resolution=9)[0]
-    tabulated = []
-    evaluate_deriv = fc.GridFunction.evaluate_deriv
+def test_a_member_holds_only_its_terms():
+    # the grid belongs to the class: after the cover check has evaluated
+    # every member of a shared cell on it, a member still holds only its
+    # terms and the coefficient matrices it evaluates with
+    assert [f.name for f in dataclasses.fields(fc.GridFunction)] == [
+        "d", "m", "d_y", "freqs", "phases", "amps", "dirs", "_coefs"]
+    cls = fc.generate_finite_dim_ball_class(1, 1, 3, 1.0, 200, seed=3)
+    plan = build_smooth_cover(cls, 0.1)
+    assert verify_cover_validity(cls, plan).pairs_checked > 0
+    for g in cls.members:
+        assert set(vars(g)) == {"d", "m", "d_y", "freqs", "phases", "amps",
+                                "dirs", "_coefs"}
+        assert set(g._coefs) == {(0,)}
 
-    def counted(self, x, p):
-        tabulated.append(tuple(p))
-        return evaluate_deriv(self, x, p)
 
-    monkeypatch.setattr(fc.GridFunction, "evaluate_deriv", counted)
-    values = g.values
-    assert tabulated == [(0,) * d]
-    derivs = g.derivs
-    assert list(derivs) == fc.multi_indices(d, 2)
-    assert sorted(tabulated) == fc.multi_indices(d, 2)
-    assert derivs[(0,) * d] is values
+def test_class_grid_is_values_on_the_grid_bitwise():
+    # grid(p) evaluates every member on the class's grid nodes, with the
+    # bits of values_on there and of each member's own evaluate_deriv
+    for name, cls in kernel_cases():
+        nodes = fc.grid_nodes(cls.d, cls.resolution)
+        design = fc.EmpiricalDesign(nodes)
+        assert np.array_equal(cls.grid(), cls.grid((0,) * cls.d)), name
+        for p in fc.multi_indices(cls.d, cls.m):
+            grid = cls.grid(p)
+            assert grid.shape == (len(cls), len(nodes), cls.d_y), name
+            assert np.array_equal(grid, cls.values_on(design, p)), name
+            for g, values in zip(cls.members, grid):
+                assert np.array_equal(values, g.evaluate_deriv(nodes, p)), name
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -482,7 +493,7 @@ def test_one_output_column_does_not_depend_on_the_batch(d):
             for seed in range(4):
                 rng = substream(seed, 77, d)
                 members += (fc.GridFunction.from_terms(
-                    d, 1, d_y, 5, rng.integers(0, 4, (1, d)),
+                    d, 1, d_y, rng.integers(0, 4, (1, d)),
                     rng.uniform(0, 6.3, (1, d)), rng.uniform(0.2, 1.0, 1),
                     rng.standard_normal((1, d_y))),)
         cls = fc.FunctionClass(members=members, b_descriptor=cls.b_descriptor,

@@ -205,7 +205,7 @@ def test_coordinatewise_mc_close_to_exact():
 
 
 def test_entropy_bound_zero_class():
-    g = fc.GridFunction.from_terms(1, 1, 2, 33, np.zeros((0, 1), int),
+    g = fc.GridFunction.from_terms(1, 1, 2, np.zeros((0, 1), int),
                                    np.zeros((0, 1)), np.zeros(0),
                                    np.zeros((0, 2)))
     cls = fc.FunctionClass(members=(g,), b_descriptor=fc.BallDescriptor(1.0),

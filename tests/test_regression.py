@@ -87,7 +87,7 @@ def test_rate_pool_membership_and_anchor():
                            b_descriptor=pool.b_descriptor, d=1, m=1,
                            d_y=3, resolution=pool.resolution)
     assert sub.validate_membership()
-    assert fc.sup_norm(pool[0]) < 0.05
+    assert fc.sup_norm(pool[0], pool.resolution) < 0.05
 
 
 def test_rate_experiment_rejects_bad_noise():

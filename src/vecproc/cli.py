@@ -110,10 +110,10 @@ def _load_cloud(path: str) -> cov.PointCloud:
     return cov.PointCloud(pts)
 
 
-def _ball_class(args, seed) -> fc.FunctionClass:
+def _ball_class(args, seed, resolution=None) -> fc.FunctionClass:
     return fc.generate_finite_dim_ball_class(
         d=args.d, m=args.m, d_y=args.dy, k_b=args.kb, count=args.count,
-        seed=seed, resolution=args.resolution)
+        seed=seed, resolution=resolution)
 
 
 def _design(args, cls) -> fc.EmpiricalDesign:
@@ -127,7 +127,6 @@ def _add_class_flags(sub, count=20, m=1):
     sub.add_argument("--dy", type=int, default=3)
     sub.add_argument("--kb", type=_real, default=1.0)
     sub.add_argument("--count", type=int, default=count)
-    sub.add_argument("--resolution", type=_positive, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,6 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("smooth-cover", help="constructive cover of a smooth class")
     _add_class_flags(p, count=50, m=2)
+    p.add_argument("--resolution", type=_positive, default=None)
     p.add_argument("--delta", type=_floats, default=[0.1])
     common(p)
 
@@ -278,7 +278,7 @@ def _run_cover(args):
 
 
 def _run_smooth_cover(args):
-    cls = _ball_class(args, args.seed)
+    cls = _ball_class(args, args.seed, args.resolution)
     rows, plans = [], []
     for delta in args.delta:
         plan = cov.build_smooth_cover(cls, delta)

@@ -295,7 +295,7 @@ def build_chaining_plan(cls: FunctionClass, design: EmpiricalDesign,
         raise ValueError("class must be nonempty")
     k = len(cls)
     cloud = PointCloud.from_values(cls.values_on(design))
-    norms = np.linalg.norm(cloud.points, axis=1)
+    norms = distances(cloud.points, 0.0)
     r_n = float(norms.max())
     if s_levels is None:
         s_levels = default_chain_levels(design.n)

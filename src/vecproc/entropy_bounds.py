@@ -17,7 +17,7 @@ import numpy as np
 from .covering import (EXACT_COVER_MAX, PointCloud, exact_cover_number,
                        smooth_cover_constants)
 from .function_class import EmpiricalDesign, FunctionClass
-from .regression import clipped_loss
+from .hilbert import clipped_loss
 
 
 def _net_size(d: int, m: int, k_b: float, delta: float) -> int:

@@ -75,7 +75,7 @@ class BallDescriptor:
         return self.radius
 
     def contains(self, points: np.ndarray) -> bool:
-        return bool(np.all(np.linalg.norm(points, axis=-1) <= self.radius + 1e-9))
+        return bool(np.all(distances(points, 0.0) <= self.radius + 1e-9))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,11 +94,11 @@ class SpanDescriptor:
 
     def contains(self, points: np.ndarray) -> bool:
         pts = points.reshape(-1, points.shape[-1])
-        if not np.all(np.linalg.norm(pts, axis=1) <= self.radius + 1e-9):
+        if not np.all(distances(pts, 0.0) <= self.radius + 1e-9):
             return False
         coef, *_ = np.linalg.lstsq(self.psi.T, pts.T, rcond=None)
         resid = pts.T - self.psi.T @ coef
-        return bool(np.all(np.linalg.norm(resid, axis=0) <= 1e-9))
+        return bool(np.all(distances(resid.T, 0.0) <= 1e-9))
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,7 @@ class GridFunction:
         expansion of the directional derivative plus Cauchy-Schwarz gives
         sum_j |a_j| ||u_j|| (2 pi ||k_j||_2)^{m+1}."""
         knorm = np.linalg.norm(self.freqs.astype(float), axis=1)
-        return float(np.sum(np.abs(self.amps) * np.linalg.norm(self.dirs, axis=1)
+        return float(np.sum(np.abs(self.amps) * distances(self.dirs, 0.0)
                             * (TWO_PI * knorm) ** (self.m + 1)))
 
     @property
@@ -468,7 +468,7 @@ def generate_finite_dim_ball_class(d, m, d_y, k_b, count, seed, resolution=None,
 
     def range_terms(rng):
         dirs = rng.standard_normal((n_terms, d_y))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs /= distances(dirs, 0.0)[:, None]
         return dirs, 1.0
 
     return _generate(d, m, d_y, count, seed, resolution, BallDescriptor(k_b),
@@ -486,7 +486,7 @@ def generate_span_class(d, m, psi_basis, radius, count, seed,
         raise ValueError("span basis is linearly dependent in the truncation")
     if radius <= 0 or count < 0 or min(d, m) < 1:
         raise ValueError("invalid parameters")
-    psi_norms = np.linalg.norm(psi, axis=1)
+    psi_norms = distances(psi, 0.0)
 
     def range_terms(rng):
         idx = rng.integers(0, psi.shape[0], size=n_terms)
@@ -583,7 +583,7 @@ def taylor_remainder_check(g: GridFunction, a, h, k: float | None = None) -> Tay
         hp = float(np.prod(h[0] ** np.asarray(p)))
         pfact = float(np.prod([math.factorial(c) for c in p]))
         approx += (hp / pfact) * g.evaluate_deriv(a, p)
-    lhs = float(np.linalg.norm(g.evaluate(b) - approx))
+    lhs = float(distances(g.evaluate(b), approx)[0])
     rhs = float(k * np.linalg.norm(h) ** (g.m + 1) / math.factorial(g.m + 1))
     return TaylorReport(lhs=lhs, rhs=rhs, ok=lhs <= rhs * (1 + 1e-9))
 

@@ -2,11 +2,12 @@
 
 A point of the (possibly infinite-dimensional) output space is its first
 d_Y coordinates in a fixed orthonormal basis: a finite float array, and its
-inner products and norms are numpy's. The coordinates of points `values`
-(..., d_Y) in another orthonormal basis are `values @ basis.columns`. This
-module holds the basis type, Gram-Schmidt, a random basis and `distances`,
-the one norm kernel over the coordinate axis. Truncation level d_Y is a
-declared parameter of every experiment.
+inner products are numpy's. The coordinates of points `values` (..., d_Y)
+in another orthonormal basis are `values @ basis.columns`. This module
+holds the basis type, Gram-Schmidt, a random basis and the two output
+norms, which share one coordinate loop: `distances` and `clipped_loss`,
+the loss min(||y - yhat||, c) of the learning application. Truncation
+level d_Y is a declared parameter of every experiment.
 """
 
 from __future__ import annotations
@@ -18,18 +19,37 @@ import numpy as np
 # Orthonormality tolerance: double-precision head-room.
 ORTHO_TOL = 1e-12
 # Below 8 coordinates numpy's add.reduce sums left to right; from 8 on it
-# sums in 8-wide pairwise blocks.
+# keeps eight interleaved partial sums and adds them pairwise.
 _PAIRWISE_WIDTH = 8
+
+
+def _root_sum_squares(a, b, width, out=None, scratch=None) -> np.ndarray:
+    """||a - b|| over the first `width` coordinates of the last axis: each
+    difference is squared and added, left to right, over whole slices into
+    `out` (or a new buffer), with `scratch` for the next square, and the
+    sum is rooted in place. A width-1 axis or a 0-d operand broadcasts."""
+    def column(x, j):
+        return x[..., j % x.shape[-1]] if x.ndim else x
+
+    sq = np.asarray(np.subtract(column(a, 0), column(b, 0), out=out))
+    sq *= sq
+    if width > 1:
+        tmp = np.empty_like(sq) if scratch is None else scratch
+        for j in range(1, width):
+            np.subtract(column(a, j), column(b, j), out=tmp)
+            tmp *= tmp
+            sq += tmp
+    return np.sqrt(sq, out=sq)
 
 
 def distances(a, b) -> np.ndarray:
     """||a - b|| over the last axis, a and b broadcast: bitwise
     np.linalg.norm(a - b, axis=-1) at every width.
 
-    Below _PAIRWISE_WIDTH coordinates the squares are summed coordinate by
-    coordinate, left to right, over whole slices into one buffer, which is
-    numpy's own order there; numpy instead runs one short reduce per row.
-    Wider axes, width 0 and a single vector go to np.linalg.norm itself.
+    Below _PAIRWISE_WIDTH coordinates _root_sum_squares sums left to right
+    over whole slices, which is numpy's own order there; numpy instead runs
+    one short reduce per row. Wider axes, width 0 and a single vector go to
+    np.linalg.norm itself.
     """
     a, b = np.asarray(a, float), np.asarray(b, float)
     wa, wb = (x.shape[-1] if x.ndim else 1 for x in (a, b))
@@ -37,19 +57,28 @@ def distances(a, b) -> np.ndarray:
     if not 0 < width < _PAIRWISE_WIDTH or wb not in (1, width) \
             or max(a.ndim, b.ndim) < 2:
         return np.linalg.norm(a - b, axis=-1)
+    return _root_sum_squares(a, b, width)
 
-    def column(x, j):
-        return x[..., j % x.shape[-1]] if x.ndim else x
 
-    out = np.subtract(column(a, 0), column(b, 0))
-    out *= out
-    if width > 1:
-        tmp = np.empty_like(out)
-        for j in range(1, width):
-            np.subtract(column(a, j), column(b, j), out=tmp)
-            tmp *= tmp
-            out += tmp
-    return np.sqrt(out, out=out)
+def clipped_loss(y: np.ndarray, yhat: np.ndarray, cap: float,
+                 lipschitz: float, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
+    """lipschitz * min(||y - yhat||, cap): bounded by lipschitz * cap and
+    lipschitz-Lipschitz in yhat. The one clipped loss of the package.
+
+    y and yhat broadcast over their leading axes; the last axis is the
+    output space. The norm is _root_sum_squares at every width, so the
+    difference is never formed: below _PAIRWISE_WIDTH coordinates it is
+    bitwise distances(y, yhat); from there on it keeps its left-to-right
+    sum, and numpy's eight interleaved partial sums may differ from it in
+    the last bits. `out` and `scratch` are optional float64 buffers of the
+    broadcast shape, for callers that evaluate the loss many times; the
+    result is `out`. A pair of vectors gives a scalar.
+    """
+    loss = _root_sum_squares(y, yhat, np.shape(y)[-1], out, scratch)
+    np.minimum(loss, cap, out=loss)
+    loss *= lipschitz
+    return loss if loss.ndim else loss[()]
 
 
 def sup_sign_norms(signs, values) -> np.ndarray:

@@ -22,7 +22,7 @@ from .function_class import (EmpiricalDesign, FunctionClass,
                              SmoothOutputDescriptor, blend_members,
                              generate_finite_dim_ball_class,
                              l2_distance_uniform)
-from .hilbert import sup_sign_norms
+from .hilbert import clipped_loss, sup_sign_norms
 from .reports import TailReport, fields_json, jsonable, tail_check
 from .rng import map_blocks, rademacher_signs
 
@@ -179,11 +179,12 @@ def default_rate_pool(seed: int = 11, d_y: int = 3, k_b: float = 250.0,
     distances from member 0.
 
     The blends populate shells around the regression truth, with
-    DEFAULT_SHELL_COUNTS[i] blends at the L2(P) radius DEFAULT_SHELL_RADII[i],
-    realizing a local entropy profile dense enough for the least-squares
-    error to track the peeling threshold instead of collapsing to zero once
-    the raw pool's nearest-neighbour spacing is reached. Blends are convex
-    combinations, so every pool member stays inside the class.
+    DEFAULT_SHELL_COUNTS[i] blends at the L2(P) radius DEFAULT_SHELL_RADII[i]
+    * k_b / 250, realizing a local entropy profile dense enough for the
+    least-squares error to track the peeling threshold instead of
+    collapsing to zero once the raw pool's nearest-neighbour spacing is
+    reached. Blends are convex combinations, so every pool member stays
+    inside the class.
     """
     if base_count < 1:
         raise ValueError("base_count must be at least 1")
@@ -207,7 +208,8 @@ def default_rate_pool(seed: int = 11, d_y: int = 3, k_b: float = 250.0,
         for k in range(1, max_freq + 1)
     ]
     partners = [pool[i] for i in range(per_freq) for pool in partner_pools]
-    order = np.argsort(-np.asarray(DEFAULT_SHELL_RADII, float))
+    radii = np.asarray(DEFAULT_SHELL_RADII) * (k_b / 250.0)  # 1.0 at 250
+    order = np.argsort(-radii)
     needs = {int(i): int(DEFAULT_SHELL_COUNTS[i]) for i in order}
     for partner in partners:
         if not any(needs.values()):
@@ -215,14 +217,14 @@ def default_rate_pool(seed: int = 11, d_y: int = 3, k_b: float = 250.0,
         dist = l2_distance_uniform(partner, g0)
         # largest still-unfilled shell this partner can reach
         for i in order:
-            radius = DEFAULT_SHELL_RADII[i]
+            radius = radii[i]
             if needs[int(i)] > 0 and dist > radius:
                 members.append(blend_members(g0, partner, radius / dist))
                 needs[int(i)] -= 1
                 break
-    unfilled = {DEFAULT_SHELL_RADII[i]: c for i, c in needs.items() if c > 0}
+    unfilled = {float(radii[i]): c for i, c in needs.items() if c > 0}
     if unfilled:
-        raise ValueError(f"could not fill shells {unfilled}; enlarge the base pool")
+        raise ValueError(f"could not fill shells {unfilled}: too few partners lie beyond them")
     return FunctionClass(members=tuple(members), b_descriptor=base.b_descriptor,
                          d=1, m=1, d_y=d_y, resolution=resolution)
 
@@ -340,38 +342,6 @@ def gaussian_chaining_check(cls: FunctionClass, design: EmpiricalDesign,
 # this many values (256 KB each, so they stay in cache), and a group of
 # members holds at most this many per-draw means
 _LOSS_CHUNK = 1 << 15
-
-
-def clipped_loss(y: np.ndarray, yhat: np.ndarray, cap: float,
-                 lipschitz: float, out: np.ndarray | None = None,
-                 scratch: np.ndarray | None = None) -> np.ndarray:
-    """loss_c * min(||y - yhat||, cap): bounded by loss_c*cap and
-    loss_c-Lipschitz in yhat. The one clipped loss of the package.
-
-    y and yhat broadcast against each other over their leading axes; the
-    last axis is the output space. ||y - yhat||^2 is summed coordinate by
-    coordinate, left to right, on broadcast slices into one buffer, and the
-    root, the cap and the scale are taken in place, so the (..., d_Y)
-    difference is never formed. For d_Y <= 7 the result is bitwise
-    lipschitz * np.minimum(np.linalg.norm(y - yhat, axis=-1), cap); above
-    that numpy sums the norm pairwise and the two differ by a few ulp.
-
-    `out` and `scratch` are optional float64 buffers of the broadcast shape,
-    for callers that evaluate the loss many times; the result is `out`.
-    """
-    d_y = np.shape(y)[-1]
-    sq = np.asarray(np.subtract(y[..., 0], yhat[..., 0], out=out))
-    sq *= sq
-    if d_y > 1:
-        tmp = np.empty_like(sq) if scratch is None else scratch
-        for j in range(1, d_y):
-            np.subtract(y[..., j], yhat[..., j], out=tmp)
-            tmp *= tmp
-            sq += tmp
-    np.sqrt(sq, out=sq)
-    np.minimum(sq, cap, out=sq)
-    sq *= lipschitz
-    return sq if sq.ndim else sq[()]
 
 
 @dataclass(frozen=True)

@@ -310,18 +310,18 @@ def c11_battery(tmp_path):
         ("dim", ["dimension", "--input", str(pts), "--check", "box",
                  "--deltas", "0.4,0.3,0.2,0.15,0.1", "--seed", "3"]),
         ("symmetrize", ["symmetrize", "--count", "8", "--n", "60",
-                        "--reps", "300", "--resolution", "65", "--seed", "3"]),
+                        "--reps", "300", "--seed", "3"]),
         ("chain", ["chain", "--count", "10", "--n", "40", "--t", "0.5,1",
-                   "--reps", "4000", "--resolution", "65", "--seed", "3"]),
+                   "--reps", "4000", "--seed", "3"]),
         ("gc", ["gc", "--count", "5", "--n-grid", "50,200",
-                "--reps", "60", "--resolution", "65", "--seed", "3"]),
+                "--reps", "60", "--seed", "3"]),
         ("regress", ["regress", "--n-grid", "64,128", "--reps", "30",
                      "--seed", "3"]),
         ("erm", ["erm", "--count", "6", "--n-grid", "80", "--reps", "20",
-                 "--resolution", "65", "--seed", "3"]),
+                 "--seed", "3"]),
         ("rademacher", ["rademacher", "--check", "entropy-bound",
                         "--count", "10", "--n", "12", "--levels", "4",
-                        "--resolution", "65", "--seed", "3"]),
+                        "--seed", "3"]),
     ]
 
 

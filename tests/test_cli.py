@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 import time
 
 import numpy as np
@@ -9,7 +11,7 @@ from vecproc import covering as cov
 from vecproc import dimension as dim
 from vecproc import function_class as fc
 from vecproc import rademacher as rad
-from vecproc.cli import _TAG_CLI_DESIGN, main
+from vecproc.cli import _TAG_CLI_DESIGN, build_parser, main
 from vecproc.rng import substream
 
 
@@ -17,6 +19,26 @@ def run_cli(args, tmp_path, name):
     out = tmp_path / name
     code = main(args + ["--out", str(out)])
     return code, out
+
+
+def readme_commands():
+    """Every `vecproc ...` line of the README's command-line block, with
+    backslash continuations joined."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [line for line in block.splitlines() if line.startswith("vecproc ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 12
+    parser = build_parser()
+    for line in commands:
+        argv = shlex.split(line)[1:]
+        args = parser.parse_args(argv)      # exits 2 on an unknown flag
+        assert args.command == argv[0]
 
 
 def test_demo_counterexample(tmp_path):
@@ -218,7 +240,7 @@ def test_smooth_cover_subcommand(tmp_path):
 def test_chain_subcommand(tmp_path):
     code, out = run_cli(
         ["chain", "--count", "10", "--n", "50", "--t", "0.5,1",
-         "--reps", "3000", "--resolution", "65"],
+         "--reps", "3000"],
         tmp_path, "chain")
     assert code == 0
     plan = json.loads((out / "chain_plan.json").read_text())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vecproc import function_class as fc
+from vecproc import hilbert
 from vecproc import regression as reg
 from vecproc.concentration import CovarianceSpectrum, sample_gaussian_batch
 from vecproc.rng import block_sizes, rademacher_signs, substream
@@ -90,6 +91,20 @@ def test_rate_pool_membership_and_anchor():
     assert fc.sup_norm(pool[0], pool.resolution) < 0.05
 
 
+@pytest.mark.parametrize("k_b", [1.0, 20.0, 60.0, 250.0])
+def test_rate_pool_shells_scale_with_k_b(k_b):
+    pool = reg.default_rate_pool(k_b=k_b)
+    assert pool.b_descriptor.k_b == k_b
+    counts = reg.DEFAULT_SHELL_COUNTS
+    assert len(pool) == 150 + sum(counts)
+    # every shell is filled, largest radius first, at radius * k_b / 250
+    radii = np.repeat(np.asarray(reg.DEFAULT_SHELL_RADII) * (k_b / 250.0),
+                      counts)
+    shells = [fc.l2_distance_uniform(g, pool[0]) for g in pool.members[150:]]
+    assert np.allclose(np.sort(shells)[::-1], np.sort(radii)[::-1],
+                       rtol=1e-9, atol=0.0)
+
+
 def test_rate_experiment_rejects_bad_noise():
     pool = reg.default_rate_pool(seed=11)
     with pytest.raises(ValueError):
@@ -124,42 +139,51 @@ def test_clipped_loss_lipschitz():
     rng = substream(5, 1)
     y = rng.standard_normal(3)
     a, b = rng.standard_normal(3), rng.standard_normal(3)
-    la = reg.clipped_loss(y, a, cap=1.0, lipschitz=2.0)
-    lb = reg.clipped_loss(y, b, cap=1.0, lipschitz=2.0)
+    la = hilbert.clipped_loss(y, a, cap=1.0, lipschitz=2.0)
+    lb = hilbert.clipped_loss(y, b, cap=1.0, lipschitz=2.0)
     assert abs(la - lb) <= 2.0 * np.linalg.norm(a - b) + 1e-12
     assert la <= 2.0
+
+
+def scaled_normals(rng, shape):
+    """Normals scaled so ||y - yhat|| falls on both sides of the cap 0.8
+    at every width: a capped value would hide how the norm was summed."""
+    return 0.5 / math.sqrt(shape[-1]) * rng.standard_normal(shape)
 
 
 @pytest.mark.parametrize("d_y", [1, 2, 3, 5, 7])
 def test_clipped_loss_matches_linalg_norm(d_y):
     rng = substream(5, 2, d_y)
-    y = rng.standard_normal((40, 1, d_y))
-    yhat = rng.standard_normal((1, 30, d_y))
+    y = scaled_normals(rng, (40, 1, d_y))
+    yhat = scaled_normals(rng, (1, 30, d_y))
     ref = 1.5 * np.minimum(np.linalg.norm(y - yhat, axis=-1), 0.8)
-    assert np.array_equal(reg.clipped_loss(y, yhat, cap=0.8, lipschitz=1.5), ref)
+    assert np.array_equal(hilbert.clipped_loss(y, yhat, cap=0.8,
+                                               lipschitz=1.5), ref)
 
 
 def formula_clipped_loss(y, yhat, cap, lipschitz):
-    """clipped_loss as a fresh expression per coordinate, no buffers."""
+    """clipped_loss as a fresh expression per coordinate, no buffers: the
+    squares are added left to right at every width."""
     sq = (y[..., 0] - yhat[..., 0]) ** 2
     for j in range(1, np.shape(y)[-1]):
         sq = sq + (y[..., j] - yhat[..., j]) ** 2
     return lipschitz * np.minimum(np.sqrt(sq), cap)
 
 
-@pytest.mark.parametrize("d_y", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("d_y", [1, 2, 3, 5, 7, 8, 20])
 def test_in_place_clipped_loss_matches_formula(d_y):
     rng = substream(5, 3, d_y)
-    a = rng.standard_normal((40, 1, d_y))
-    b = rng.standard_normal((1, 30, d_y))
+    a = scaled_normals(rng, (40, 1, d_y))
+    b = scaled_normals(rng, (1, 30, d_y))
     for y, yhat in ((a, b), (b, a)):
         ref = formula_clipped_loss(y, yhat, 0.8, 1.5)
-        assert np.array_equal(reg.clipped_loss(y, yhat, 0.8, 1.5), ref)
+        assert np.array_equal(hilbert.clipped_loss(y, yhat, 0.8, 1.5), ref)
         out, scratch = np.empty((2, 40, 30))
-        got = reg.clipped_loss(y, yhat, 0.8, 1.5, out=out, scratch=scratch)
+        got = hilbert.clipped_loss(y, yhat, 0.8, 1.5, out=out,
+                                   scratch=scratch)
         assert got is out and np.array_equal(got, ref)
     # one pair of vectors gives a scalar, as the formula does
-    got = reg.clipped_loss(a[0, 0], b[0, 0], 0.8, 1.5)
+    got = hilbert.clipped_loss(a[0, 0], b[0, 0], 0.8, 1.5)
     assert np.ndim(got) == 0 and got == formula_clipped_loss(a[0, 0], b[0, 0],
                                                              0.8, 1.5)
 
@@ -287,7 +311,7 @@ def one_shot_erm(cls, noise, n_grid, reps, seed, rad_patterns, cap=1.0,
             for x, eps in draws:
                 vals = cls.values_on(fc.EmpiricalDesign(x))
                 y = vals[0] + eps
-                loss = reg.clipped_loss(y[None], vals, cap, lipschitz)
+                loss = hilbert.clipped_loss(y[None], vals, cap, lipschitz)
                 emp = loss.mean(axis=1)
                 ghat = int(np.argmin(emp))
                 excesses.append(risks[ghat] - risks[g_star])

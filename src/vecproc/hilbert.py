@@ -23,18 +23,18 @@ ORTHO_TOL = 1e-12
 _PAIRWISE_WIDTH = 8
 
 
-def _root_sum_squares(a, b, width, out=None, scratch=None) -> np.ndarray:
+def _root_sum_squares(a, b, width) -> np.ndarray:
     """||a - b|| over the first `width` coordinates of the last axis: each
     difference is squared and added, left to right, over whole slices into
-    `out` (or a new buffer), with `scratch` for the next square, and the
-    sum is rooted in place. A width-1 axis or a 0-d operand broadcasts."""
+    one buffer, with a second for the next square, and the sum is rooted in
+    place. A width-1 axis or a 0-d operand broadcasts."""
     def column(x, j):
         return x[..., j % x.shape[-1]] if x.ndim else x
 
-    sq = np.asarray(np.subtract(column(a, 0), column(b, 0), out=out))
+    sq = np.asarray(np.subtract(column(a, 0), column(b, 0)))
     sq *= sq
     if width > 1:
-        tmp = np.empty_like(sq) if scratch is None else scratch
+        tmp = np.empty_like(sq)
         for j in range(1, width):
             np.subtract(column(a, j), column(b, j), out=tmp)
             tmp *= tmp
@@ -61,8 +61,7 @@ def distances(a, b) -> np.ndarray:
 
 
 def clipped_loss(y: np.ndarray, yhat: np.ndarray, cap: float,
-                 lipschitz: float, out: np.ndarray | None = None,
-                 scratch: np.ndarray | None = None) -> np.ndarray:
+                 lipschitz: float) -> np.ndarray:
     """lipschitz * min(||y - yhat||, cap): bounded by lipschitz * cap and
     lipschitz-Lipschitz in yhat. The one clipped loss of the package.
 
@@ -71,11 +70,9 @@ def clipped_loss(y: np.ndarray, yhat: np.ndarray, cap: float,
     difference is never formed: below _PAIRWISE_WIDTH coordinates it is
     bitwise distances(y, yhat); from there on it keeps its left-to-right
     sum, and numpy's eight interleaved partial sums may differ from it in
-    the last bits. `out` and `scratch` are optional float64 buffers of the
-    broadcast shape, for callers that evaluate the loss many times; the
-    result is `out`. A pair of vectors gives a scalar.
+    the last bits. A pair of vectors gives a scalar.
     """
-    loss = _root_sum_squares(y, yhat, np.shape(y)[-1], out, scratch)
+    loss = _root_sum_squares(y, yhat, np.shape(y)[-1])
     np.minimum(loss, cap, out=loss)
     loss *= lipschitz
     return loss if loss.ndim else loss[()]

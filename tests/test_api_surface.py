@@ -112,12 +112,11 @@ def test_paper_content_names_exist():
         f"exempt but called: {sorted(PAPER_CONTENT - uncalled)}"
 
 
-# Defaulted parameters kept although only tests set them: the stacked ERM
-# references need small sizes (at x_quad = 512, d_Y = 20 and 9,000 draws,
-# one reference tensor is 0.7 GB).
+# Defaulted parameters kept although only tests set them: the ERM tests
+# compare small and uneven sign-pattern counts (256, 300, 513) with a
+# one-shot sign reference.
 TEST_SIZES = frozenset({
     "erm_lipschitz_experiment.rad_patterns",
-    "erm_lipschitz_experiment.x_quad",
 })
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import shlex
 import time
@@ -245,6 +246,19 @@ def test_chain_subcommand(tmp_path):
     assert code == 0
     plan = json.loads((out / "chain_plan.json").read_text())
     assert plan["n_s"][0] == 1
+
+
+@pytest.mark.parametrize("extra", [["--dy", "1"], ["--dy", "2"],
+                                   ["--cap", "1e300"]])
+def test_erm_exact_risks_at_edge_settings(tmp_path, extra):
+    # one output coordinate, the graded two-coordinate rule, and a cap far
+    # beyond any noise the quadrature window holds
+    code, out = run_cli(["erm", "--count", "4", "--n-grid", "20",
+                         "--reps", "4", "--seed", "1"] + extra, tmp_path, "erm")
+    assert code == 0
+    data = json.loads((out / "erm.json").read_text())
+    assert all(math.isfinite(v) for v in data["risks"] + [data["risk_se"]])
+    assert data["g_star"] == 0
 
 
 def test_concentration_cosh_and_mgf_paths(tmp_path):

@@ -178,90 +178,136 @@ def test_in_place_clipped_loss_matches_formula(d_y):
     for y, yhat in ((a, b), (b, a)):
         ref = formula_clipped_loss(y, yhat, 0.8, 1.5)
         assert np.array_equal(hilbert.clipped_loss(y, yhat, 0.8, 1.5), ref)
-        out, scratch = np.empty((2, 40, 30))
-        got = hilbert.clipped_loss(y, yhat, 0.8, 1.5, out=out,
-                                   scratch=scratch)
-        assert got is out and np.array_equal(got, ref)
     # one pair of vectors gives a scalar, as the formula does
     got = hilbert.clipped_loss(a[0, 0], b[0, 0], 0.8, 1.5)
     assert np.ndim(got) == 0 and got == formula_clipped_loss(a[0, 0], b[0, 0],
                                                              0.8, 1.5)
 
 
-def stacked_population_risks(cls, noise, cap, lipschitz, seed, x_quad,
-                             noise_quad):
-    """population_risks as one (draws, x_quad, d_Y) tensor per member."""
-    vals = cls.values_on(fc.EmpiricalDesign.midpoint_grid(x_quad, cls.d))
-    truth = vals[0]
-
-    def block(idx, size):
-        eps = sample_gaussian_batch(noise, substream(seed, reg._TAG_ERM, idx),
-                                    size)
-        out_sum = np.zeros(len(cls))
-        out_sq = np.zeros(len(cls))
-        for k in range(len(cls)):
-            diff = truth[None, :, :] - vals[k][None, :, :] + eps[:, None, :]
-            loss = lipschitz * np.minimum(np.linalg.norm(diff, axis=2), cap)
-            per_draw = loss.mean(axis=1)
-            out_sum[k] = per_draw.sum()
-            out_sq[k] = (per_draw ** 2).sum()
-        return out_sum, out_sq
-
-    parts = [block(idx, size)
-             for idx, size in enumerate(block_sizes(noise_quad, 4096))]
-    risks = np.sum([p[0] for p in parts], axis=0) / noise_quad
-    risk_sq = np.sum([p[1] for p in parts], axis=0) / noise_quad
-    se = np.sqrt(np.maximum(risk_sq - risks ** 2, 0.0) / noise_quad)
-    return risks, float(se.max())
+@pytest.mark.parametrize("n", [1, 2, 7, 70, 141, 316])
+def test_gauss_legendre_matches_leggauss(n):
+    x, w = reg._gauss_legendre(n, -1.0, 1.0)
+    order = np.argsort(x)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_allclose(x[order], ref_x, rtol=0, atol=5e-15)
+    np.testing.assert_allclose(w[order], ref_w, rtol=0, atol=5e-15)
+    # an interval other than (-1, 1): exact for x^(2n - 1) on [0.5, 2]
+    x, w = reg._gauss_legendre(n, 0.5, 2.0)
+    assert w @ x ** (2 * n - 1) == pytest.approx(
+        (2.0 ** (2 * n) - 0.5 ** (2 * n)) / (2 * n), rel=1e-13)
 
 
-@pytest.mark.parametrize("d_y, x_quad", [(3, 300), (20, 64)])
-def test_population_risks_match_stacked_reference(d_y, x_quad):
-    # x_quad = 300 leaves a short last chunk; 9000 draws span three blocks
+def normal_cdf(z):
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def clipped_abs_normal_mean(r, c):
+    """E min(|a|, c) for a ~ N(r, 1), through math.erf: E[|a|; |a| < c]
+    + c P(|a| >= c), with E[a; lo < a < hi] = r (Phi(hi - r) - Phi(lo - r))
+    + phi(lo - r) - phi(hi - r)."""
+    def phi(z):
+        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    def part(lo, hi):
+        return (r * (normal_cdf(hi - r) - normal_cdf(lo - r))
+                + phi(lo - r) - phi(hi - r))
+
+    outside = 0.5 * (math.erfc((c - r) / math.sqrt(2.0))
+                     + math.erfc((c + r) / math.sqrt(2.0)))
+    return part(0.0, c) - part(-c, 0.0) + c * outside
+
+
+@pytest.mark.parametrize("cap", [1e-3, 1.0, 10.0, 1e4, 1e300])
+def test_clipped_norm_one_dimension_closed_form(cap):
+    radii = np.array([0.0, 0.3, 0.9, 1.5, 4.0])
+    got = reg.expected_clipped_norm(radii, 1.0, 1, cap, 141)
+    want = [clipped_abs_normal_mean(float(r), cap) for r in radii]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("cap", [1e-320, 0.1, 1.0, 3.0, 1e4, 1e300])
+def test_clipped_norm_two_dimensions_at_the_truth(cap):
+    # ||xi|| is Rayleigh with P(||xi|| > t) = exp(-t^2) at variance 1/2
+    got = reg.expected_clipped_norm(np.zeros(1), 0.5, 2, cap, 141)[0]
+    assert got == pytest.approx(math.sqrt(math.pi) / 2 * math.erf(cap),
+                                rel=0, abs=1e-14)
+
+
+def test_clipped_norm_three_dimensions_uncapped():
+    # the noncentral chi_3 mean, sigma^2 = 1/3
+    var = 1.0 / 3.0
+    sd = math.sqrt(var)
+    radii = np.array([1e-3, 0.3, 0.9, 1.5, 4.0])
+    got = reg.expected_clipped_norm(radii, var, 3, 1e300, 141)
+    want = [sd * math.sqrt(2 / math.pi) * math.exp(-r * r / (2 * var))
+            + (r + var / r) * math.erf(r / (sd * math.sqrt(2)))
+            for r in radii]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("d_y", [3, 5, 20])
+def test_clipped_norm_matches_monte_carlo(d_y):
+    # at cap 2 no radius saturates, even at d_Y = 20 where ||xi|| ~ 1
+    radii = np.array([0.0, 0.3, 0.9, 1.5])
+    cap, draws, chunk = 2.0, 1_000_000, 100_000
+    gen = substream(17, d_y)
+    total = np.zeros((2, radii.size))
+    for _ in range(draws // chunk):
+        xi = gen.standard_normal((chunk, d_y)) / math.sqrt(d_y)
+        rest = np.sum(xi[:, 1:] ** 2, axis=1)
+        loss = np.minimum(np.sqrt((xi[:, :1] + radii) ** 2
+                                  + rest[:, None]), cap)
+        total += loss.sum(axis=0), (loss ** 2).sum(axis=0)
+    mean = total[0] / draws
+    se = np.sqrt((total[1] / draws - mean ** 2) / draws)
+    got = reg.expected_clipped_norm(radii, 1.0 / d_y, d_y, cap, 141)
+    assert np.all(np.abs(got - mean) <= 4 * se), (got - mean) / se
+
+
+@pytest.mark.parametrize("d_y", [1, 2, 3, 5, 8, 20])
+def test_population_risk_bracket_is_tiny(d_y):
     cls = ball_class(6, seed=4, d_y=d_y)
-    noise = CovarianceSpectrum.uniform(d_y)
-    args = (cls, noise, 0.7, 1.3, 8)
-    risks, se = reg.population_risks(*args, x_quad=x_quad, noise_quad=9000)
-    ref_risks, ref_se = stacked_population_risks(*args, x_quad=x_quad,
-                                                 noise_quad=9000)
-    if d_y <= 7:
-        assert np.array_equal(risks, ref_risks) and se == ref_se
-    else:   # numpy sums long norm axes pairwise: a few ulp apart
-        np.testing.assert_allclose(risks, ref_risks, rtol=1e-12, atol=0)
-        assert se == pytest.approx(ref_se, rel=1e-12)
+    risks, bracket = reg.population_risks(
+        cls, CovarianceSpectrum.uniform(d_y), 0.7, 1.3, noise_quad=20_000)
+    assert np.all(np.isfinite(risks)) and bracket < 1e-12
 
 
-@pytest.mark.parametrize("chunk", [1, 777, reg._LOSS_CHUNK])
-def test_population_risks_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
-    # ten members: the default chunk runs them in two groups of a 4096-draw
-    # block, chunk 1 one draw and one member at a time
-    cls = ball_class(10, seed=4)
-    noise = CovarianceSpectrum.uniform(3)
-    args = (cls, noise, 0.7, 1.3, 8)
-    kw = dict(x_quad=64, noise_quad=5000)
-    want = reg.population_risks(*args, **kw)
-    monkeypatch.setattr(reg, "_LOSS_CHUNK", chunk)
-    risks, se = reg.population_risks(*args, **kw)
-    assert np.array_equal(risks, want[0]) and se == want[1]
-    assert np.array_equal(risks, stacked_population_risks(*args, **kw)[0])
+@pytest.mark.parametrize("d_y", [1, 2, 3, 20])
+def test_anderson_clipped_norm_nondecreasing(d_y):
+    radii = np.linspace(0.0, 3.0, 601)
+    for cap in (0.5, 2.0):
+        phi = reg.expected_clipped_norm(radii, 1.0 / d_y, d_y, cap, 141)
+        assert np.all(np.diff(phi) >= 0.0)
+    assert np.diff(phi).min() > 0.0        # cap 2 is nowhere saturated
 
 
-def test_population_risks_do_not_depend_on_threads():
-    cls = ball_class(6, seed=4)
-    noise = CovarianceSpectrum.uniform(3)
-    args = (cls, noise, 0.7, 1.3, 8)
-    runs = [reg.population_risks(*args, x_quad=64, noise_quad=9000,
-                                 threads=threads) for threads in (1, 2, 3)]
-    for risks, se in runs[1:]:
-        assert risks.tobytes() == runs[0][0].tobytes() and se == runs[0][1]
+def test_anderson_truth_wins_on_the_readme_class():
+    # `vecproc erm` defaults: ten members, class seed 3; members 1 and 5
+    # lie about 2e-6 above the truth
+    cls = fc.generate_finite_dim_ball_class(1, 1, 3, 1.0, 10, 3)
+    risks, bracket = reg.population_risks(
+        cls, CovarianceSpectrum.uniform(3), 1.0, 1.0)
+    assert int(np.argmin(risks)) == 0 and bracket < 1e-12
+    assert np.all(risks[1:] - risks[0] > 1e-6)
+
+
+def test_population_risks_need_isotropic_noise():
+    cls = ball_class(3, seed=4)
+    with pytest.raises(ValueError, match="isotropic"):
+        reg.population_risks(cls, CovarianceSpectrum.geometric(3), 1.0, 1.0)
+    with pytest.raises(ValueError, match="dimension"):
+        reg.population_risks(cls, CovarianceSpectrum.uniform(2), 1.0, 1.0)
+    # the ERM study passes the trace-1 check on to the same message
+    with pytest.raises(ValueError, match="isotropic"):
+        reg.erm_lipschitz_experiment(cls, CovarianceSpectrum.geometric(3),
+                                     [10], reps=2, seed=0)
 
 
 def test_erm_singleton_class():
     cls = ball_class(1, seed=11)
     noise = CovarianceSpectrum.uniform(3)
     rep = reg.erm_lipschitz_experiment(cls, noise, [50], reps=10, seed=0,
-                                       rad_patterns=256, x_quad=128,
-                                       noise_quad=20_000)
+                                       rad_patterns=256, noise_quad=20_000)
     assert rep.rows[0].median_excess == 0.0
     assert rep.all_ok
 
@@ -271,7 +317,7 @@ def test_erm_ten_member_bound_and_trend():
     noise = CovarianceSpectrum.uniform(3)
     rep = reg.erm_lipschitz_experiment(cls, noise, [100, 500, 1600], reps=40,
                                        seed=0, rad_patterns=512,
-                                       x_quad=256, noise_quad=40_000)
+                                       noise_quad=40_000)
     assert rep.all_ok
     meds = [r.median_excess for r in rep.rows]
     assert meds[-1] <= meds[0] + 1e-12
@@ -294,12 +340,11 @@ def test_chunked_sign_draws_match_one_shot(n, chunk):
 
 
 def one_shot_erm(cls, noise, n_grid, reps, seed, rad_patterns, cap=1.0,
-                 lipschitz=1.0, x_quad=512, noise_quad=100_000):
+                 lipschitz=1.0, noise_quad=100_000):
     """erm_lipschitz_experiment's replicate loop with one (patterns, n) sign
     draw per replicate, after every design and noise draw of the block;
     returns (risks, per-n excesses, rads, decomp)."""
-    risks, _ = reg.population_risks(cls, noise, cap, lipschitz, seed,
-                                    x_quad=x_quad, noise_quad=noise_quad)
+    risks, _ = reg.population_risks(cls, noise, cap, lipschitz, noise_quad)
     g_star = int(np.argmin(risks))
     out = []
     for pos, n in enumerate(n_grid):
@@ -331,7 +376,7 @@ def one_shot_erm(cls, noise, n_grid, reps, seed, rad_patterns, cap=1.0,
 def test_erm_matches_one_shot_sign_reference(rad_patterns):
     cls = ball_class(4, seed=6)
     noise = CovarianceSpectrum.uniform(3)
-    kw = dict(x_quad=64, noise_quad=3000)
+    kw = dict(noise_quad=3000)
     rep = reg.erm_lipschitz_experiment(cls, noise, [9, 40], reps=3, seed=2,
                                        rad_patterns=rad_patterns, **kw)
     risks, per_n = one_shot_erm(cls, noise, [9, 40], 3, 2, rad_patterns, **kw)
@@ -347,7 +392,7 @@ def test_erm_matches_one_shot_sign_reference(rad_patterns):
 def test_erm_excess_risks_do_not_depend_on_the_sign_sampler(monkeypatch):
     cls = ball_class(4, seed=6)
     noise = CovarianceSpectrum.uniform(3)
-    kw = dict(reps=5, seed=2, rad_patterns=300, x_quad=64, noise_quad=3000)
+    kw = dict(reps=5, seed=2, rad_patterns=300, noise_quad=3000)
     rep = reg.erm_lipschitz_experiment(cls, noise, [9, 40], **kw)
     # signs from one 64-bit draw each: another stream consumption
     monkeypatch.setattr(reg, "rademacher_signs",

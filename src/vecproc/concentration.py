@@ -6,13 +6,21 @@ moment-generating-function inequalities for Gaussians are verified
 deterministically through their finite-spectrum product form, with no
 sampling noise at all. Replicates are partitioned into fixed blocks with
 counter-derived seeds and combined in block order, so results depend only on
-(seed, reps), never on the worker count.
+(seed, reps), never on the worker count. A block's memory does not grow
+with n: the sign-sum check, which draws a (replicates, n) sign matrix, runs
+sample_block(n) replicates per block, and the bounded-vector and cosh
+checks draw one row of replicates at a time.
 
 The bounded-vector checks read only ||S_n||, S_n = sum_i eps_i c_i U_i with
-U_i uniform on the unit sphere. The signs are absorbed into U_i, whose law
-they keep, and ||S_k||^2 = ||S_{k-1}||^2 + c_k^2 + 2 c_k ||S_{k-1}|| T_k
-exactly, where T_k = <U_k, S_{k-1}/||S_{k-1}||> is, by rotation invariance,
-independent of S_{k-1} with the law of one coordinate of U_k.
+U_i uniform on the unit sphere of R^d_y. The signs are absorbed into U_i,
+whose law they keep, and ||S_k||^2 = ||S_{k-1}||^2 + c_k^2
++ 2 c_k ||S_{k-1}|| T_k exactly, where T_k = <U_k, S_{k-1}/||S_{k-1}||> is,
+by rotation invariance, independent of S_{k-1} with the law of one
+coordinate of U_k. Two coordinates of U_k have a density proportional to
+(1 - r^2)^((d_y - 4)/2) on the unit disk (d_y >= 3), so their radius has
+r^2 = 1 - U^(2/(d_y - 2)) and their angle is uniform: T_k is
+sqrt(1 - U^(2/(d_y - 2))) cos(2 pi V) for independent uniforms U and V,
+cos(2 pi V) when d_y = 2 and a random sign when d_y = 1.
 
 A Gaussian covariance is given in its eigenbasis, by its nonincreasing
 eigenvalues; its draws are sum_j sqrt(lambda_j) xi_j e_j, so the output
@@ -28,7 +36,7 @@ import numpy as np
 
 from .hilbert import distances
 from .reports import TailReport, fields_json, tail_check
-from .rng import map_blocks, rademacher_signs
+from .rng import map_blocks, rademacher_signs, sample_block
 
 _TAG_REAL = 301
 _TAG_HILBERT = 302
@@ -105,25 +113,37 @@ def hoeffding_real_check(c, n: int, t_grid, reps: int, seed: int,
         return rademacher_signs(rng, (size, n)) @ c
 
     return tail_check(stat, b * np.sqrt(2.0 * ts), ts, np.exp(-ts), reps,
-                      threads, seed, _TAG_REAL)
+                      threads, seed, _TAG_REAL, block=sample_block(n))
 
 
 def _sum_norms(rng, size, n, d_y, c):
-    """||S_n|| for `size` replicates, by the radial recursion above: T_k is
-    g / sqrt(g^2 + 2 G), g from an (n, size) array of normals, then G from
-    one of Gamma((d_y - 1)/2) draws; a random sign when d_y = 1. No sign
-    eps_i is drawn: eps_i c_i U_i has the law of c_i U_i. Block memory is
-    O(n size), whatever d_y is."""
-    if d_y == 1:
-        cos = rademacher_signs(rng, (n, size))
-    else:
-        cos = rng.standard_normal((n, size))
-        cos /= np.sqrt(cos * cos
-                       + 2.0 * rng.standard_gamma((d_y - 1) / 2.0, (n, size)))
-    sq = np.zeros(size)
-    for ck, tk in zip(c, cos):
-        sq += ck * (ck + 2.0 * np.sqrt(sq) * tk)
-        np.maximum(sq, 0.0, out=sq)
+    """||S_n|| for `size` replicates, by the radial recursion above from
+    ||S_1|| = c_1, so only T_2..T_n are drawn, one row of `size` at a time:
+    a sign when d_y = 1, else cos(2 pi V) from a row of uniforms, times,
+    when d_y >= 3, the radius factor sqrt(-expm1(log(U) 2/(d_y - 2))) from
+    a second row. expm1 keeps 1 - U^a exact as U -> 1, and U = 0 gives the
+    factor 1. No sign eps_i is drawn: eps_i c_i U_i has the law of
+    c_i U_i. Memory is O(size), whatever n and d_y are."""
+    tk = np.empty(size)
+    radius = np.empty(size) if d_y > 2 else None
+    sq = np.full(size, c[0] * c[0])
+    with np.errstate(divide="ignore"):    # log 0 = -inf: a radius of 1
+        for ck in c[1:]:
+            if d_y == 1:
+                rademacher_signs(rng, (size,), out=tk)
+            else:
+                rng.random(out=tk)
+                tk *= 2.0 * math.pi
+                np.cos(tk, out=tk)
+            if radius is not None:
+                rng.random(out=radius)
+                np.log(radius, out=radius)
+                radius *= 2.0 / (d_y - 2)
+                np.expm1(radius, out=radius)
+                np.negative(radius, out=radius)
+                tk *= np.sqrt(radius, out=radius)
+            sq += ck * (ck + 2.0 * np.sqrt(sq) * tk)
+            np.maximum(sq, 0.0, out=sq)
     return np.sqrt(sq)
 
 

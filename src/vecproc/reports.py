@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import map_blocks
+from .rng import BLOCK_SIZE, map_blocks
 
 
 def fmt(value) -> str:
@@ -110,20 +110,23 @@ class TailReport:
 
 
 def tail_check(stat, levels, rows, bounds, reps: int, threads: int, seed: int,
-               *path: int, label: str = "t") -> TailReport:
+               *path: int, label: str = "t",
+               block: int = BLOCK_SIZE) -> TailReport:
     """Row j: rows[j], the frequency of stat >= levels[j] and bounds[j].
 
     stat(rng, size) gives `size` replicates of the statistic from a block's
-    generator; map_blocks(..., seed, *path) hands each block its own. A NaN
-    replicate makes every frequency NaN, which fails every row.
+    generator; map_blocks(..., seed, *path, block=block) hands each block
+    of at most `block` replicates its own. A NaN replicate makes every
+    frequency NaN, which fails every row.
     """
     levels = np.asarray(levels, float)
 
-    def block(rng, size):
+    def count(rng, size):
         s = stat(rng, size)[:, None]
         return np.where(np.isnan(s).any(), np.nan, (s >= levels).sum(axis=0))
 
-    counts = np.sum(map_blocks(block, reps, threads, seed, *path), axis=0)
+    counts = np.sum(map_blocks(count, reps, threads, seed, *path, block=block),
+                    axis=0)
     freqs = counts / reps
     ses = np.sqrt(freqs * (1.0 - freqs) / reps)
     return TailReport(thresholds=np.asarray(rows, float), freqs=freqs,

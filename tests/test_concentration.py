@@ -248,3 +248,52 @@ def test_dimension_and_bounds_validation():
     for c in (math.inf, math.nan, [1.0, math.inf]):
         with pytest.raises(ValueError, match="need n positive bounds"):
             conc.hoeffding_hilbert_check(c, 2, 3, [1.0], 1000, seed=0)
+
+
+def two_step_cosines(d_y, size, seed):
+    """T_2 of `size` replicates of _sum_norms at n = 2, c = (1, 1), read
+    back from ||S_2||^2 = 2 + 2 T_2."""
+    got = conc._sum_norms(substream(27, seed, d_y), size, 2, d_y, np.ones(2))
+    return (got ** 2 - 2.0) / 2.0
+
+
+def ks_one_sample(draws, cdf):
+    """One-sample Kolmogorov-Smirnov statistic sup |F_n - F|."""
+    x = np.sort(draws)
+    f = cdf(x)
+    grid = np.arange(1, x.size + 1) / x.size
+    return float(max(np.max(grid - f), np.max(f - grid + 1.0 / x.size)))
+
+
+@pytest.mark.parametrize("d_y, cdf", [
+    (3, lambda t: (1.0 + t) / 2.0),                  # uniform on [-1, 1]
+    (5, lambda t: (2.0 + 3.0 * t - t ** 3) / 4.0),   # density 3 (1 - t^2) / 4
+])
+def test_sum_norms_step_has_the_law_of_a_sphere_coordinate(d_y, cdf):
+    size = 200_000
+    t = two_step_cosines(d_y, size, 0)
+    # one-sample KS critical value at level 0.001
+    assert ks_one_sample(np.clip(t, -1.0, 1.0), cdf) <= 1.95 / math.sqrt(size)
+
+
+@pytest.mark.parametrize("d_y", [2, 3, 4, 20, 200])
+def test_sum_norms_step_moments(d_y):
+    # a coordinate T of a uniform unit vector of R^d: E T^2 = 1/d and
+    # E T^4 = 3 / (d (d + 2))
+    size = 200_000
+    t2 = two_step_cosines(d_y, size, 1) ** 2
+    for draws, want in ((t2, 1.0 / d_y), (t2 ** 2, 3.0 / (d_y * (d_y + 2)))):
+        se = draws.std() / math.sqrt(size)
+        assert abs(draws.mean() - want) <= 4 * se
+
+
+def test_hilbert_block_memory_does_not_grow_with_n():
+    def peak(n):
+        tracemalloc.start()
+        try:
+            conc.hoeffding_hilbert_check(1.0, n, 3, [1.0], 4096, seed=28)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) < 1.5 * peak(200)

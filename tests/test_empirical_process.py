@@ -101,6 +101,28 @@ def assert_close(got, want, tol):
         assert got == want
 
 
+# ------------------------------------------------------------ feature tables
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 16])
+def test_trig_rows_match_libm_within_the_rounding_bound(width):
+    x = np.concatenate([substream(31, width).uniform(size=(10 ** 5, 2)),
+                        [[0.0, 0.5], [0.5, 1.0 - 2.0 ** -53],
+                         [1.0 - 2.0 ** -53, 0.0]]])
+    got = ep._trig_rows(x, width)
+    assert got.shape == (2, 2 * width + 1, len(x))
+    assert np.all(got[:, 0] == 1.0)
+    k = np.repeat(np.arange(1, width + 1), 2)[:, None]
+    for rows, want in zip(got, fc.trig_tables(x, width)):
+        assert np.all(np.abs(rows[1:] - want) <= 40 * k * 2.0 ** -53)
+        assert np.array_equal(rows[1:3], want[:2])
+
+
+def test_trig_rows_of_width_zero_are_the_constant_row():
+    got = ep._trig_rows(substream(32).uniform(size=(7, 3)), 0)
+    assert np.array_equal(got, np.ones((3, 1, 7)))
+
+
 # ------------------------------------------------------------ symmetrization
 
 

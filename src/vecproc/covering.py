@@ -8,8 +8,12 @@ the range set, with cells disjointified in greedy order.
 
 A cover and its check read one distance formula. Chaining plans and nets,
 which need every pair, cover a "matrix" cloud of the GEMM-form
-`distance_matrix` they are checked in; everything else reads the
-`distances_to` rows, including exact covers, whose masks are exact at ties.
+`distance_matrix` they are checked in. Everything else reads rows bitwise
+equal to `distances_to`, through `distance_rows`, which computes several
+rows of a euclidean cloud narrower than 8 coordinates as one block: the
+greedy traversal, which advances several starts in lockstep, one row per
+active start and step, and exact covers and packings, whose masks are then
+exact at ties.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .function_class import (EmpiricalDesign, FunctionClass, grid_nodes,
-                             multi_indices)
-from .hilbert import distances
+                             multi_indices, trig_tables)
+from .hilbert import _PAIRWISE_WIDTH, distances
 
 
 # --------------------------------------------------------------------------
@@ -64,6 +68,25 @@ class PointCloud:
         dist = distances(self.points, self.points[index])
         return dist if self.metric == "euclidean" else dist.max(axis=1)
 
+    def distance_rows(self, indices) -> np.ndarray:
+        """The distances_to rows of `indices` as one (k, N) block, bitwise.
+
+        Several rows of a euclidean cloud narrower than _PAIRWISE_WIDTH
+        coordinates come from one `distances` call on a Fortran-ordered
+        copy of the points, whose coordinate slices are contiguous: every
+        entry is the same left-to-right sum of the same squares. A matrix
+        cloud takes its rows; one row, and rows of sup and wide clouds,
+        are distances_to's.
+        """
+        if self.metric == "matrix":
+            return self.points.take(indices, axis=0)
+        if len(indices) == 1:
+            return self.distances_to(indices[0])[None]
+        if self.metric == "euclidean" and self.points.shape[1] < _PAIRWISE_WIDTH:
+            return distances(np.asfortranarray(self.points),
+                             self.points[indices][:, None, :])
+        return np.array([self.distances_to(i) for i in indices])
+
     def distance_matrix(self) -> np.ndarray:
         if self.metric == "euclidean":
             sq = np.sum(self.points ** 2, axis=1)
@@ -72,7 +95,7 @@ class PointCloud:
             out = 0.5 * (out + out.T)
             np.fill_diagonal(out, 0.0)
             return out
-        return np.stack([self.distances_to(i) for i in range(self.size)])
+        return self.distance_rows(np.arange(self.size))
 
     def subset(self, indices) -> "PointCloud":
         indices = np.asarray(indices, int)
@@ -138,35 +161,67 @@ def greedy_cover(cloud: PointCloud, delta: float, start: int = 0) -> CoverResult
     prefix of the farthest-point traversal from `start`, so one fine cover
     answers every coarser radius through `size_at`.
     """
+    return _greedy_traversal(cloud, delta, [start])[0]
+
+
+def _greedy_traversal(cloud: PointCloud, delta: float, starts) -> list:
+    """greedy_cover from each of `starts`, the traversals run in lockstep.
+
+    Each step, every active start takes its farthest point (a per-row
+    argmax, lowest index on ties) and drops out once that gap is <= delta;
+    the rows of all new centers are one `distance_rows` block. A start's
+    rows and updates never read another's, so each cover is bitwise the
+    one-start traversal, whatever the other starts are. Every active start
+    adds one center per step, so the center of step t is at position t.
+    """
     if not 0 < delta < math.inf:     # rejects NaN too
         raise ValueError("delta must be positive and finite")
     if cloud.size == 0:
         raise ValueError("cloud must be nonempty")
-    if not 0 <= start < cloud.size:
+    if not all(0 <= s < cloud.size for s in starts):
         raise ValueError("start must index a point of the cloud")
-    centers, radii = [start], [math.inf]
-    mindist = cloud.distances_to(start)
-    nearest = np.zeros(cloud.size, dtype=int)
+    live = list(range(len(starts)))          # the active starts, by row
+    centers = [[s] for s in starts]
+    radii = [[math.inf] for s in starts]
+    covers = [None] * len(starts)
+    mindist = cloud.distance_rows(starts)    # (active, N)
+    nearest = np.zeros(mindist.shape, dtype=int)
+    step = 0
     while True:
-        far = int(np.argmax(mindist))  # argmax returns the first (lowest) index
-        if mindist[far] <= delta:
-            break
-        centers.append(far)
-        radii.append(float(mindist[far]))
-        dist = cloud.distances_to(far)
+        far = mindist.argmax(axis=1)       # lowest index on ties
+        picks = far.tolist()
+        gaps = [mindist.item(row, f) for row, f in enumerate(picks)]
+        if min(gaps) <= delta:
+            keep = [g > delta for g in gaps]
+            for row, s in enumerate(live):
+                if not keep[row]:
+                    covers[s] = CoverResult(
+                        radius=float(delta),
+                        center_indices=np.array(centers[s]),
+                        assignment=nearest[row].copy(),
+                        assignment_dist=mindist[row].copy(),
+                        insertion_radii=np.array(radii[s]))
+            if not any(keep):
+                return covers
+            live, picks, gaps = ([x for x, k in zip(v, keep) if k]
+                                 for v in (live, picks, gaps))
+            mindist, nearest, far = mindist[keep], nearest[keep], far[keep]
+        step += 1
+        for s, f, g in zip(live, picks, gaps):
+            centers[s].append(f)
+            radii[s].append(g)
+        dist = cloud.distance_rows(far)
         closer = dist < mindist
-        nearest[closer] = len(centers) - 1
-        mindist = np.where(closer, dist, mindist)
-    return CoverResult(radius=float(delta), center_indices=np.array(centers),
-                       assignment=nearest, assignment_dist=mindist,
-                       insertion_radii=np.array(radii))
+        np.copyto(nearest, step, where=closer)
+        np.copyto(mindist, dist, where=closer)
 
 
 def _ball_masks(cloud: PointCloud, delta: float) -> list:
     """Bitmask per point j of the points i with distances_to(j)[i] <= delta:
     the rows and the exact comparison greedy_cover reads."""
     bits = 1 << np.arange(cloud.size)
-    return [int((cloud.distances_to(j) <= delta) @ bits) for j in range(cloud.size)]
+    rows = cloud.distance_rows(np.arange(cloud.size)) <= delta
+    return [int(row @ bits) for row in rows]
 
 
 # largest cloud exact_cover_number takes: its branch and bound is exponential
@@ -296,16 +351,27 @@ class SmoothCoverPlan:
                 "occupied_cells": self.occupied_cell_count()}
 
 
+# centers _first_cover_assign tests against the remaining points at once
+_ASSIGN_BLOCK = 16
+
+
 def _first_cover_assign(points: np.ndarray, centers: np.ndarray, radius: float):
-    """Cell of each point: first center (in order) within `radius`."""
+    """Cell of each point: first center (in order) within `radius`.
+
+    Blocks of _ASSIGN_BLOCK centers meet the points not yet assigned; a
+    point's first hit in a block is the argmax of its hit column."""
     cells = np.full(points.shape[0], -1, dtype=int)
     remaining = np.arange(points.shape[0])
-    for j, c in enumerate(centers):
+    reach = radius * (1 + 1e-12)
+    for lo in range(0, len(centers), _ASSIGN_BLOCK):
         if remaining.size == 0:
             break
-        hit = distances(points[remaining], c) <= radius * (1 + 1e-12)
-        cells[remaining[hit]] = j
-        remaining = remaining[~hit]
+        block = centers[lo:lo + _ASSIGN_BLOCK]
+        hit = distances(points[remaining], block[:, None, :]) <= reach
+        first = np.argmax(hit, axis=0)
+        covered = hit[first, np.arange(remaining.size)]
+        cells[remaining[covered]] = lo + first[covered]
+        remaining = remaining[~covered]
     if remaining.size:
         raise RuntimeError("cover does not cover its own sample")
     return cells
@@ -371,22 +437,33 @@ class CoverValidityReport:
 def verify_cover_validity(cls: FunctionClass, plan: SmoothCoverPlan) -> CoverValidityReport:
     """Same cell signature must imply sup-distance at most delta.
 
-    One row of grid distances per member of a shared cell, against the
-    members after it; only members that share a cell are evaluated on the
-    grid, one cell at a time. A NaN distance propagates to max_violation
-    and fails the check.
+    The members of each shared cell are evaluated on the grid from one
+    node trig table (the values_on path). The cell's first member gets a
+    row of sup-distances to the others; a later pair (a, b) gets its own
+    row only when its triangle bound (d(0,a) + d(0,b))(1 + 1e-9) is not
+    below the running maximum. A computed distance is within a few d_Y
+    ulps of the exact one, far inside the 1e-9, so a pair the bound clears
+    cannot raise the maximum: max_violation is bitwise the all-pairs one,
+    and every pair counts as checked. A NaN bound is never below, so a NaN
+    distance propagates to max_violation and fails the check.
     """
-    nodes = grid_nodes(cls.d, cls.resolution)
+    p = (0,) * cls.d
+    tables = trig_tables(grid_nodes(cls.d, cls.resolution), cls.width)
     pairs = 0
-    worst = 0.0
+    worst = 0.0                    # running max of raw sup-distances
     for group in plan.groups():
         if len(group) < 2:
             continue
-        vals = np.stack([cls[i].evaluate(nodes) for i in group])
-        for a in range(len(group) - 1):
-            row = distances(vals[a + 1:], vals[a]).max(axis=1)
-            worst = np.maximum(worst, row.max() / plan.delta)
+        vals = np.stack([cls[i]._combine(tables, p) for i in group])
+        first = distances(vals[1:], vals[0]).max(axis=1)   # d(0, b), b >= 1
+        worst = np.maximum(worst, first.max())
+        for a in range(1, len(group) - 1):
+            bound = (first[a - 1] + first[a:]) * (1 + 1e-9)
+            need = a + 1 + np.flatnonzero(~(bound < worst))
+            if need.size:
+                row = distances(vals[need], vals[a]).max(axis=1)
+                worst = np.maximum(worst, row.max())
         pairs += len(group) * (len(group) - 1) // 2
-    worst = float(worst)
+    worst = float(worst / plan.delta)
     return CoverValidityReport(pairs_checked=pairs, max_violation=worst,
                                ok=math.isfinite(worst) and worst <= 1 + 1e-9)

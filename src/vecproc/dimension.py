@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covering import (EXACT_COVER_MAX, PointCloud, exact_cover_number,
-                       greedy_cover)
+from .covering import (EXACT_COVER_MAX, PointCloud, _greedy_traversal,
+                       exact_cover_number, greedy_cover)
 from .reports import fields_json
 from .rng import substream
 
@@ -44,8 +44,8 @@ def _smallest_cover_sizes(cloud: PointCloud, deltas, n_starts: int) -> list:
     Every restart yields a valid cover, so the minimum is a tighter upper
     bound on N(delta) than any single run; restarting from spread points
     also damps the drift a corner start induces across radii."""
-    covers = [greedy_cover(cloud, deltas[-1], start=int(s))
-              for s in _spread_starts(cloud, n_starts)]
+    covers = _greedy_traversal(cloud, deltas[-1],
+                               _spread_starts(cloud, n_starts))
     return [min(c.size_at(d) for c in covers) for d in deltas]
 
 
@@ -84,15 +84,20 @@ def default_radius_window(cloud: PointCloud):
     return 2.0 * nn, diam / 4.0
 
 
+# rows of distances median_nn_distance holds at once
+_NN_BLOCK = 64
+
+
 def median_nn_distance(cloud: PointCloud) -> float:
     n = cloud.size
-    idx = range(n) if n <= 1024 else np.linspace(0, n - 1, 512).astype(int)
+    idx = np.arange(n) if n <= 1024 else np.linspace(0, n - 1, 512).astype(int)
     dists = []
-    for i in idx:
-        d = cloud.distances_to(int(i))
-        d[int(i)] = np.inf
-        dists.append(d.min())
-    return float(np.median(dists))
+    for lo in range(0, idx.size, _NN_BLOCK):
+        block = idx[lo:lo + _NN_BLOCK]
+        d = cloud.distance_rows(block)
+        d[np.arange(block.size), block] = np.inf
+        dists.append(d.min(axis=1))
+    return float(np.median(np.concatenate(dists)))
 
 
 def approx_diameter(cloud: PointCloud) -> float:

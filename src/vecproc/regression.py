@@ -262,7 +262,7 @@ def rate_experiment(pool: FunctionClass, noise: CovarianceSpectrum,
         delta_n = solve_delta_n(j_curve, int(n), t)
         net_radius = net_fraction * delta_n
         cloud = PointCloud(dist, metric="matrix")
-        net = greedy_cover(cloud, net_radius)
+        net = greedy_cover(cloud, net_radius, start=0)
         cand = net.center_indices          # g0 first
         vc = vals[cand].reshape(len(cand), -1)
         truth = vals[0].ravel()

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from vecproc import covering as cov
 from vecproc import entropy_bounds as eb
 from vecproc import function_class as fc
 from vecproc.rng import substream
+
+from test_function_class import kernel_cases
 
 
 def brute_force_min_cover(cloud, delta):
@@ -58,6 +60,9 @@ def test_greedy_rejects_bad_start_and_finer_radius():
     for start in (-1, 2):
         with pytest.raises(ValueError):
             cov.greedy_cover(cloud, 0.5, start=start)
+    for starts in ([0, 2], [1, 0, -1]):
+        with pytest.raises(ValueError):
+            cov._greedy_traversal(cloud, 0.5, starts)
     with pytest.raises(ValueError):
         cov.greedy_cover(cloud, 0.5).size_at(0.25)
 
@@ -200,6 +205,91 @@ def test_greedy_cover_is_prefix_of_finest(seed, size, metric, data):
         coarse = cov.greedy_cover(cloud, r, start=start)
         assert np.array_equal(fine.center_indices[:fine.size_at(r)],
                               coarse.center_indices)
+
+
+def greedy_cover_one_start(cloud, delta, start=0):
+    """The one-start farthest-point loop greedy_cover ran before its
+    traversal advanced several starts in lockstep."""
+    centers, radii = [start], [math.inf]
+    mindist = cloud.distances_to(start)
+    nearest = np.zeros(cloud.size, dtype=int)
+    while True:
+        far = int(np.argmax(mindist))
+        if mindist[far] <= delta:
+            break
+        centers.append(far)
+        radii.append(float(mindist[far]))
+        dist = cloud.distances_to(far)
+        closer = dist < mindist
+        nearest[closer] = len(centers) - 1
+        mindist = np.where(closer, dist, mindist)
+    return cov.CoverResult(radius=float(delta),
+                           center_indices=np.array(centers),
+                           assignment=nearest, assignment_dist=mindist,
+                           insertion_radii=np.array(radii))
+
+
+def assert_same_cover(got, want):
+    assert got.radius == want.radius
+    for name in ("center_indices", "assignment", "assignment_dist",
+                 "insertion_radii"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _traversal_cloud(rng, size, kind):
+    """Clouds with duplicate points and exact distance ties: coordinates on
+    a coarse integer grid, scaled, and repeated rows."""
+    if kind == "sup":
+        pts = rng.integers(0, 4, size=(size, 3, 2)) / 4.0
+        return cov.PointCloud(pts, metric="sup")
+    width = 2 if kind == "matrix" else kind
+    pts = rng.integers(0, 4, size=(size, width)) / 4.0
+    pts[rng.integers(0, size, size // 3)] = pts[0]       # duplicates
+    cloud = cov.PointCloud(pts)
+    if kind == "matrix":
+        return cov.PointCloud(cloud.distance_matrix(), metric="matrix")
+    return cloud
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+       st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 11, "sup", "matrix"]),
+       st.floats(0.05, 1.2), st.data())
+@settings(max_examples=150, deadline=None)
+def test_lockstep_traversal_matches_one_start_loops(seed, size, kind, delta,
+                                                    data):
+    # each start's cover equals the plain one-start loop in all five
+    # fields, bitwise, whichever other starts share its traversal and
+    # whenever they finish; repeated starts are allowed
+    cloud = _traversal_cloud(np.random.default_rng(seed), size, kind)
+    starts = data.draw(st.lists(st.integers(0, size - 1), min_size=1,
+                                max_size=9))
+    covers = cov._greedy_traversal(cloud, delta, starts)
+    assert len(covers) == len(starts)
+    for start, cover in zip(starts, covers):
+        want = greedy_cover_one_start(cloud, delta, start)
+        assert_same_cover(cover, want)
+        assert_same_cover(cov.greedy_cover(cloud, delta, start=start), want)
+    if len({c.size for c in covers}) > 1:
+        event("starts finish at different steps")
+
+
+def test_distance_rows_are_the_distances_to_rows():
+    # the block path (several rows of a narrow euclidean cloud) and the
+    # stacked path give each row bitwise
+    rng = substream(5, 2)
+    for width in (1, 4, 7, 8, 12):
+        cloud = cov.PointCloud(rng.uniform(-3.0, 3.0, size=(257, width)))
+        picks = [0, 256, 17, 17, 100]
+        want = np.stack([cloud.distances_to(i) for i in picks])
+        for rows in (picks, np.array(picks), picks[:1]):
+            got = cloud.distance_rows(rows)
+            assert np.array_equal(got, want[:len(got)]), width
+    sup = cov.PointCloud(rng.uniform(size=(20, 5, 3)), metric="sup")
+    matrix = cov.PointCloud(sup.distance_matrix(), metric="matrix")
+    for cloud in (sup, matrix):
+        assert np.array_equal(cloud.distance_rows([3, 9]),
+                              np.stack([cloud.distances_to(i) for i in (3, 9)]))
 
 
 def test_matrix_metric_cloud():
@@ -379,6 +469,119 @@ def test_cover_rows_match_the_pairwise_and_per_center_loops(make, delta):
         assert np.array_equal(got, want)
         cells = [column[l, p] for l in range(plan.n_net)]
         assert np.array_equal(plan.signatures[:, cells].reshape(-1), want)
+
+
+def test_blocked_cell_assignment_edges():
+    # 40 centers 0.5 apart span three blocks; a value exactly at
+    # radius (1 + 1e-12) from a center is inside, the next float is not,
+    # and a value inside two balls, here across a block boundary, takes
+    # the first
+    radius = 0.3
+    reach = radius * (1 + 1e-12)
+    centers = 0.5 * np.arange(40.0)[:, None]
+    points = np.array([[3.0 + reach], [np.nextafter(3.0 + reach, 9.0)],
+                       [7.75], [7.9], [15.8], [19.5], [0.0]])
+    assert points[0, 0] - 3.0 == reach
+    points = np.vstack([points, centers[::-1]])
+    got = cov._first_cover_assign(points, centers, radius)
+    assert np.array_equal(got, first_cover_assign_per_center(points, centers,
+                                                             radius))
+    assert list(got[:7]) == [6, 7, 15, 16, 31, 39, 0]
+    assert np.array_equal(got[7:], np.arange(40)[::-1])
+    # at radius 1.2 every value lies in several balls
+    wide = cov._first_cover_assign(points, centers, 1.2)
+    assert np.array_equal(wide, first_cover_assign_per_center(points, centers,
+                                                              1.2))
+    assert wide[2] == 14
+    with pytest.raises(RuntimeError, match="does not cover its own sample"):
+        cov._first_cover_assign(np.array([[0.0], [1.5]]), centers[:1], 1.0)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.integers(1, 60),
+       st.sampled_from([1, 2, 3, 7, 8, 10]), st.floats(0.05, 0.6))
+@settings(max_examples=80, deadline=None)
+def test_blocked_cell_assignment_matches_the_per_center_loop(
+        seed, n_points, n_centers, width, radius):
+    rng = np.random.default_rng(seed)
+    points = np.round(rng.uniform(size=(n_points, width)) * 4) / 4
+    centers = np.vstack([np.round(rng.uniform(size=(n_centers, width)) * 4) / 4,
+                         points])       # every point is some center
+    want = first_cover_assign_per_center(points, centers, radius)
+    assert np.array_equal(cov._first_cover_assign(points, centers, radius),
+                          want)
+
+
+def _triplet_class(base, eps=1e-3):
+    """Each member of base with copies scaled by 1 + eps and 1 - eps: in a
+    shared cell the worst pair is the two copies, not the first member."""
+    members = []
+    for g in base.members:
+        members += [g, g.scaled(1.0 + eps), g.scaled(1.0 - eps)]
+    return fc.FunctionClass(members=tuple(members),
+                            b_descriptor=base.b_descriptor, d=base.d,
+                            m=base.m, d_y=base.d_y,
+                            resolution=base.resolution)
+
+
+def _verify_cases():
+    for name, cls in kernel_cases():
+        for delta in (0.9, 0.5, 0.2):
+            if cls.d < 3 or delta == 0.9:      # d = 3 nets grow as delta^-3
+                yield name, cls, delta
+    triplets = _triplet_class(fc.generate_finite_dim_ball_class(
+        1, 1, 3, 1.0, 12, seed=7, resolution=129))
+    for delta in (0.3, 0.1):
+        yield "triplets", triplets, delta
+    yield "twins", _twin_class(30, seed=31), 0.1
+
+
+def test_pruned_cover_check_matches_the_pairwise_loop():
+    # a pair the triangle bound clears still counts as checked, and the
+    # maximum over the pairs that get their own row is bitwise the maximum
+    # over all pairs
+    shared = 0
+    for name, cls, delta in _verify_cases():
+        plan = cov.build_smooth_cover(cls, delta)
+        report = cov.verify_cover_validity(cls, plan)
+        pairs, worst = verify_cover_validity_pairwise(cls, plan)
+        assert report.pairs_checked == pairs, (name, delta)
+        assert report.max_violation == worst, (name, delta)
+        shared += pairs > 0
+    assert shared >= 5
+
+
+def test_triplet_cells_have_their_worst_pair_after_the_first_member():
+    cls = _triplet_class(fc.generate_finite_dim_ball_class(
+        1, 1, 3, 1.0, 12, seed=7, resolution=129))
+    plan = cov.build_smooth_cover(cls, 0.1)
+    grid = cls.grid()
+    later = 0
+    for group in plan.groups():
+        if len(group) < 3:
+            continue
+        sup = {(a, b): np.max(np.linalg.norm(grid[a] - grid[b], axis=1))
+               for i, a in enumerate(group) for b in group[i + 1:]}
+        later += group[0] not in max(sup, key=sup.get)
+    assert later > 0
+
+
+def test_cover_check_bound_clears_most_pairs(monkeypatch):
+    # at benchmark-like sizes most same-cell pairs never get a grid row
+    cls = fc.generate_finite_dim_ball_class(1, 2, 3, 1.0, 200, seed=3,
+                                            resolution=257)
+    plan = cov.build_smooth_cover(cls, 0.1)
+    rows = []
+    real = cov.distances
+
+    def counting(a, b):
+        out = real(a, b)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(cov, "distances", counting)
+    report = cov.verify_cover_validity(cls, plan)
+    assert report.ok and report.pairs_checked > 100
+    assert sum(rows) < report.pairs_checked / 2
 
 
 def test_nan_grid_value_fails_the_cover_check():

@@ -77,6 +77,33 @@ def test_box_entropies_match_greedy_entropy():
                           [spread_entropy(cloud, d) for d in deltas])
 
 
+@pytest.mark.parametrize("width", [1, 2, 5, 9])
+def test_smallest_cover_sizes_match_separate_one_start_covers(width):
+    # one lockstep traversal of the spread starts gives, per radius, the
+    # minimum over separate one-start covers
+    rng = substream(4, 31, width)
+    cloud = PointCloud(np.round(rng.uniform(size=(240, width)) * 8) / 8)
+    deltas = np.geomspace(0.9, 0.1, 7) * math.sqrt(width)
+    for n_starts in (1, 3, 8):
+        covers = [greedy_cover(cloud, deltas[-1], start=int(s))
+                  for s in dim._spread_starts(cloud, n_starts)]
+        want = [min(c.size_at(d) for c in covers) for d in deltas]
+        assert dim._smallest_cover_sizes(cloud, deltas, n_starts) == want
+
+
+@pytest.mark.parametrize("n, width", [(1, 2), (300, 3), (1100, 2), (1030, 9)])
+def test_median_nn_distance_matches_the_per_row_loop(n, width):
+    # the rows come in bounded blocks; the median is the per-row loop's
+    cloud = PointCloud(substream(6, n).uniform(size=(n, width)))
+    idx = range(n) if n <= 1024 else np.linspace(0, n - 1, 512).astype(int)
+    nearest = []
+    for i in idx:
+        d = cloud.distances_to(int(i))
+        d[int(i)] = np.inf
+        nearest.append(d.min())
+    assert dim.median_nn_distance(cloud) == float(np.median(nearest))
+
+
 def test_subset_entropy_below_superset():
     rng = substream(1, 31)
     pts = rng.uniform(size=(300, 2))

@@ -65,28 +65,41 @@ def rounding_tolerance(cls, n, reps=0):
         expansion over the product features has, per output coordinate,
         sum_f |c_f| <= 2^{d/2} sum_j |a_j| ||u_j|| <= 2^{d/2} K_B =: A
         (the generator spends at most K_B of amplitude on unit u_j).
-    (2) Each coordinate of (P_n - P) g, on either path, is a chain of at
+    (2) The per-member path reads libm's tables, whose entries are within
+        one ulp of cos/sin and at most 1 in size. The library's feature
+        tables come from empirical_process._trig_rows, whose entry at
+        frequency k <= W is within 40 k u of libm's, so within
+        e = 40 W u. A feature is a product of one entry per axis, so it
+        moves by at most (1 + e)^d - 1 =: T and stays below (1 + e)^d in
+        size; with (1), a coordinate of the library's exact-arithmetic
+        statistic is within A T of the per-member one.
+    (3) Each coordinate of (P_n - P) g, on either path, is a chain of at
         most N = n + F + J + 2W + 3d + 4 rounded operations over terms of
-        absolute sum at most A: a sum over n points, products over d axes
-        of entries within one ulp of cos/sin, a sum over the F features or
-        over the J terms and 2W + 1 table rows, the centering and the 1/n.
+        absolute sum at most A (1 + e)^d: a sum over n points, products
+        over d axes of table entries, a sum over the F features or over
+        the J terms and 2W + 1 table rows, the centering and the 1/n.
         By the standard bound |fl(sum t) - sum t| <= gamma_N sum |t|, in
         any order, the two paths' coordinates differ by at most
-        2 gamma_N A.
-    (3) A d_Y-norm of the difference is at most sqrt(d_Y) times that, and
-        each norm rounds by at most gamma_{d_Y + 1} of sqrt(d_Y) 2 A.
-        Maxima over members and order statistics are 1-Lipschitz in the
-        sup norm, and a median average rounds once more.
-    (4) A mean (or standard error) over reps replicates of values at most
-        sqrt(d_Y) 2 A rounds by at most gamma_reps of that on each side.
-    Hence |gap| <= 2 sqrt(d_Y) A gamma_M, M = N + 2 d_Y + 2 reps + 4.
+        2 gamma_N A (1 + e)^d + A T.
+    (4) A d_Y-norm of the difference is at most sqrt(d_Y) times that, and
+        each norm rounds by at most gamma_{d_Y + 1} of sqrt(d_Y) 2 A
+        (1 + e)^d. Maxima over members and order statistics are
+        1-Lipschitz in the sup norm, and a median average rounds once more.
+    (5) A mean (or standard error) over reps replicates of values at most
+        sqrt(d_Y) 2 A (1 + e)^d rounds by at most gamma_reps of that on
+        each side.
+    Hence |gap| <= sqrt(d_Y) A (2 (1 + e)^d gamma_M + T),
+    M = N + 2 d_Y + 2 reps + 4.
     """
     terms = max(g.amps.size for g in cls.members)
     m = (n + len(cls.features[0]) + terms + 2 * cls.width + 3 * cls.d + 4
          + 2 * cls.d_y + 2 * reps + 4)
     u = np.finfo(float).eps / 2
     a = 2.0 ** (cls.d / 2) * cls.b_descriptor.k_b
-    return 2.0 * math.sqrt(cls.d_y) * a * m * u / (1.0 - m * u)
+    e = 40 * cls.width * u
+    t = math.expm1(cls.d * math.log1p(e))
+    return math.sqrt(cls.d_y) * a * (2.0 * (1.0 + e) ** cls.d * m * u
+                                     / (1.0 - m * u) + t)
 
 
 def assert_close(got, want, tol):

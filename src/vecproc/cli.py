@@ -29,7 +29,7 @@ from . import entropy_bounds as eb
 from . import function_class as fc
 from . import rademacher as rad
 from . import regression as reg
-from .reports import write_csv, write_json
+from .reports import passes, write_csv, write_json
 from .rng import substream
 
 _TAG_CLI_DESIGN = 701
@@ -292,7 +292,7 @@ def _run_smooth_cover(args):
                "log_occupied": log_occupied, "bound_assouad": bound,
                "pairs_checked": validity.pairs_checked,
                "max_violation": validity.max_violation,
-               "ok": validity.ok and log_occupied <= bound}
+               "ok": validity.ok and passes(log_occupied, bound)}
         rows.append(row)
         plans.append({**plan_json, **row})
     all_ok = all(r["ok"] for r in rows)
@@ -340,8 +340,8 @@ def _run_bounds(args):
         measured = "" if cloud is None else cov.entropy(cloud, delta)
         rows.append({"delta": delta, "variant": args.variant, "bound": bound,
                      "measured_entropy_if_any": measured})
-    all_ok = cloud is None or all(r["measured_entropy_if_any"] <= r["bound"]
-                                  for r in rows)
+    all_ok = cloud is None or all(passes(r["measured_entropy_if_any"],
+                                         r["bound"]) for r in rows)
     # companion report: raw chain values next to the simplified K delta^-p
     # power law (constant calibrated at the smallest radius)
     exponent = {"assouad": args.d / args.m, "box": args.d / args.m,
@@ -419,7 +419,7 @@ def _run_gc(args):
     cls = _ball_class(args, args.class_seed)
     rows, slope = ep.gc_decay_curve(cls, args.n_grid, args.reps, args.seed,
                                     threads=args.threads)
-    ok = rows[-1][1] <= rows[0][1]
+    ok = passes(rows[-1][1], rows[0][1])
     return ok, {"gc_curve.csv": [{"n": n, "median_deviation": med}
                                  for n, med in rows],
                 "gc_curve.json": {"rows": rows, "trend_slope": slope,

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import distances
-from .reports import TailReport, fields_json, tail_check
+from .reports import MC_SES, TailReport, fields_json, passes, tail_check
 from .rng import map_blocks, rademacher_signs, sample_block
 
 _TAG_REAL = 301
@@ -209,10 +209,8 @@ def cosh_moment_check(c, n: int, lambda_grid, reps: int, seed: int, d_y: int = 5
     rows = []
     for lam, lhs, s, r in zip(lams, mean, se, rhs):
         rel = s / lhs if lhs > 0 else 0.0
-        if rel > 0.2:
-            status = "inconclusive"
-        else:
-            status = "ok" if lhs <= r * (1.0 + 3.0 * rel) else "fail"
+        status = ("inconclusive" if rel > 0.2 else
+                  "ok" if passes(lhs, r * (1.0 + MC_SES * rel)) else "fail")
         rows.append(MomentRow(lam=float(lam), lhs=float(lhs), rel_se=float(rel),
                               rhs=float(r), status=status))
     return MomentReport(rows=tuple(rows), reps=reps, seed=seed)
@@ -244,7 +242,7 @@ def gaussian_mgf_check(spectrum: CovarianceSpectrum, lambda_grid):
         product = float(np.prod((1.0 - 2.0 * lam * spectrum.eigenvalues) ** -0.5))
         bound = (1.0 - 2.0 * lam * spectrum.trace) ** -0.5
         rows.append(MgfRow(lam=float(lam), product=product, bound=bound,
-                           ok=product <= bound * (1.0 + 1e-12)))
+                           ok=passes(product, bound * (1.0 + 1e-12))))
     return rows
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from .function_class import (EmpiricalDesign, FunctionClass, grid_nodes,
                              multi_indices, trig_tables)
 from .hilbert import _PAIRWISE_WIDTH, distances
+from .reports import passes
 
 
 # --------------------------------------------------------------------------
@@ -143,7 +144,7 @@ class CoverResult:
         return int(np.count_nonzero(self.insertion_radii > r))
 
     def is_valid(self) -> bool:
-        return bool(np.all(self.assignment_dist <= self.radius * (1 + 1e-12) + 1e-12))
+        return bool(np.all(passes(self.assignment_dist, self.radius * (1 + 1e-12), 1e-12)))
 
     def to_json(self):
         return {"radius": self.radius,
@@ -314,7 +315,6 @@ class LevelCover:
 
     radius: float                  # delta_k: cell diameter bound
     centers: np.ndarray            # (N_k, d_Y) ball centers a^k_j
-    n_cells: int
 
 
 @dataclass(frozen=True)
@@ -347,7 +347,7 @@ class SmoothCoverPlan:
         return {"delta": self.delta, "k1": self.k1, "cap_delta": self.cap_delta,
                 "n_net": self.n_net,
                 "level_radii": [float(r) for r in self.level_radii],
-                "level_cells": [c.n_cells for c in self.level_covers],
+                "level_cells": [len(c.centers) for c in self.level_covers],
                 "occupied_cells": self.occupied_cell_count()}
 
 
@@ -410,8 +410,7 @@ def build_smooth_cover(cls: FunctionClass, delta: float) -> SmoothCoverPlan:
         cover = greedy_cover(cloud, level_radii[k] / 2.0)
         centers = sample[cover.center_indices]
         level_covers.append(LevelCover(radius=float(level_radii[k]),
-                                       centers=centers,
-                                       n_cells=cover.size))
+                                       centers=centers))
         for p in ps:
             flat = deriv_vals[p].reshape(-1, cls.d_y)
             cells = _first_cover_assign(flat, centers, level_radii[k] / 2.0)
@@ -445,7 +444,7 @@ def verify_cover_validity(cls: FunctionClass, plan: SmoothCoverPlan) -> CoverVal
     ulps of the exact one, far inside the 1e-9, so a pair the bound clears
     cannot raise the maximum: max_violation is bitwise the all-pairs one,
     and every pair counts as checked. A NaN bound is never below, so a NaN
-    distance propagates to max_violation and fails the check.
+    distance propagates to max_violation.
     """
     p = (0,) * cls.d
     tables = trig_tables(grid_nodes(cls.d, cls.resolution), cls.width)
@@ -466,4 +465,4 @@ def verify_cover_validity(cls: FunctionClass, plan: SmoothCoverPlan) -> CoverVal
         pairs += len(group) * (len(group) - 1) // 2
     worst = float(worst / plan.delta)
     return CoverValidityReport(pairs_checked=pairs, max_violation=worst,
-                               ok=math.isfinite(worst) and worst <= 1 + 1e-9)
+                               ok=passes(worst, 1.0, 1e-9))

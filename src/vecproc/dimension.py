@@ -16,10 +16,11 @@ import numpy as np
 
 from .covering import (EXACT_COVER_MAX, PointCloud, _greedy_traversal,
                        exact_cover_number, greedy_cover)
-from .reports import fields_json
+from .reports import fields_json, passes
 from .rng import substream
 
 _TAG_TRIAL = 201
+_NO_SCALE = "a cloud of fewer than two distinct points has no radius scale"
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,10 @@ def default_radius_window(cloud: PointCloud):
     Below the lower end discreteness dominates; above the upper end boundary
     effects dominate.
     """
-    nn = median_nn_distance(cloud)
     diam = approx_diameter(cloud)
-    return 2.0 * nn, diam / 4.0
+    if diam == 0:
+        raise ValueError(_NO_SCALE)
+    return 2.0 * median_nn_distance(cloud), diam / 4.0
 
 
 # rows of distances median_nn_distance holds at once
@@ -145,6 +147,8 @@ def _sample_trials(cloud: PointCloud, n_trials: int, seed: int,
     d0 = cloud.distances_to(0)
     d_far = cloud.distances_to(int(np.argmax(d0)))
     diam = float(max(d0.max(), d_far.max()))    # approx_diameter's two sweeps
+    if diam == 0:
+        raise ValueError(_NO_SCALE)
     r_lo = 1.5 * nn
     if radius_range is not None:
         big_lo, big_hi = radius_range
@@ -202,7 +206,7 @@ def homogeneity_check(cloud: PointCloud, m: float, tau: float, n_trials: int,
                                        local_size=local_size,
                                        measured=measured, bound=bound,
                                        exact=exact,
-                                       ok=measured <= bound * (1 + 1e-12)))
+                                       ok=passes(measured, bound * (1 + 1e-12))))
     return HomogeneityReport(m=m, tau=tau, trials=tuple(trials))
 
 
@@ -215,6 +219,8 @@ def assouad_estimate(cloud: PointCloud, seed: int, n_trials: int = 64):
     """
     if cloud.size < 10:
         raise ValueError("need at least 10 points")
+    if approx_diameter(cloud) == 0:     # one ball covers it at every radius
+        return 1.0, 0.0
     counts, ratios = [], []
     for z, radius_big, radius_small in _sample_trials(cloud, n_trials, seed):
         measured, _, _ = _local_cover_number(cloud, z, radius_big, radius_small)

@@ -27,7 +27,7 @@ from .covering import PointCloud, greedy_cover
 from .function_class import (TWO_PI, EmpiricalDesign, FunctionClass,
                              l2_distance_uniform)
 from .hilbert import distances, sup_sign_norms
-from .reports import TailReport, fields_json, tail_check
+from .reports import MC_SES, TailReport, fields_json, passes, tail_check
 from .rng import TABLE_CHUNK, map_blocks, rademacher_signs, sample_block
 
 _TAG_SYM = 401
@@ -147,13 +147,13 @@ class SymmetrizationReport:
 
     @property
     def ok_pair(self) -> bool:
-        slack = 3.0 * math.hypot(self.se_dev, self.se_pair)
-        return self.mean_dev <= self.mean_pair + slack
+        return passes(self.mean_dev, self.mean_pair,
+                      MC_SES * math.hypot(self.se_dev, self.se_pair))
 
     @property
     def ok_rad(self) -> bool:
-        slack = 3.0 * math.hypot(self.se_dev, 2.0 * self.se_rad)
-        return self.mean_dev <= 2.0 * self.mean_rad + slack
+        return passes(self.mean_dev, 2.0 * self.mean_rad,
+                      MC_SES * math.hypot(self.se_dev, 2.0 * self.se_rad))
 
     @property
     def all_ok(self) -> bool:
@@ -236,8 +236,7 @@ def symmetrization_probability_check(cls: FunctionClass, n: int, a_grid,
         premise_max = float(prem[:, j].max())
         applicable = premise_max <= 0.5
         se = math.sqrt(max(lhs[j] * (1 - lhs[j]), rhs[j] * (1 - rhs[j])) / reps)
-        # written so that a NaN count fails the row
-        ok = premise_max > 0.5 or lhs[j] <= 4.0 * rhs[j] + 3.0 * se
+        ok = premise_max > 0.5 or passes(lhs[j], 4.0 * rhs[j], MC_SES * se)
         rows.append({"a": float(a), "premise_max": premise_max,
                      "lhs": float(lhs[j]), "rhs": float(rhs[j]),
                      "applicable": applicable, "ok": bool(ok)})
@@ -308,7 +307,7 @@ class ChainingPlan:
         return self.r_n * 0.5 ** np.arange(self.s_levels + 1)
 
     def links_valid(self) -> bool:
-        return bool(np.all(self.link_dist <= self.link_radii()[None, :] * (1 + 1e-9)))
+        return bool(np.all(passes(self.link_dist, self.link_radii() * (1 + 1e-9))))
 
     def to_json(self):
         return {k: v for k, v in fields_json(self).items() if k != "link_dist"}

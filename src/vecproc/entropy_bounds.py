@@ -18,11 +18,7 @@ from .covering import (EXACT_COVER_MAX, PointCloud, exact_cover_number,
                        smooth_cover_constants)
 from .function_class import EmpiricalDesign, FunctionClass
 from .hilbert import clipped_loss
-
-
-def _net_size(d: int, m: int, k_b: float, delta: float) -> int:
-    _, _, _, size = smooth_cover_constants(d, m, k_b, delta)
-    return size
+from .reports import passes
 
 
 def bound_assouad(d: int, m: int, k_b: float, delta: float, big_m: float,
@@ -35,7 +31,7 @@ def bound_assouad(d: int, m: int, k_b: float, delta: float, big_m: float,
     _validate(d, m, k_b, delta)
     if big_m < 1 or tau_asd <= 0:
         raise ValueError("need M >= 1 and tau_asd > 0")
-    big_l = _net_size(d, m, k_b, delta)
+    big_l = smooth_cover_constants(d, m, k_b, delta)[3]
     per_cell = math.log(big_m) + tau_asd * math.log(math.exp(d) + 3.0)
     first = math.log(big_m) + tau_asd * math.log(4.0 * math.exp(d) * k_b / delta)
     return m ** d * big_l * per_cell + m ** d * first
@@ -46,7 +42,7 @@ def bound_box(d: int, m: int, k_b: float, delta: float, tau_box: float) -> float
     _validate(d, m, k_b, delta)
     if tau_box < 0:
         raise ValueError("tau_box must be nonnegative")
-    big_l = _net_size(d, m, k_b, delta)
+    big_l = smooth_cover_constants(d, m, k_b, delta)[3]
     return (tau_box + 1.0) * m ** d * big_l * math.log(2.0 * math.exp(d) / delta)
 
 
@@ -56,7 +52,7 @@ def bound_exp(d: int, m: int, k_b: float, delta: float, big_m: float,
     _validate(d, m, k_b, delta)
     if big_m <= 0 or tau_exp <= 0:
         raise ValueError("need M > 0 and tau_exp > 0")
-    big_l = _net_size(d, m, k_b, delta)
+    big_l = smooth_cover_constants(d, m, k_b, delta)[3]
     return big_m * (2.0 * math.exp(d) / delta) ** tau_exp * m ** d * big_l
 
 
@@ -123,5 +119,5 @@ def lipschitz_contraction_check(cls: FunctionClass, loss_c: float,
         n_loss = exact_cover_number(loss_cloud, loss_c * delta)
         n_class = exact_cover_number(class_cloud, delta)
         rows.append(ContractionRow(delta=float(delta), n_loss=n_loss,
-                                   n_class=n_class, ok=n_loss <= n_class))
+                                   n_class=n_class, ok=passes(n_loss, n_class)))
     return rows

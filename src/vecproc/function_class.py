@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import distances
+from .reports import passes
 from .rng import substream
 
 _TAG_MEMBER = 101
@@ -585,7 +586,7 @@ def taylor_remainder_check(g: GridFunction, a, h, k: float | None = None) -> Tay
         approx += (hp / pfact) * g.evaluate_deriv(a, p)
     lhs = float(distances(g.evaluate(b), approx)[0])
     rhs = float(k * np.linalg.norm(h) ** (g.m + 1) / math.factorial(g.m + 1))
-    return TaylorReport(lhs=lhs, rhs=rhs, ok=lhs <= rhs * (1 + 1e-9))
+    return TaylorReport(lhs=lhs, rhs=rhs, ok=passes(lhs, rhs * (1 + 1e-9)))
 
 
 # --------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 from .empirical_process import build_chaining_plan
 from .function_class import EmpiricalDesign, FunctionClass
 from .hilbert import OrthonormalBasis, sup_sign_norms
+from .reports import MC_SES, passes
 from .rng import map_blocks, rademacher_signs
 
 _TAG_NORM_MC = 601
@@ -216,7 +217,7 @@ def rademacher_entropy_bound_check(cls: FunctionClass, design: EmpiricalDesign,
     bound = 0.5 ** (s_levels + 1) * plan.r_n + 2.0 * plan.j_n / math.sqrt(design.n)
     est = norm_rademacher_values(cls.values_on(design), mode=mode, reps=reps,
                                  seed=seed, threads=threads)
-    slack = 3.0 * est.se if est.mode == "monte_carlo" else 1e-12
+    slack = MC_SES * est.se if est.mode == "monte_carlo" else 1e-12
     return EntropyBoundReport(estimate=est.value, bound=bound, r_n=plan.r_n,
                               j_n=plan.j_n, s_levels=s_levels,
-                              ok=est.value <= bound + slack)
+                              ok=passes(est.value, bound, slack))

@@ -23,7 +23,7 @@ from .function_class import (EmpiricalDesign, FunctionClass,
                              generate_finite_dim_ball_class,
                              l2_distance_uniform)
 from .hilbert import clipped_loss, distances, sup_sign_norms
-from .reports import TailReport, fields_json, jsonable, tail_check
+from .reports import MC_SES, TailReport, fields_json, jsonable, passes, tail_check
 from .rng import map_blocks, rademacher_signs
 
 _TAG_RATE = 502
@@ -143,7 +143,7 @@ class RateFit:
     @property
     def coverage_ok(self) -> np.ndarray:
         se = np.sqrt(self.coverage_fail * (1 - self.coverage_fail) / self.reps)
-        return self.coverage_fail <= self.coverage_bound + 3.0 * se
+        return passes(self.coverage_fail, self.coverage_bound, MC_SES * se)
 
     def rows(self):
         return [{"n": int(n), "median_error": float(m), "delta_n": float(dn),
@@ -263,6 +263,10 @@ def rate_experiment(pool: FunctionClass, noise: CovarianceSpectrum,
         net_radius = net_fraction * delta_n
         cloud = PointCloud(dist, metric="matrix")
         net = greedy_cover(cloud, net_radius, start=0)
+        if net.size == 1:
+            raise ValueError(f"at n = {n} the net at net_fraction * delta_n "
+                             f"(delta_n = {delta_n:.4g}) is g0 alone, so the "
+                             "run would measure nothing")
         cand = net.center_indices          # g0 first
         vc = vals[cand].reshape(len(cand), -1)
         truth = vals[0].ravel()
@@ -278,7 +282,7 @@ def rate_experiment(pool: FunctionClass, noise: CovarianceSpectrum,
             errs = dist[0, cand[pick]]
             rows = np.arange(size)
             rhs = 2.0 * (cross[rows, pick] - cross[rows, 0]) / n
-            return errs, errs ** 2 <= rhs + 1e-9
+            return errs, passes(errs ** 2, rhs, 1e-9)
 
         parts = map_blocks(block, reps, threads, seed, _TAG_RATE, pos)
         errs, basic = (np.concatenate(p) for p in zip(*parts))
@@ -342,6 +346,7 @@ def gaussian_chaining_check(cls: FunctionClass, design: EmpiricalDesign,
 _X_QUAD = 512
 _NOISE_TAIL = 100.0
 _RADII_BLOCK = 512
+_RAD_PATTERNS = 2048    # sign patterns per replicate of R_n(L o G)
 
 
 @dataclass(frozen=True)
@@ -520,8 +525,7 @@ def population_risks(cls: FunctionClass, noise: CovarianceSpectrum,
 
 def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
                              n_grid, reps: int, seed: int, cap: float = 1.0,
-                             lipschitz: float = 1.0, rad_patterns: int = 2048,
-                             noise_quad: int = 100_000,
+                             lipschitz: float = 1.0, noise_quad: int = 100_000,
                              threads: int = 1) -> ErmReport:
     """Excess-risk distribution of clipped-loss ERM against the Rademacher
     generalization bound 2 R_n(L o G) + 5c sqrt(2 log(8/delta)/n), delta =
@@ -550,7 +554,7 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
             excesses = np.empty(size)
             rads = np.empty(size)
             decomp = np.empty(size, dtype=bool)
-            signs = np.empty((rad_patterns, n))     # refilled per replicate
+            signs = np.empty((_RAD_PATTERNS, n))     # refilled per replicate
             # every design and noise draw precedes the block's signs, so the
             # sign sampler cannot move the excess risks
             draws = [(rng.uniform(size=(n, cls.d)),
@@ -563,8 +567,8 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
                 ghat = int(np.argmin(emp))
                 excess = risks[ghat] - risks[g_star]
                 excesses[b] = excess
-                decomp[b] = excess <= (np.max(risks - emp)
-                                       + emp[g_star] - risks[g_star] + 1e-12)
+                decomp[b] = passes(excess, np.max(risks - emp) + emp[g_star]
+                                   - risks[g_star], 1e-12)
                 rads[b] = sup_sign_norms(
                     rademacher_signs(rng, signs.shape, out=signs),
                     loss[:, :, None]).mean()
@@ -579,7 +583,7 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
         bound = 2.0 * rad_mean + 5.0 * c_bound * math.sqrt(
             2.0 * math.log(8.0 / 0.05) / n)
         q95 = float(np.quantile(excess, 0.95))
-        ok = q95 <= bound + 3.0 * (2.0 * rad_se + risk_se)
+        ok = passes(q95, bound, MC_SES * (2.0 * rad_se + risk_se))
         rows.append(ErmRow(n=int(n), median_excess=float(np.median(excess)),
                            q95_excess=q95, rad_mean=rad_mean, rad_se=rad_se,
                            bound=bound, decomposition_ok=decomp_ok, ok=ok))

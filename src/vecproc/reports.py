@@ -1,4 +1,4 @@
-"""Shared report containers, CSV/JSON emission and the one tail check.
+"""Report containers, CSV/JSON emission, the verdict rule and the tail check.
 
 One converter, `jsonable`, feeds both writers. A CSV body is a list of row
 dicts whose keys are the header, so a CSV row is the JSON row it came from.
@@ -74,13 +74,19 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
+MC_SES = 3.0    # standard errors of slack in a Monte-Carlo check
+
+
+def passes(value, bound, slack=0.0):
+    """value <= bound + slack elementwise, false where either is not finite."""
+    ok = np.isfinite(value) & np.isfinite(bound) & (value <= bound + slack)
+    return ok if ok.ndim else bool(ok)
+
+
 @dataclass(frozen=True)
 class TailReport:
-    """Empirical exceedance frequencies against a theoretical tail bound.
-
-    A threshold passes when its empirical frequency is at most the bound
-    plus three binomial standard errors.
-    """
+    """Empirical exceedance frequencies against a theoretical tail bound,
+    with MC_SES binomial standard errors of slack."""
 
     thresholds: np.ndarray
     freqs: np.ndarray
@@ -92,7 +98,7 @@ class TailReport:
 
     @property
     def ok(self) -> np.ndarray:
-        return self.freqs <= self.bounds + 3.0 * self.ses
+        return passes(self.freqs, self.bounds, MC_SES * self.ses)
 
     @property
     def all_ok(self) -> bool:

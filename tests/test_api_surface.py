@@ -112,14 +112,6 @@ def test_paper_content_names_exist():
         f"exempt but called: {sorted(PAPER_CONTENT - uncalled)}"
 
 
-# Defaulted parameters kept although only tests set them: the ERM tests
-# compare small and uneven sign-pattern counts (256, 300, 513) with a
-# one-shot sign reference.
-TEST_SIZES = frozenset({
-    "erm_lipschitz_experiment.rad_patterns",
-})
-
-
 def _defaulted(node, method):
     """(name, call position) of every defaulted parameter of a function
     node; a method's positions do not count self or cls, and a keyword-only
@@ -171,7 +163,7 @@ def unset_parameters():
                     name in names or (position is not None and position < count)
                     for path, line, count, names in calls.get(leaf, ())
                     if not (path == module and line in own))
-                if not passed and f"{qualname}.{name}" not in TEST_SIZES:
+                if not passed:
                     missing.append(f"{module.stem}.{qualname}.{name}")
     return missing
 

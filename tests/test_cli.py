@@ -391,12 +391,26 @@ def test_invalid_monte_carlo_input_exits_2(tmp_path, capsys, argv, message):
     (["gc", "--n-grid", "400,400"], "need at least two distinct sample sizes"),
     (["regress", "--base-count", "0"], "base_count must be at least 1"),
     (["bounds", "--measure-count", "-1"], "must be at least 0"),
+    (["dimension", "--input", "ONE", "--check", "homogeneity"],
+     "fewer than two distinct points"),
+    (["dimension", "--input", "ONE", "--check", "box"],
+     "fewer than two distinct points"),
+    (["dimension", "--input", "TWIN", "--check", "homogeneity"],
+     "fewer than two distinct points"),
+    (["dimension", "--input", "TWIN", "--check", "box"],
+     "fewer than two distinct points"),
+    # at K_B = 20 the net at net_fraction * delta_n keeps only the truth
+    (["regress", "--kb", "20", "--n-grid", "64,128", "--reps", "30",
+      "--seed", "3"], "at n = 64 the net at net_fraction * delta_n"),
 ])
 def test_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
                                                   message):
-    files = {"EMPTY": tmp_path / "empty.csv", "POINTS": tmp_path / "points.csv"}
+    files = {name: tmp_path / f"{name.lower()}.csv"
+             for name in ("EMPTY", "POINTS", "ONE", "TWIN")}
     files["EMPTY"].write_text("")
     files["POINTS"].write_text("0,0\n1,0\n0,1\n")
+    files["ONE"].write_text("0.5,0.5\n")
+    files["TWIN"].write_text("0.5,0.5\n0.5,0.5\n")
     argv = [str(files.get(a, a)) for a in argv]
     code, out = run_cli(argv, tmp_path, "out")
     err = capsys.readouterr().err
@@ -404,6 +418,19 @@ def test_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
     assert message in err
     assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_gc_with_infinite_medians_fails(tmp_path, capsys):
+    # K_B = 1e300 overflows every member value: the medians are inf, and
+    # inf <= inf is no passing verdict
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run_cli(["gc", "--count", "2", "--n-grid", "10,20",
+                             "--reps", "3", "--kb", "1e300"], tmp_path, "gc")
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "gc_curve.json").read_text())
+    assert summary["ok"] is False
+    assert all(med == math.inf for _, med in summary["rows"])
 
 
 def test_invalid_seed_env_exits_2(tmp_path, capsys, monkeypatch):

@@ -108,6 +108,17 @@ def test_cosh_inconclusive_when_estimator_noisy():
     assert rep.all_ok
 
 
+def test_cosh_overflowing_bound_fails():
+    # n = 1: lhs = cosh(28) is exact, rel_se ~ 0, and rhs = exp(28^2)
+    # overflows to inf; an infinite bound fails
+    with np.errstate(over="ignore"):
+        rep = conc.cosh_moment_check(70.0, 1, [0.4], 100, seed=0, d_y=1)
+    row = rep.rows[0]
+    assert math.isfinite(row.lhs) and row.rel_se < 0.2
+    assert row.rhs == math.inf
+    assert row.status == "fail" and not rep.all_ok
+
+
 def test_cosh_lambda_validation():
     with pytest.raises(ValueError):
         conc.cosh_moment_check(1.0, 5, [0.0], 1000, seed=0)

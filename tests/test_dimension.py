@@ -121,6 +121,14 @@ def test_homogeneity_slack_bound_always_ok():
     assert rep.all_ok
 
 
+def test_homogeneity_overflowing_bound_fails():
+    # M (R/r)^tau overflows to inf at M = 1e308, and an infinite bound fails
+    cloud = PointCloud(substream(2, 31).uniform(size=(150, 2)))
+    rep = dim.homogeneity_check(cloud, 1e308, 1.0, 5, seed=5)
+    assert all(t.bound == math.inf and not t.ok for t in rep.trials)
+    assert not rep.all_ok
+
+
 def test_homogeneity_line_ok():
     # small balls so every local cover is exact (<= 20 points each)
     cloud = line_cloud(500)

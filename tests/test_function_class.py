@@ -205,6 +205,14 @@ def test_taylor_cosine_hand_value():
     assert rep.ok
 
 
+@pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+def test_taylor_non_finite_bound_fails(k):
+    # lhs 0 <= rhs would hold for k = inf; a bound that is not finite fails
+    rep = fc.taylor_remainder_check(constant_member([1.0]), [0.2], [0.5], k=k)
+    assert rep.lhs == pytest.approx(0.0, abs=1e-12)
+    assert not rep.ok
+
+
 def test_taylor_segment_outside_cube_rejected():
     with pytest.raises(ValueError):
         fc.taylor_remainder_check(constant_member([1.0]), [0.8], [0.5])

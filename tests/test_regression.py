@@ -307,7 +307,7 @@ def test_erm_singleton_class():
     cls = ball_class(1, seed=11)
     noise = CovarianceSpectrum.uniform(3)
     rep = reg.erm_lipschitz_experiment(cls, noise, [50], reps=10, seed=0,
-                                       rad_patterns=256, noise_quad=20_000)
+                                       noise_quad=20_000)
     assert rep.rows[0].median_excess == 0.0
     assert rep.all_ok
 
@@ -316,8 +316,7 @@ def test_erm_ten_member_bound_and_trend():
     cls = ball_class(10, seed=3, min_freq=1)
     noise = CovarianceSpectrum.uniform(3)
     rep = reg.erm_lipschitz_experiment(cls, noise, [100, 500, 1600], reps=40,
-                                       seed=0, rad_patterns=512,
-                                       noise_quad=40_000)
+                                       seed=0, noise_quad=40_000)
     assert rep.all_ok
     meds = [r.median_excess for r in rep.rows]
     assert meds[-1] <= meds[0] + 1e-12
@@ -339,8 +338,8 @@ def test_chunked_sign_draws_match_one_shot(n, chunk):
     assert gen.uniform() == one.uniform()      # the stream continues alike
 
 
-def one_shot_erm(cls, noise, n_grid, reps, seed, rad_patterns, cap=1.0,
-                 lipschitz=1.0, noise_quad=100_000):
+def one_shot_erm(cls, noise, n_grid, reps, seed, cap=1.0, lipschitz=1.0,
+                 noise_quad=100_000):
     """erm_lipschitz_experiment's replicate loop with one (patterns, n) sign
     draw per replicate, after every design and noise draw of the block;
     returns (risks, per-n excesses, rads, decomp)."""
@@ -362,7 +361,7 @@ def one_shot_erm(cls, noise, n_grid, reps, seed, rad_patterns, cap=1.0,
                 excesses.append(risks[ghat] - risks[g_star])
                 decomp.append(excesses[-1] <= (np.max(risks - emp) + emp[g_star]
                                                - risks[g_star] + 1e-12))
-                signs = rademacher_signs(rng, (rad_patterns, n))
+                signs = rademacher_signs(rng, (reg._RAD_PATTERNS, n))
                 rads.append(np.abs(signs @ loss.T / n).max(axis=1).mean())
             return excesses, rads, decomp
 
@@ -372,14 +371,13 @@ def one_shot_erm(cls, noise, n_grid, reps, seed, rad_patterns, cap=1.0,
     return risks, out
 
 
-@pytest.mark.parametrize("rad_patterns", [2048, 513, 300])
-def test_erm_matches_one_shot_sign_reference(rad_patterns):
+def test_erm_matches_one_shot_sign_reference():
     cls = ball_class(4, seed=6)
     noise = CovarianceSpectrum.uniform(3)
     kw = dict(noise_quad=3000)
     rep = reg.erm_lipschitz_experiment(cls, noise, [9, 40], reps=3, seed=2,
-                                       rad_patterns=rad_patterns, **kw)
-    risks, per_n = one_shot_erm(cls, noise, [9, 40], 3, 2, rad_patterns, **kw)
+                                       **kw)
+    risks, per_n = one_shot_erm(cls, noise, [9, 40], 3, 2, **kw)
     assert np.array_equal(rep.risks, risks)
     for row, (n, (excess, rads, decomp)) in zip(rep.rows, zip([9, 40], per_n)):
         assert row.median_excess == float(np.median(excess))
@@ -392,7 +390,7 @@ def test_erm_matches_one_shot_sign_reference(rad_patterns):
 def test_erm_excess_risks_do_not_depend_on_the_sign_sampler(monkeypatch):
     cls = ball_class(4, seed=6)
     noise = CovarianceSpectrum.uniform(3)
-    kw = dict(reps=5, seed=2, rad_patterns=300, noise_quad=3000)
+    kw = dict(reps=5, seed=2, noise_quad=3000)
     rep = reg.erm_lipschitz_experiment(cls, noise, [9, 40], **kw)
     # signs from one 64-bit draw each: another stream consumption
     monkeypatch.setattr(reg, "rademacher_signs",

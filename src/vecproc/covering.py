@@ -8,12 +8,16 @@ the range set, with cells disjointified in greedy order.
 
 A cover and its check read one distance formula. Chaining plans and nets,
 which need every pair, cover a "matrix" cloud of the GEMM-form
-`distance_matrix` they are checked in. Everything else reads rows bitwise
-equal to `distances_to`, through `distance_rows`, which computes several
-rows of a euclidean cloud narrower than 8 coordinates as one block: the
-greedy traversal, which advances several starts in lockstep, one row per
-active start and step, and exact covers and packings, whose masks are then
-exact at ties.
+`distance_matrix` they are checked in. A class cloud built for its
+||.||_{2,P_n} distances (`PointCloud.from_empirical`) sits in feature
+coordinates when the class has fewer features F than K d_Y: member k is
+vec(R C_k), R from the QR of the feature matrix at the design, an isometry
+into min(n, F) d_Y coordinates where the values take n d_Y. Everything
+else reads rows bitwise equal to `distances_to`, through `distance_rows`,
+which computes several rows of a euclidean cloud narrower than 8
+coordinates as one block: the greedy traversal, which advances several
+starts in lockstep, one row per active start and step, and exact covers
+and packings, whose masks are then exact at ties.
 """
 
 from __future__ import annotations
@@ -113,8 +117,33 @@ class PointCloud:
 
     @staticmethod
     def from_empirical(cls: FunctionClass, design: EmpiricalDesign) -> "PointCloud":
-        """Members under ||.||_{2,P_n}."""
-        return PointCloud.from_values(cls.values_on(design))
+        """Members under ||.||_{2,P_n}, in the fewer coordinates of two
+        isometric embeddings.
+
+        Member k's values are Phi C_k, with Phi = cls.features_on(design),
+        (n, F), and C_k its (F, d_Y) block of `cls.features`. With
+        Phi / sqrt(n) = QR, Q has orthonormal columns, so
+        ||g_k - g_l||_{2,P_n} = ||R (C_k - C_l)||: member k is vec(R C_k),
+        min(n, F) d_Y coordinates, for any n. The values have rank at most
+        min(F, K d_Y), and this one rule takes the smaller side: feature
+        coordinates only when F < K d_Y, where Phi is smaller than the
+        (K, n, d_Y) values it replaces; otherwise the QR of Phi costs more
+        than the values (a d = 4 class of 40 members has F = 1541 against
+        K d_Y = 120), and the cloud is from_values(cls.values_on(design)).
+        F is read through its bound min((2W + 1)^d, 1 + 2^d J), J the
+        class's terms (a feature picks one of 2W + 1 rows per axis, a term
+        touches at most 2^d), so the values side never builds the
+        coefficient tensor.
+        """
+        terms = sum(g.amps.size for g in cls.members)
+        if min((2 * cls.width + 1) ** cls.d,
+               1 + 2 ** cls.d * terms) >= len(cls) * cls.d_y:
+            return PointCloud.from_values(cls.values_on(design))
+        coefs = cls.features[1]
+        r = np.linalg.qr(cls.features_on(design) / math.sqrt(design.n),
+                         mode="r")
+        coords = (r @ coefs).reshape(len(r), len(cls), cls.d_y)
+        return PointCloud(coords.swapaxes(0, 1).reshape(len(cls), -1))
 
 
 # --------------------------------------------------------------------------

@@ -83,7 +83,12 @@ def default_radius_window(cloud: PointCloud):
     diam = approx_diameter(cloud)
     if diam == 0:
         raise ValueError(_NO_SCALE)
-    return 2.0 * median_nn_distance(cloud), diam / 4.0
+    lo = 2.0 * median_nn_distance(cloud)
+    if lo == 0:
+        raise ValueError("a cloud in which over half the points have a twin "
+                         "has median nearest-neighbour distance 0, so no "
+                         "default radius window; give the radii (--deltas)")
+    return lo, diam / 4.0
 
 
 # rows of distances median_nn_distance holds at once
@@ -200,7 +205,11 @@ def homogeneity_check(cloud: PointCloud, m: float, tau: float, n_trials: int,
                                                       radius_range):
         measured, exact, local_size = _local_cover_number(
             cloud, z, radius_big, radius_small)
-        bound = m * (radius_big / radius_small) ** tau
+        try:
+            bound = m * (radius_big / radius_small) ** tau
+        except OverflowError:      # a float power raises; a product gives inf
+            raise ValueError("the homogeneity bound M (R/r)^tau overflows "
+                             "a float") from None
         trials.append(HomogeneityTrial(center=z, radius_big=radius_big,
                                        radius_small=radius_small,
                                        local_size=local_size,

@@ -4,8 +4,11 @@ The true mean Pg of every trig-sum member under the uniform input law is
 closed form, so deviations ||P_n g - P g|| carry no oracle error. Chaining
 plans are built once per (class, design) pair with deterministic greedy
 covers and nearest-center chains, both read from one GEMM-form distance
-matrix; tail checks then Monte-Carlo the sign or noise randomness
-conditionally on the design, exactly as the conditional statements require.
+matrix of `PointCloud.from_empirical`, which places the class in its
+feature coordinates (isometric under ||.||_{2,P_n}) when it has fewer
+features than K d_Y; tail checks then Monte-Carlo the sign or noise
+randomness conditionally on the design, exactly as the conditional
+statements require.
 
 The Monte-Carlo kernels never evaluate a member at a point: every member
 is linear in the class's product features (`FunctionClass.features`), so a
@@ -325,7 +328,7 @@ def build_chaining_plan(cls: FunctionClass, design: EmpiricalDesign,
     if len(cls) == 0:
         raise ValueError("class must be nonempty")
     k = len(cls)
-    cloud = PointCloud.from_values(cls.values_on(design))
+    cloud = PointCloud.from_empirical(cls, design)
     norms = distances(cloud.points, 0.0)
     r_n = float(norms.max())
     if s_levels is None:

@@ -53,7 +53,11 @@ def bound_exp(d: int, m: int, k_b: float, delta: float, big_m: float,
     if big_m <= 0 or tau_exp <= 0:
         raise ValueError("need M > 0 and tau_exp > 0")
     big_l = smooth_cover_constants(d, m, k_b, delta)[3]
-    return big_m * (2.0 * math.exp(d) / delta) ** tau_exp * m ** d * big_l
+    try:
+        return big_m * (2.0 * math.exp(d) / delta) ** tau_exp * m ** d * big_l
+    except OverflowError:      # a float power raises; a product gives inf
+        raise ValueError("the exponential entropy bound overflows a float") \
+            from None
 
 
 def bound_rkhs(d: int, m: int, k_b: float, delta: float, big_m: float,

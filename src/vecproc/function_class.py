@@ -255,10 +255,12 @@ class GridFunction:
                                        self.phases, self.amps * factor, self.dirs)
 
     def _coefficients(self, p) -> tuple:
-        """D^p over the tables. Per axis a (2W+1, J) matrix: row 0 is each
-        term's constant factor, row 2k-1 (2k) its cos (sin) coefficient at
-        frequency k. Then the (J, d_Y) term weights; for d = 1 the product
-        of the two, one (2W+1, d_Y) matrix."""
+        """D^p over the tables, kept in _coefs. Per axis a (2W+1, J)
+        matrix: row 0 is each term's constant factor, row 2k-1 (2k) its cos
+        (sin) coefficient at frequency k. Then the (J, d_Y) term weights;
+        for d = 1 the product of the two, one (2W+1, d_Y) matrix."""
+        if p in self._coefs:
+            return self._coefs[p]
         pa = np.asarray(p, int)
         # factor per term: prod_l (2 pi k_l)^{p_l}, with 0^0 == 1
         factors = np.prod((TWO_PI * self.freqs.astype(float)) ** pa, axis=1)
@@ -273,7 +275,9 @@ class GridFunction:
             osc = k > 0
             w[2 * k[osc], terms[osc]] = -np.sin(phi[osc, l])
             axes.append(w)
-        return (axes[0] @ weights,) if self.d == 1 else (*axes, weights)
+        coef = (axes[0] @ weights,) if self.d == 1 else (*axes, weights)
+        self._coefs[p] = coef
+        return coef
 
     def _combine(self, tables, p: tuple) -> np.ndarray:
         """D^p at points x from trig_tables(x, W), any W >= width (a table
@@ -281,9 +285,7 @@ class GridFunction:
         table.T @ W[1:] + W[0], multiplied over the axes, then @ weights;
         for d = 1 one GEMM plus a row. Both products go through _gemm, so a
         point's value does not depend on the batch it is evaluated in."""
-        coef = self._coefs.get(p)
-        if coef is None:
-            coef = self._coefs[p] = self._coefficients(p)
+        coef = self._coefficients(p)
         rows = 2 * self.width
         out = None
         for table, w in zip(tables, coef):
@@ -362,6 +364,17 @@ class FunctionClass:
         rows.flags.writeable = coefs.flags.writeable = False
         return rows, coefs
 
+    def features_on(self, design: "EmpiricalDesign") -> np.ndarray:
+        """The features at the design points, (n, F): column f is
+        prod_l T_l[rows[f, l]] over trig_tables(design.points, width), each
+        with a constant row 0 in front, so member k's values are
+        features_on(design) @ coefs[:, k d_Y:(k+1) d_Y]."""
+        rows = self.features[0]
+        out = np.ones((design.n, len(rows)))
+        for table, r in zip(trig_tables(design.points, self.width), rows.T):
+            out *= np.vstack([np.ones(design.n), table])[r].T
+        return out
+
     def values_on(self, design: "EmpiricalDesign", p=None) -> np.ndarray:
         """D^p of every member at the design points, shape (K, n, d_Y); the
         values when p is None. One trig table serves every member, and each
@@ -420,17 +433,15 @@ def _term_cap(freqs: np.ndarray, order: int) -> np.ndarray:
     return np.maximum(1.0, (TWO_PI * kmax) ** order)
 
 
-def _generate(d, m, d_y, count, seed, resolution, descriptor, n_terms,
-              max_freq, min_freq, range_terms) -> FunctionClass:
-    """`count` members in the range set `descriptor`. Member i draws, from
-    the stream keyed (seed, _TAG_MEMBER, i): its terms; then
-    range_terms(rng) -> (dirs, cap), the (J, d_Y) term directions and the
-    range set's per-term factor of the derivative cap; then its amplitudes,
-    with sum_j |a_j| _term_cap(k_j, m+1) cap_j <= K_B, which bounds every
+def _members(d, m, d_y, seed, k_b, n_terms, max_freq, min_freq, range_terms):
+    """Members i = 0, 1, ... of a range set with budget k_b, each drawn when
+    it is asked for. Member i draws, from the stream keyed
+    (seed, _TAG_MEMBER, i): its terms; then range_terms(rng) -> (dirs, cap),
+    the (J, d_Y) term directions and the range set's per-term factor of the
+    derivative cap; then its amplitudes, with
+    sum_j |a_j| _term_cap(k_j, m+1) cap_j <= K_B, which bounds every
     derivative of order <= m+1 (triangle inequality)."""
-    resolution = resolution or _DEFAULT_RESOLUTION.get(d, 17)
-    members = []
-    for i in range(count):
+    for i in itertools.count():
         rng = substream(seed, _TAG_MEMBER, i)
         freqs = rng.integers(min_freq, max_freq + 1, size=(n_terms, d))
         # avoid the degenerate all-constant member: force one oscillating term
@@ -447,33 +458,45 @@ def _generate(d, m, d_y, count, seed, resolution, descriptor, n_terms,
         # term rather than the joint sum normalised, which keeps
         # low-frequency terms at their full allowed size instead of letting
         # one high-frequency cap crush every amplitude
-        share = np.abs(raw) / np.abs(raw).sum() * descriptor.k_b \
-            * rng.uniform(0.35, 1.0)
+        share = np.abs(raw) / np.abs(raw).sum() * k_b * rng.uniform(0.35, 1.0)
         amps = np.sign(raw) * share / (_term_cap(freqs, m + 1) * cap)
-        members.append(GridFunction.from_terms(d, m, d_y, freqs, phases,
-                                               amps, dirs))
-    return FunctionClass(members=tuple(members), b_descriptor=descriptor,
-                         d=d, m=m, d_y=d_y, resolution=resolution)
+        yield GridFunction.from_terms(d, m, d_y, freqs, phases, amps, dirs)
 
 
-def generate_finite_dim_ball_class(d, m, d_y, k_b, count, seed, resolution=None,
-                                   n_terms=6, max_freq=3,
-                                   min_freq=0) -> FunctionClass:
-    """Members with every D^p g, [p] <= m (indeed m+1), in the K_B ball.
+def _generate(d, m, d_y, count, resolution, descriptor,
+              members) -> FunctionClass:
+    """The class of the first `count` of `members`, in `descriptor`."""
+    return FunctionClass(members=tuple(itertools.islice(members, count)),
+                         b_descriptor=descriptor, d=d, m=m, d_y=d_y,
+                         resolution=resolution or _DEFAULT_RESOLUTION.get(d, 17))
+
+
+def ball_members(d, m, d_y, k_b, seed, n_terms, max_freq, min_freq):
+    """The members of the seeded ball class in order, each drawn when it is
+    asked for: generate_finite_dim_ball_class(d, m, d_y, k_b, count, seed,
+    ...) holds the first `count` of them.
 
     The directions are unit vectors, so the amplitude budget bounds every
     derivative's norm by K_B.
     """
-    if min(d, m, d_y) < 1 or k_b <= 0 or count < 0:
-        raise ValueError("d, m, d_y must be >= 1, k_b > 0, count >= 0")
-
     def range_terms(rng):
         dirs = rng.standard_normal((n_terms, d_y))
         dirs /= distances(dirs, 0.0)[:, None]
         return dirs, 1.0
 
-    return _generate(d, m, d_y, count, seed, resolution, BallDescriptor(k_b),
-                     n_terms, max_freq, min_freq, range_terms)
+    return _members(d, m, d_y, seed, k_b, n_terms, max_freq, min_freq,
+                    range_terms)
+
+
+def generate_finite_dim_ball_class(d, m, d_y, k_b, count, seed, resolution=None,
+                                   n_terms=6, max_freq=3,
+                                   min_freq=0) -> FunctionClass:
+    """Members with every D^p g, [p] <= m (indeed m+1), in the K_B ball."""
+    if min(d, m, d_y) < 1 or k_b <= 0 or count < 0:
+        raise ValueError("d, m, d_y must be >= 1, k_b > 0, count >= 0")
+    return _generate(d, m, d_y, count, resolution, BallDescriptor(k_b),
+                     ball_members(d, m, d_y, k_b, seed, n_terms, max_freq,
+                                  min_freq))
 
 
 def generate_span_class(d, m, psi_basis, radius, count, seed,
@@ -493,9 +516,10 @@ def generate_span_class(d, m, psi_basis, radius, count, seed,
         idx = rng.integers(0, psi.shape[0], size=n_terms)
         return psi[idx], psi_norms[idx]
 
-    return _generate(d, m, psi.shape[1], count, seed, resolution,
-                     SpanDescriptor(psi=psi, radius=radius), n_terms, max_freq,
-                     0, range_terms)
+    return _generate(d, m, psi.shape[1], count, resolution,
+                     SpanDescriptor(psi=psi, radius=radius),
+                     _members(d, m, psi.shape[1], seed, radius, n_terms,
+                              max_freq, 0, range_terms))
 
 
 def generate_smooth_output_class(d, m, d_out, m_out, bound, grid_out, count, seed,
@@ -525,8 +549,9 @@ def generate_smooth_output_class(d, m, d_out, m_out, bound, grid_out, count, see
         chi = np.prod(np.cos(angle), axis=2)          # (J, d_Y)
         return chi / math.sqrt(descriptor.d_y), _term_cap(out_freqs, m_out)
 
-    return _generate(d, m, descriptor.d_y, count, seed, resolution, descriptor,
-                     n_terms, max_freq, 0, range_terms)
+    return _generate(d, m, descriptor.d_y, count, resolution, descriptor,
+                     _members(d, m, descriptor.d_y, seed, bound, n_terms,
+                              max_freq, 0, range_terms))
 
 
 def blend_members(g0: GridFunction, g1: GridFunction, weight: float) -> GridFunction:

@@ -10,7 +10,7 @@ subdominant. Everything is a deterministic function of (seed, reps).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from .covering import PointCloud, greedy_cover
 from .covering import greedy_cover as greedy_cover_from  # former name, kept for callers
 from .empirical_process import build_chaining_plan
 from .function_class import (EmpiricalDesign, FunctionClass,
-                             SmoothOutputDescriptor, blend_members,
-                             generate_finite_dim_ball_class,
+                             SmoothOutputDescriptor, ball_members,
+                             blend_members, generate_finite_dim_ball_class,
                              l2_distance_uniform)
 from .hilbert import clipped_loss, distances, sup_sign_norms
 from .reports import MC_SES, TailReport, fields_json, jsonable, passes, tail_check
@@ -198,21 +198,18 @@ def default_rate_pool(seed: int = 11, d_y: int = 3, k_b: float = 250.0,
     # single-frequency partners: one dominant frequency per partner keeps the
     # shell directions spread over the whole frequency range instead of
     # collapsing onto the lowest mode, so the local direction space widens
-    # as the shell radius shrinks (the smooth-class geometry)
+    # as the shell radius shrinks (the smooth-class geometry). Partner i of
+    # every frequency in turn, each drawn only when the loop reaches it: the
+    # shells fill long before the last of them
     per_freq = (2 * sum(DEFAULT_SHELL_COUNTS)) // max_freq + 32
-    partner_pools = [
-        generate_finite_dim_ball_class(1, 1, d_y, k_b, per_freq,
-                                       seed + 7919 * k, resolution=resolution,
-                                       n_terms=2, max_freq=k, min_freq=k)
-        for k in range(1, max_freq + 1)
-    ]
-    partners = [pool[i] for i in range(per_freq) for pool in partner_pools]
+    streams = [ball_members(1, 1, d_y, k_b, seed + 7919 * k, n_terms=2,
+                            max_freq=k, min_freq=k)
+               for k in range(1, max_freq + 1)]
+    partners = (next(stream) for _ in range(per_freq) for stream in streams)
     radii = np.asarray(DEFAULT_SHELL_RADII) * (k_b / 250.0)  # 1.0 at 250
     order = np.argsort(-radii)
     needs = {int(i): int(DEFAULT_SHELL_COUNTS[i]) for i in order}
     for partner in partners:
-        if not any(needs.values()):
-            break
         dist = l2_distance_uniform(partner, g0)
         # largest still-unfilled shell this partner can reach
         for i in order:
@@ -221,6 +218,8 @@ def default_rate_pool(seed: int = 11, d_y: int = 3, k_b: float = 250.0,
                 members.append(blend_members(g0, partner, radius / dist))
                 needs[int(i)] -= 1
                 break
+        if not any(needs.values()):
+            break
     unfilled = {float(radii[i]): c for i, c in needs.items() if c > 0}
     if unfilled:
         raise ValueError(f"could not fill shells {unfilled}: too few partners lie beyond them")
@@ -255,8 +254,7 @@ def rate_experiment(pool: FunctionClass, noise: CovarianceSpectrum,
     basic_ok = True
     for pos, n in enumerate(n_values):
         design = EmpiricalDesign.midpoint_grid(int(n), pool.d)
-        vals = pool.values_on(design)
-        dist = PointCloud.from_values(vals).distance_matrix()
+        dist = PointCloud.from_empirical(pool, design).distance_matrix()
 
         j_curve = measured_entropy_integral(dist)
         delta_n = solve_delta_n(j_curve, int(n), t)
@@ -268,8 +266,11 @@ def rate_experiment(pool: FunctionClass, noise: CovarianceSpectrum,
                              f"(delta_n = {delta_n:.4g}) is g0 alone, so the "
                              "run would measure nothing")
         cand = net.center_indices          # g0 first
-        vc = vals[cand].reshape(len(cand), -1)
-        truth = vals[0].ravel()
+        # only the net's values: a member's are its bits in the whole pool's
+        # table, since a table row does not depend on the width
+        net_pool = replace(pool, members=tuple(pool[i] for i in cand))
+        vc = net_pool.values_on(design).reshape(len(cand), -1)
+        truth = vc[0]
         g_norm = np.sum(vc ** 2, axis=1)
         a_cross = vc @ truth
 

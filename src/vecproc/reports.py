@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,19 @@ def jsonable(obj):
     return obj
 
 
+def _standard(tree):
+    """A jsonable tree with every non-finite float as the string "inf",
+    "-inf" or "nan", its CSV cell: JSON has no such number. In-memory
+    reports keep their floats."""
+    if isinstance(tree, float) and not math.isfinite(tree):
+        return fmt(tree)
+    if isinstance(tree, dict):
+        return {k: _standard(v) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [_standard(v) for v in tree]
+    return tree
+
+
 def fields_json(obj) -> dict:
     """A dataclass's fields, JSON-ready, in declaration order; a field's
     "json" metadata entry, where it has one, renames its key."""
@@ -70,7 +84,8 @@ def write_csv(path, rows) -> None:
 
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(jsonable(obj), fh, indent=2, sort_keys=True)
+        json.dump(_standard(jsonable(obj)), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 

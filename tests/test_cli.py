@@ -402,15 +402,25 @@ def test_invalid_monte_carlo_input_exits_2(tmp_path, capsys, argv, message):
     # at K_B = 20 the net at net_fraction * delta_n keeps only the truth
     (["regress", "--kb", "20", "--n-grid", "64,128", "--reps", "30",
       "--seed", "3"], "at n = 64 the net at net_fraction * delta_n"),
+    # a Python float power that overflows raises; the bound says so
+    (["dimension", "--input", "POINTS", "--check", "homogeneity", "--tau",
+      "1000"], "the homogeneity bound M (R/r)^tau overflows a float"),
+    (["bounds", "--variant", "exponential", "--tau", "1000", "--deltas",
+      "0.1"], "the exponential entropy bound overflows a float"),
+    # three of four points share a place: the median nearest-neighbour
+    # distance, the default window's lower end, is 0
+    (["dimension", "--input", "TWINS", "--check", "box"],
+     "give the radii (--deltas)"),
 ])
 def test_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
                                                   message):
     files = {name: tmp_path / f"{name.lower()}.csv"
-             for name in ("EMPTY", "POINTS", "ONE", "TWIN")}
+             for name in ("EMPTY", "POINTS", "ONE", "TWIN", "TWINS")}
     files["EMPTY"].write_text("")
     files["POINTS"].write_text("0,0\n1,0\n0,1\n")
     files["ONE"].write_text("0.5,0.5\n")
     files["TWIN"].write_text("0.5,0.5\n0.5,0.5\n")
+    files["TWINS"].write_text("0,0\n0,0\n0,0\n1,1\n")
     argv = [str(files.get(a, a)) for a in argv]
     code, out = run_cli(argv, tmp_path, "out")
     err = capsys.readouterr().err
@@ -430,7 +440,9 @@ def test_gc_with_infinite_medians_fails(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     summary = json.loads((out / "gc_curve.json").read_text())
     assert summary["ok"] is False
-    assert all(med == math.inf for _, med in summary["rows"])
+    # JSON has no infinity: a non-finite number is written as a string
+    assert all(med == "inf" for _, med in summary["rows"])
+    assert summary["trend_slope"] == "nan"
 
 
 def test_invalid_seed_env_exits_2(tmp_path, capsys, monkeypatch):

@@ -302,6 +302,46 @@ def test_matrix_metric_cloud():
         assert cov.exact_cover_number(direct, d) == cov.exact_cover_number(viamat, d)
 
 
+_ISOMETRY_PSI = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
+
+
+def _isometry_class(kind, d, count):
+    max_freq = 3 if d < 4 else 1
+    if kind == "ball":
+        return fc.generate_finite_dim_ball_class(d, 1, 3, 1.0, count, seed=5,
+                                                 resolution=5,
+                                                 max_freq=max_freq)
+    if kind == "span":
+        return fc.generate_span_class(d, 1, _ISOMETRY_PSI, 1.0, count, seed=5,
+                                      resolution=5, max_freq=max_freq)
+    return fc.generate_smooth_output_class(d, 1, 1, 1, 1.0, 8, count, seed=5,
+                                           resolution=5,
+                                           max_freq=min(max_freq, 2))
+
+
+@pytest.mark.parametrize("count", [2, 40])
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("kind", ["ball", "span", "smooth_output"])
+def test_empirical_cloud_is_isometric_to_the_values(kind, d, count):
+    # 40 members always have fewer features than K d_Y coordinates; two
+    # members do only at d = 1 with d_Y = 4 (span) or 8 (smooth output)
+    cls = _isometry_class(kind, d, count)
+    f = len(cls.features[0])
+    coords = count == 40 or (d == 1 and kind != "ball")
+    assert coords == (f < count * cls.d_y)
+    for n in (max(1, f // 2), 3 * f):          # n < F and n > F
+        design = fc.EmpiricalDesign(substream(3, d, n).uniform(size=(n, d)))
+        cloud = cov.PointCloud.from_empirical(cls, design)
+        assert cloud.points.shape == (count, (min(n, f) if coords else n)
+                                      * cls.d_y)
+        got = cloud.distance_matrix()
+        want = cov.PointCloud.from_values(cls.values_on(design)) \
+            .distance_matrix()
+        assert np.all(np.abs(got - want) <= 1e-13 * want.max())
+        if not coords:
+            assert np.array_equal(got, want)
+
+
 # ------------------------------------------------------------ smooth covers
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from vecproc import empirical_process as ep
 from vecproc import function_class as fc
+from vecproc import regression as reg
 from vecproc.covering import PointCloud, greedy_cover
 from vecproc.rng import (BLOCK_POINTS, BLOCK_SIZE, TABLE_CHUNK, block_sizes,
                          rademacher_signs, substream)
@@ -237,6 +238,16 @@ def test_symmetrization_peak_memory_flat_in_class_size_at_d4():
             cls, 50, 400, seed=1)) - tensor
 
     assert peak(40) < 1.5 * peak(10)
+
+
+def test_chaining_plan_peak_memory_below_one_value_tensor():
+    # the benchmark's rate pool, 446 members at d_Y = 3: its values at
+    # n = 4096 would take 43.8 MB, its feature coordinates 17 per output
+    pool = reg.default_rate_pool(base_count=150)
+    design = fc.EmpiricalDesign.midpoint_grid(4096, 1)
+    pool.features
+    tensor = len(pool) * design.n * pool.d_y * 8
+    assert traced_peak(lambda: ep.build_chaining_plan(pool, design)) < tensor
 
 
 def test_symmetrization_peak_memory_grows_only_with_its_draws():

@@ -249,6 +249,7 @@ def test_features_reproduce_member_values(d):
     x = substream(4, d).uniform(size=(50, d))
     tables = [np.vstack([np.ones(50), t]) for t in fc.trig_tables(x, cls.width)]
     phi = np.prod([t[r] for t, r in zip(tables, rows.T)], axis=0)
+    assert np.array_equal(cls.features_on(fc.EmpiricalDesign(x)), phi.T)
     got = (phi.T @ coefs).reshape(50, len(cls), cls.d_y)
     want = cls.values_on(fc.EmpiricalDesign(x)).transpose(1, 0, 2)
     # both sides are chains of at most m roundings over terms of absolute

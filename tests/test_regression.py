@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -103,6 +105,41 @@ def test_rate_pool_shells_scale_with_k_b(k_b):
     shells = [fc.l2_distance_uniform(g, pool[0]) for g in pool.members[150:]]
     assert np.allclose(np.sort(shells)[::-1], np.sort(radii)[::-1],
                        rtol=1e-9, atol=0.0)
+
+
+def terms_digest(cls) -> str:
+    """sha256 of a class's shape and every member's terms."""
+    h = hashlib.sha256(json.dumps([cls.d, cls.m, cls.d_y, cls.resolution,
+                                   len(cls)]).encode())
+    for g in cls.members:
+        for arr in (g.freqs.astype(float), g.phases, g.amps, g.dirs):
+            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed, base_count, sha", [
+    (0, 20, "274156a34091a0f706aae10339862214bb651b9f7fa992e77b488568bf35a234"),
+    (0, 150, "f2ebb9c01b58b2c8c29c8d0a9c0ce1660a217e5316f81cb3b92b209efdf7bedd"),
+    (11, 20, "bf94c95ddfbb766f1fdd23a23375535e08cc4adf2bd45313f8511a198a7e8dd9"),
+    (11, 150, "82f506d9b5dc535d5f2e816482c0285a4e311cb3f9930f292d11a42d93f639ee"),
+])
+def test_rate_pool_draws_only_the_partners_it_reads(monkeypatch, seed,
+                                                    base_count, sha):
+    # the pins are the pools built from all 8 x 106 partners up front; the
+    # shell loop reads partner i of every frequency in turn and stops once
+    # the shells are full, so the last partner drawn is the one blended last
+    drawn = []
+
+    def counted(*args, **kw):
+        for g in fc.ball_members(*args, **kw):
+            drawn.append(g)
+            yield g
+
+    monkeypatch.setattr(reg, "ball_members", counted)
+    pool = reg.default_rate_pool(seed=seed, base_count=base_count)
+    assert terms_digest(pool) == sha
+    assert np.array_equal(pool[-1].phases[-2:], drawn[-1].phases)
+    assert len(pool) - base_count <= len(drawn) < 8 * 106
 
 
 def test_rate_experiment_rejects_bad_noise():

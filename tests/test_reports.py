@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from vecproc import covering as cov
 from vecproc import empirical_process as ep
 from vecproc import regression as reg
-from vecproc.reports import TailReport, passes, tail_check
+from vecproc.reports import TailReport, passes, tail_check, write_json
 from vecproc.rng import BLOCK_SIZE
 
 
@@ -96,3 +97,28 @@ def test_passes_is_elementwise():
     assert passes(value, bound).tolist() == [True, False, False, False, False]
     assert passes(value, bound, slack=1.0).tolist() == [True, True, False,
                                                         False, False]
+
+
+def _no_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_json_writes_non_finite_numbers_as_strings(tmp_path):
+    path = tmp_path / "r.json"
+    body = {"rows": [[10, math.inf], [20, -math.inf]], "slope": math.nan,
+            "array": np.array([1.5, np.inf]), "scalar": np.float64(np.nan)}
+    write_json(path, body)
+    got = json.loads(path.read_text(), parse_constant=_no_constant)
+    assert got == {"rows": [[10, "inf"], [20, "-inf"]], "slope": "nan",
+                   "array": [1.5, "inf"], "scalar": "nan"}
+
+
+def test_json_keeps_the_bytes_of_a_finite_body(tmp_path):
+    path = tmp_path / "r.json"
+    body = {"b": [0.1, 2, -3e300, True, None, "x"], "a": np.arange(3) / 7}
+    write_json(path, body)
+    want = json.dumps({"b": [0.1, 2, -3e300, True, None, "x"],
+                       "a": (np.arange(3) / 7).tolist()},
+                      indent=2, sort_keys=True) + "\n"
+    assert path.read_text() == want
+

@@ -31,7 +31,8 @@ from .function_class import (TWO_PI, EmpiricalDesign, FunctionClass,
                              l2_distance_uniform)
 from .hilbert import distances, sup_sign_norms
 from .reports import MC_SES, TailReport, fields_json, passes, tail_check
-from .rng import TABLE_CHUNK, map_blocks, rademacher_signs, sample_block
+from .rng import (TABLE_CHUNK, map_blocks, rademacher_signs, row_tiles,
+                  sample_block)
 
 _TAG_SYM = 401
 _TAG_GC = 402
@@ -383,7 +384,9 @@ def chaining_tail_check(plan: ChainingPlan, cls: FunctionClass,
     top_vals = cls.values_on(design)[tops]    # (T, n, d_Y)
 
     def stat(rng, size):
-        return sup_sign_norms(rademacher_signs(rng, (size, n)), top_vals)
+        return np.concatenate([
+            sup_sign_norms(rademacher_signs(rng, (rows, n)), top_vals)
+            for rows in row_tiles(size, n, len(tops) * cls.d_y)])
 
     return tail_check(stat, thresholds, ts, 2.0 * np.exp(-ts), reps, threads,
                       seed, _TAG_CHAIN)

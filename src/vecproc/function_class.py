@@ -299,6 +299,16 @@ class GridFunction:
 # classes and designs
 
 
+def _side_by_side(mats, rows: int) -> np.ndarray:
+    """The matrices side by side, each padded with zero rows to `rows`."""
+    out = np.zeros((rows, sum(a.shape[1] for a in mats)))
+    col = 0
+    for a in mats:
+        out[:len(a), col:col + a.shape[1]] = a
+        col += a.shape[1]
+    return out
+
+
 @dataclass(frozen=True)
 class FunctionClass:
     members: tuple
@@ -339,27 +349,32 @@ class FunctionClass:
         features; row 0 is the all-constant one, so coefs[0] is the means."""
         if not self.members:
             raise ValueError("class must be nonempty")
-        base = (2 * self.width + 1) ** np.arange(self.d)
-        codes, owners, values = [], [], []
-        for k, g in enumerate(self.members):
-            *axes, weights = g._coefficients((0,) * self.d)
-            if self.d == 1:     # one matrix, whose rows are the features
-                axes = [np.eye(len(weights))]
-            term = np.arange(len(weights))
+        side = 2 * self.width + 1
+        base = side ** np.arange(self.d)
+        parts = [g._coefficients((0,) * self.d) for g in self.members]
+        # every member's terms side by side: for d = 1 its one matrix,
+        # whose rows are its features, stands for them
+        weights = np.concatenate([p[-1] for p in parts])
+        owner = np.repeat(np.arange(len(self)), [len(p[-1]) for p in parts])
+        term = np.arange(len(weights))
+        if self.d == 1:
+            code = np.concatenate([np.arange(len(p[0])) for p in parts])
+            values = weights
+        else:
+            # expand the terms over each axis's rows, all members at once;
+            # a member's entries keep their order, so np.add.at sums each
+            # (feature, member) slot as the member alone would
             code, factor = np.zeros(term.size, int), np.ones(term.size)
-            for a, step in zip(axes, base):    # expand over each axis's rows
+            for l, step in enumerate(base):
+                a = _side_by_side([p[l] for p in parts], side)
                 row, i = np.nonzero(a[:, term])
                 code, term = code[i] + row * step, term[i]
                 factor = factor[i] * a[row, term]
-            codes.append(code)
-            owners.append(np.full(term.size, k))
-            values.append(factor[:, None] * weights[term])
-        codes = np.concatenate(codes)
-        active = np.union1d([0], codes)
+            values = factor[:, None] * weights[term]
+        active = np.union1d([0], code)
         coefs = np.zeros((active.size, len(self), self.d_y))
-        np.add.at(coefs, (np.searchsorted(active, codes),
-                          np.concatenate(owners)), np.concatenate(values))
-        rows = active[:, None] // base % (2 * self.width + 1)
+        np.add.at(coefs, (np.searchsorted(active, code), owner[term]), values)
+        rows = active[:, None] // base % side
         coefs = coefs.reshape(active.size, -1)
         rows.flags.writeable = coefs.flags.writeable = False
         return rows, coefs

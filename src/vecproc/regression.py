@@ -24,7 +24,7 @@ from .function_class import (EmpiricalDesign, FunctionClass,
                              l2_distance_uniform)
 from .hilbert import clipped_loss, distances, sup_sign_norms
 from .reports import MC_SES, TailReport, fields_json, jsonable, passes, tail_check
-from .rng import map_blocks, rademacher_signs
+from .rng import TILE_VALUES, map_blocks, rademacher_signs, row_tiles
 
 _TAG_RATE = 502
 _TAG_GCHAIN = 503
@@ -244,7 +244,9 @@ def rate_experiment(pool: FunctionClass, noise: CovarianceSpectrum,
     With trace-1 noise the explicit-constant threshold delta_n exceeds the
     class diameter at moderate n, so a net pruned exactly at delta_n keeps
     only g0; the default net_fraction keeps the net a delta_n-net while
-    retaining the local structure the error actually explores.
+    retaining the local structure the error actually explores. A size
+    whose net is g0 alone, or whose median error is 0, raises: the run
+    would measure nothing there, and log 0 leaves the slope undefined.
     """
     if abs(noise.trace - 1.0) > 1e-9:
         raise ValueError("noise covariance must have trace 1")
@@ -271,33 +273,40 @@ def rate_experiment(pool: FunctionClass, noise: CovarianceSpectrum,
         net_pool = replace(pool, members=tuple(pool[i] for i in cand))
         vc = net_pool.values_on(design).reshape(len(cand), -1)
         truth = vc[0]
-        g_norm = np.sum(vc ** 2, axis=1)
+        # each row's pairwise sum, a few rows at a time
+        step = max(1, TILE_VALUES // vc.shape[1])
+        g_norm = np.concatenate([np.sum(vc[lo:lo + step] ** 2, axis=1)
+                                 for lo in range(0, len(vc), step)])
         a_cross = vc @ truth
 
-        def block(rng, size):
-            eps = sample_gaussian_batch(noise, rng, size * int(n)) \
-                .reshape(size, -1)
+        def tile(rng, rows):
+            eps = sample_gaussian_batch(noise, rng, rows * int(n)) \
+                .reshape(rows, -1)
             cross = eps @ vc.T
             scores = g_norm[None, :] - 2.0 * (a_cross[None, :] + cross)
             pick = np.argmin(scores, axis=1)
             errs = dist[0, cand[pick]]
-            rows = np.arange(size)
-            rhs = 2.0 * (cross[rows, pick] - cross[rows, 0]) / n
+            rhs = 2.0 * (cross[np.arange(rows), pick] - cross[:, 0]) / n
             return errs, passes(errs ** 2, rhs, 1e-9)
 
-        parts = map_blocks(block, reps, threads, seed, _TAG_RATE, pos)
+        def block(rng, size):
+            return [tile(rng, rows)
+                    for rows in row_tiles(size, vc.shape[1], len(cand))]
+
+        parts = sum(map_blocks(block, reps, threads, seed, _TAG_RATE, pos), [])
         errs, basic = (np.concatenate(p) for p in zip(*parts))
         basic_ok = basic_ok and bool(np.all(basic))
         medians.append(float(np.median(errs)))
+        if medians[-1] == 0:
+            raise ValueError(f"at n = {n} over half the replicates pick g0, "
+                             "so the median error is 0 and the log-log "
+                             "rate fit is undefined")
         deltas.append(delta_n)
         cov_fail.append(float(np.mean(errs > delta_n)))
         net_sizes.append(len(cand))
     medians = np.array(medians)
-    if np.all(medians > 0):
-        slope = float(np.polyfit(np.log(n_values.astype(float)),
-                                 np.log(medians), 1)[0])
-    else:
-        slope = float("nan")
+    slope = float(np.polyfit(np.log(n_values.astype(float)), np.log(medians),
+                             1)[0])
     return RateFit(n_values=n_values, median_errors=medians, slope=slope,
                    theoretical_exponent=smoothness_exponent(pool),
                    delta_n=np.array(deltas), coverage_fail=np.array(cov_fail),
@@ -329,9 +338,14 @@ def gaussian_chaining_check(cls: FunctionClass, design: EmpiricalDesign,
     tops = np.unique(plan.chains[:, -1])
     top_flat = cls.values_on(design)[tops].reshape(len(tops), -1)
 
-    def stat(rng, size):
-        eps = sample_gaussian_batch(noise, rng, size * n).reshape(size, -1)
+    def tile(rng, rows):
+        eps = sample_gaussian_batch(noise, rng, rows * n).reshape(rows, -1)
         return (eps @ top_flat.T / n).max(axis=1)
+
+    def stat(rng, size):
+        return np.concatenate([
+            tile(rng, rows)
+            for rows in row_tiles(size, top_flat.shape[1], len(tops))])
 
     return tail_check(stat, thresholds, ts, np.exp(-ts), reps, threads, seed,
                       _TAG_GCHAIN)
@@ -555,7 +569,8 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
             excesses = np.empty(size)
             rads = np.empty(size)
             decomp = np.empty(size, dtype=bool)
-            signs = np.empty((_RAD_PATTERNS, n))     # refilled per replicate
+            tiles = row_tiles(_RAD_PATTERNS, n, len(cls))
+            buf = np.empty(max(tiles) * n)      # refilled tile by tile
             # every design and noise draw precedes the block's signs, so the
             # sign sampler cannot move the excess risks
             draws = [(rng.uniform(size=(n, cls.d)),
@@ -570,9 +585,10 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
                 excesses[b] = excess
                 decomp[b] = passes(excess, np.max(risks - emp) + emp[g_star]
                                    - risks[g_star], 1e-12)
-                rads[b] = sup_sign_norms(
-                    rademacher_signs(rng, signs.shape, out=signs),
-                    loss[:, :, None]).mean()
+                rads[b] = np.concatenate([sup_sign_norms(
+                    rademacher_signs(rng, (rows, n),
+                                     out=buf[:rows * n].reshape(rows, n)),
+                    loss[:, :, None]) for rows in tiles]).mean()
             return excesses, rads, decomp
 
         parts = map_blocks(block, reps, threads, seed, _TAG_ERM_RAD, pos,

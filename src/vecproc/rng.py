@@ -36,6 +36,15 @@ BLOCK_POINTS = 2 ** 19
 # sums follow these chunks.
 TABLE_CHUNK = 2 ** 16
 
+# Most values a tile of row_tiles draws where its GEMM floor allows: a
+# block's sign or noise rows are drawn and reduced a tile at a time, and
+# the tiles move no bit.
+TILE_VALUES = 2 ** 17
+
+# Fewest multiply-adds of a tile's GEMM, which takes rows beyond
+# TILE_VALUES where it needs them (row_tiles).
+GEMM_FLOOR = 2 ** 20
+
 
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _M64
@@ -111,6 +120,41 @@ def sample_block(n: int) -> int:
     """Replicates per block of a kernel whose replicate draws n points:
     BLOCK_POINTS // n, between 1 and BLOCK_SIZE."""
     return max(1, min(BLOCK_SIZE, BLOCK_POINTS // n))
+
+
+def row_tiles(rows: int, width: int, columns: int):
+    """Row counts, in order, of the tiles that split a block's `rows`
+    replicate rows for a kernel that draws `width` values per row and
+    reduces them through a GEMM against `columns` columns. Drawing and
+    reducing tile by tile gives every row the bits of one draw of the
+    whole block:
+
+      - Draws. Every tile but the last is a multiple of 32 rows, so a
+        tile of signs is whole 32-bit words and the next tile continues
+        the stream (rademacher_signs); Gaussian and uniform draws continue
+        it at any count.
+      - GEMM rows. A tile is as many 32-row groups as fit in TILE_VALUES
+        values, but at least one, and at least as many as its GEMM needs
+        for more than GEMM_FLOOR multiply-adds; a remainder at or below
+        the floor joins the last tile. So every tile's product clears the
+        floor, or the block is one tile and its product the one-shot
+        product. OpenBLAS 0.3.31 (numpy 2.4.6) sends products of at most
+        1e6 multiply-adds to a small-matrix kernel whose rows differ in
+        the last bit from the same rows of a large product: row slices of
+        (M x n) @ (n x 10), n = 100, 400 and 1600, compared with the
+        4096-row product, differed at every M with 10 M n <= 1e6 for a
+        C-ordered right operand, and at M <= 120 to 131 (n = 100, 400) for
+        an F-ordered one; no slice above 1e6 multiply-adds differed.
+
+    A tile but the last draws at most max(TILE_VALUES, GEMM_FLOOR / columns
+    + 32 width) values, however many rows the block has.
+    """
+    step = 32 * max(TILE_VALUES // (32 * width),
+                    GEMM_FLOOR // (32 * width * columns) + 1)
+    tiles = block_sizes(rows, step)
+    if len(tiles) > 1 and tiles[-1] * width * columns <= GEMM_FLOOR:
+        tiles[-2:] = [tiles[-2] + tiles[-1]]
+    return tiles
 
 
 def map_blocks(fn, reps: int, threads: int, seed: int, *path: int,

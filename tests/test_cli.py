@@ -411,6 +411,10 @@ def test_invalid_monte_carlo_input_exits_2(tmp_path, capsys, argv, message):
     # distance, the default window's lower end, is 0
     (["dimension", "--input", "TWINS", "--check", "box"],
      "give the radii (--deltas)"),
+    # at n = 8192 every replicate picks g0: a median error of 0 leaves the
+    # log-log rate fit undefined
+    (["regress", "--n-grid", "64,1024,8192", "--reps", "50"],
+     "at n = 8192 over half the replicates pick g0"),
 ])
 def test_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
                                                   message):

@@ -264,6 +264,54 @@ def test_features_reproduce_member_values(d):
         fc.generate_finite_dim_ball_class(d, 1, 2, 1.0, 0, seed=1).features
 
 
+def per_member_features(cls):
+    """FunctionClass.features built one member at a time: per member, one
+    np.nonzero per axis over its own term matrices."""
+    base = (2 * cls.width + 1) ** np.arange(cls.d)
+    codes, owners, values = [], [], []
+    for k, g in enumerate(cls.members):
+        *axes, weights = g._coefficients((0,) * cls.d)
+        if cls.d == 1:
+            axes = [np.eye(len(weights))]
+        term = np.arange(len(weights))
+        code, factor = np.zeros(term.size, int), np.ones(term.size)
+        for a, step in zip(axes, base):
+            row, i = np.nonzero(a[:, term])
+            code, term = code[i] + row * step, term[i]
+            factor = factor[i] * a[row, term]
+        codes.append(code)
+        owners.append(np.full(term.size, k))
+        values.append(factor[:, None] * weights[term])
+    codes = np.concatenate(codes)
+    active = np.union1d([0], codes)
+    coefs = np.zeros((active.size, len(cls), cls.d_y))
+    np.add.at(coefs, (np.searchsorted(active, codes), np.concatenate(owners)),
+              np.concatenate(values))
+    return active[:, None] // base % (2 * cls.width + 1), \
+        coefs.reshape(active.size, -1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_features_match_the_per_member_construction(d):
+    cls = fc.generate_finite_dim_ball_class(d, 1, 3, 1.0, 12, seed=40 + d,
+                                            resolution=9)
+    # a member with a -0.0 output coordinate: its coefficients there are
+    # -0.0 (d > 1) and np.add.at writes them as +0.0
+    g = cls[3]
+    dirs = g.dirs.copy()
+    dirs[:, 1] = -0.0
+    narrow = fc.GridFunction.from_terms(d, 1, 3, g.freqs[:1], g.phases[:1],
+                                        g.amps[:1], g.dirs[:1])
+    members = (*cls.members[:3], fc.GridFunction.from_terms(
+        d, 1, 3, g.freqs, g.phases, g.amps, dirs), narrow, *cls.members[4:])
+    cls = dataclasses.replace(cls, members=members)
+    rows, coefs = cls.features
+    want_rows, want_coefs = per_member_features(cls)
+    assert np.array_equal(rows, want_rows)
+    assert coefs.tobytes() == want_coefs.tobytes()
+    assert not np.signbit(coefs[:, 3 * 3 + 1]).any()
+
+
 def test_true_means_match_quadrature():
     cls = fc.generate_finite_dim_ball_class(1, 1, 3, 1.0, 4, seed=13,
                                             resolution=65)

@@ -1,15 +1,19 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vecproc import empirical_process as ep
 from vecproc import function_class as fc
 from vecproc import hilbert
 from vecproc import regression as reg
 from vecproc.concentration import CovarianceSpectrum, sample_gaussian_batch
-from vecproc.rng import block_sizes, rademacher_signs, substream
+from vecproc.covering import PointCloud, greedy_cover
+from vecproc.rng import (BLOCK_SIZE, block_sizes, rademacher_signs, row_tiles,
+                         substream)
 
 
 def ball_class(count, seed, d_y=3, resolution=129, **kw):
@@ -422,6 +426,169 @@ def test_erm_matches_one_shot_sign_reference():
         assert row.rad_mean == float(np.mean(rads))
         assert row.rad_se == float(np.std(rads, ddof=1) / math.sqrt(3))
         assert row.decomposition_ok == all(decomp)
+
+
+def spied(monkeypatch, module, name):
+    """Record the arguments of every call to module.name, which still runs:
+    the kernel closure a tail_check or map_blocks call is handed first."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args, **kw):
+        calls.append((args, kw))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def per_block(fn, reps, seed, path, block=BLOCK_SIZE):
+    """fn(generator, size) of every block, as map_blocks keys them."""
+    return [fn(substream(seed, *path, i), size)
+            for i, size in enumerate(block_sizes(reps, block))]
+
+
+def chain_inputs(count=20, n=100):
+    cls = ball_class(count, seed=8)
+    design = fc.EmpiricalDesign.midpoint_grid(n, 1)
+    tops = np.unique(ep.build_chaining_plan(cls, design).chains[:, -1])
+    return cls, design, cls.values_on(design)[tops]
+
+
+def test_erm_tiled_signs_match_one_shot_at_a_split_shape():
+    # 2048 patterns of n = 1600 signs against K = 10 losses: tiles of 96
+    # rows and a last one of 128
+    cls = ball_class(10, seed=6)
+    noise = CovarianceSpectrum.uniform(3)
+    assert len(row_tiles(reg._RAD_PATTERNS, 1600, len(cls))) > 1
+    rep = reg.erm_lipschitz_experiment(cls, noise, [1600], reps=3, seed=2,
+                                       noise_quad=3000)
+    _, [(excess, rads, decomp)] = one_shot_erm(cls, noise, [1600], 3, 2,
+                                               noise_quad=3000)
+    row, = rep.rows
+    assert row.rad_mean == float(np.mean(rads))
+    assert row.rad_se == float(np.std(rads, ddof=1) / math.sqrt(3))
+    assert row.median_excess == float(np.median(excess))
+
+
+def test_gaussian_chain_tiled_noise_matches_one_shot(monkeypatch):
+    # 10,000 replicates: one block of 8192 and one of 1808, both tiled
+    cls, design, top_vals = chain_inputs()
+    noise = CovarianceSpectrum.uniform(3)
+    n, top_flat = design.n, top_vals.reshape(len(top_vals), -1)
+    assert len(row_tiles(1808, top_flat.shape[1], len(top_vals))) > 1
+    calls = spied(monkeypatch, reg, "tail_check")
+    reg.gaussian_chaining_check(cls, design, noise, [1.0], reps=10_000,
+                                seed=4)
+    (stat, _, _, _, reps, _, seed, *path), _ = calls[0]
+
+    def one_shot(rng, size):
+        eps = sample_gaussian_batch(noise, rng, size * n).reshape(size, -1)
+        return (eps @ top_flat.T / n).max(axis=1)
+
+    for got, want in zip(per_block(stat, reps, seed, path),
+                         per_block(one_shot, reps, seed, path)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_chaining_tail_tiled_signs_match_one_shot(monkeypatch):
+    cls, design, top_vals = chain_inputs()
+    n = design.n
+    assert len(row_tiles(1808, n, top_vals[:, 0].size)) > 1
+    calls = spied(monkeypatch, ep, "tail_check")
+    ep.chaining_tail_check(ep.build_chaining_plan(cls, design), cls, design,
+                           [1.0], reps=10_000, seed=4)
+    (stat, _, _, _, reps, _, seed, *path), _ = calls[0]
+
+    def one_shot(rng, size):
+        return hilbert.sup_sign_norms(rademacher_signs(rng, (size, n)),
+                                      top_vals)
+
+    for got, want in zip(per_block(stat, reps, seed, path),
+                         per_block(one_shot, reps, seed, path)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_rate_experiment_tiled_noise_matches_one_shot(monkeypatch):
+    # n = 1024 and d_Y = 3: tiles of 32 of the 200 replicates
+    pool = reg.default_rate_pool(base_count=40)
+    noise = CovarianceSpectrum.uniform(3)
+    calls = spied(monkeypatch, reg, "map_blocks")
+    reg.rate_experiment(pool, noise, [256, 1024], reps=200, seed=5)
+    (block, reps, _, seed, *path), _ = calls[1]
+    n, t = 1024, 2.0
+    design = fc.EmpiricalDesign.midpoint_grid(n, 1)
+    dist = PointCloud.from_empirical(pool, design).distance_matrix()
+    delta_n = reg.solve_delta_n(reg.measured_entropy_integral(dist), n, t)
+    cand = greedy_cover(PointCloud(dist, metric="matrix"), delta_n / 64.0,
+                        start=0).center_indices
+    vc = pool.values_on(design)[cand].reshape(len(cand), -1)
+    assert len(row_tiles(reps, vc.shape[1], len(cand))) > 1
+    g_norm, a_cross = np.sum(vc ** 2, axis=1), vc @ vc[0]
+
+    def one_shot(rng, size):
+        eps = sample_gaussian_batch(noise, rng, size * n).reshape(size, -1)
+        cross = eps @ vc.T
+        pick = np.argmin(g_norm - 2.0 * (a_cross + cross), axis=1)
+        errs = dist[0, cand[pick]]
+        rhs = 2.0 * (cross[np.arange(size), pick] - cross[:, 0]) / n
+        return errs, errs ** 2 <= rhs + 1e-9
+
+    errs, basic = (np.concatenate(p) for p in zip(*per_block(
+        block, reps, seed, path)[0]))
+    (want_errs, want_basic), = per_block(one_shot, reps, seed, path)
+    assert errs.tobytes() == want_errs.tobytes()
+    assert np.array_equal(basic, want_basic)
+
+
+def kernel_block(monkeypatch, kernel, n):
+    """The block closure of one kernel at sample size n and the block size
+    to call it with (two erm replicates, 2048 rows of the others)."""
+    noise = CovarianceSpectrum.uniform(3)
+    with monkeypatch.context() as m:
+        if kernel == "erm":
+            calls = spied(m, reg, "map_blocks")
+            reg.erm_lipschitz_experiment(ball_class(10, seed=6), noise, [n],
+                                         reps=2, seed=1, noise_quad=1000)
+            return calls[0][0][0], 2
+        if kernel == "rate":
+            calls = spied(m, reg, "map_blocks")
+            reg.rate_experiment(reg.default_rate_pool(base_count=40), noise,
+                                [64, n], reps=10, seed=1)
+            return calls[-1][0][0], 2048
+        cls = ball_class(20, seed=8)
+        design = fc.EmpiricalDesign.midpoint_grid(n, 1)
+        if kernel == "gaussian_chain":
+            calls = spied(m, reg, "tail_check")
+            reg.gaussian_chaining_check(cls, design, noise, [1.0], reps=10,
+                                        seed=1)
+        else:
+            calls = spied(m, ep, "tail_check")
+            ep.chaining_tail_check(ep.build_chaining_plan(cls, design), cls,
+                                   design, [1.0], reps=10, seed=1)
+        return calls[0][0][0], 2048
+
+
+def block_peak(fn, size):
+    rng = substream(1, 2)
+    tracemalloc.start()
+    try:
+        fn(rng, size)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kernel, small, large", [
+    ("erm", 400, 1600), ("gaussian_chain", 100, 800),
+    ("chaining_tail", 100, 800), ("rate", 256, 800)])
+def test_kernel_block_peak_memory_flat_in_n(monkeypatch, kernel, small,
+                                            large):
+    # one sign or noise tile at a time: at most about TILE_VALUES values at
+    # these widths, where one draw of the block took rows x width (erm: a
+    # replicate also holds its (10, n, 3) values and (10, n) losses)
+    peaks = [block_peak(*kernel_block(monkeypatch, kernel, n))
+             for n in (small, large)]
+    assert peaks[1] < (2.0 if kernel == "erm" else 1.5) * peaks[0]
 
 
 def test_erm_excess_risks_do_not_depend_on_the_sign_sampler(monkeypatch):

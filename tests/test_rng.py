@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vecproc.rng import block_sizes, map_blocks, rademacher_signs, substream
+from vecproc.rng import (GEMM_FLOOR, TILE_VALUES, block_sizes, map_blocks,
+                         rademacher_signs, row_tiles, substream)
 
 
 def test_signs_golden_vector():
@@ -69,3 +72,20 @@ def test_map_blocks_hands_block_i_its_substream(reps, block):
     assert len(three) == len(one)
     assert all(a[0] == b[0] and np.array_equal(a[1], b[1])
                for a, b in zip(one, three))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 20_000), width=st.integers(1, 50_000),
+       columns=st.integers(1, 2_000))
+def test_row_tiles_cover_the_rows_in_whole_words_above_the_floor(
+        rows, width, columns):
+    tiles = row_tiles(rows, width, columns)
+    assert sum(tiles) == rows and min(tiles) > 0
+    # whole 32-bit words of signs, so the next tile continues the stream
+    assert all(t % 32 == 0 for t in tiles[:-1])
+    # every GEMM clears the floor, unless the block is one tile: its own
+    # one-shot product
+    assert len(tiles) == 1 or min(tiles) * width * columns > GEMM_FLOOR
+    # a tile's draws are bounded whatever the block's rows are
+    assert all(t * width <= max(TILE_VALUES, GEMM_FLOOR / columns + 32 * width)
+               for t in tiles[:-1])

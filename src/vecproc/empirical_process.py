@@ -31,8 +31,8 @@ from .function_class import (TWO_PI, EmpiricalDesign, FunctionClass,
                              l2_distance_uniform)
 from .hilbert import distances, sup_sign_norms
 from .reports import MC_SES, TailReport, fields_json, passes, tail_check
-from .rng import (TABLE_CHUNK, map_blocks, rademacher_signs, row_tiles,
-                  sample_block)
+from .rng import (TABLE_CHUNK, jump_ahead, map_blocks, rademacher_signs,
+                  row_tiles, sample_block, sign_bytes, unpack_signs)
 
 _TAG_SYM = 401
 _TAG_GC = 402
@@ -87,7 +87,8 @@ def _feature_means(cls: FunctionClass, size: int, n: int, points, signs=None):
     (replicates, F). points(start, stop) returns the block's points
     start..stop-1, replicate-major, and is called in order, one chunk of
     TABLE_CHUNK // F points at a time: whole replicates where they fit,
-    else pieces of one whose sums are added in order. A chunk's sums are
+    else pieces of one whose sums are added in order; signs(start, stop)
+    returns those points' signs the same way. A chunk's sums are
     one batched GEMM: the products of the features' rows on every axis but
     the last (their heads, one row for d = 1) against the last axis's
     table and its signed copy."""
@@ -107,12 +108,18 @@ def _feature_means(cls: FunctionClass, size: int, n: int, points, signs=None):
             for table, r in zip(tables, heads.T):
                 head *= table[r]
             tail = tables[-1] if signs is None else np.vstack(
-                [tables[-1], tables[-1] * signs[lo:stop]])
+                [tables[-1], tables[-1] * signs(lo, stop)])
             out = np.matmul(head.reshape(len(head), reps, -1).transpose(1, 0, 2),
                             tail.reshape(len(tail), reps, -1).transpose(1, 2, 0))
             kinds = np.arange(len(tail) // side)[:, None]
             sums = sums + out[:, col, rows[:, -1] + side * kinds].swapaxes(0, 1)
         yield sums / n
+
+
+def _uniform(rng, d):
+    """points(start, stop) for _feature_means: the next stop - start uniform
+    points of [0, 1]^d from rng, one 64-bit draw per coordinate."""
+    return lambda start, stop: rng.uniform(size=(stop - start, d))
 
 
 def _centered(cls: FunctionClass) -> np.ndarray:
@@ -176,18 +183,22 @@ def symmetrization_check(cls: FunctionClass, n: int, reps: int, seed: int,
     three combined standard errors of slack. A replicate is reduced to its
     feature moments (P_n - P) phi, (P_n - P'_n) phi and P_n^sigma phi, the
     first and last from one table pass, and the class is one GEMM over them.
-    A block draws its points first, so it holds sample_block(n) replicates.
+    A block of sample_block(n) replicates reads its three segments of one
+    stream side by side, chunk by chunk: x from the block's generator, x2
+    from a generator size n d draws ahead and the signs from the packed
+    bytes (at most BLOCK_POINTS / 8) of one 2 size n d draws ahead, each
+    continuing where one draw of x, x2 and the signs in turn would.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
     coefs, centered = cls.features[1], _centered(cls)
 
     def block(rng, size):
-        x = rng.uniform(size=(size * n, cls.d))
-        x2 = rng.uniform(size=(size * n, cls.d))
-        signs = rademacher_signs(rng, (size * n,))
-        groups = zip(_feature_means(cls, size, n, lambda a, b: x[a:b], signs),
-                     _feature_means(cls, size, n, lambda a, b: x2[a:b]))
+        rng2 = jump_ahead(rng, size * n * cls.d)
+        raw = sign_bytes(jump_ahead(rng, 2 * size * n * cls.d), size * n)
+        groups = zip(_feature_means(cls, size, n, _uniform(rng, cls.d),
+                                    functools.partial(unpack_signs, raw)),
+                     _feature_means(cls, size, n, _uniform(rng2, cls.d)))
         return [np.concatenate(s) for s in zip(*(
             (_norms(emp, centered, cls.d_y),
              _norms(emp - emp2, centered, cls.d_y), _norms(rad, coefs, cls.d_y))
@@ -212,7 +223,9 @@ def symmetrization_probability_check(cls: FunctionClass, n: int, a_grid,
     per-member premise P(||(P_n - P) g|| > a/2) <= 1/2 holds empirically.
 
     Returns rows (a, premise_max, lhs, rhs, applicable, ok). A NaN
-    statistic makes its counts NaN, which fails every row it enters.
+    statistic makes its counts NaN, which fails every row it enters. A
+    block reads its points chunk by chunk and its signs from the packed
+    bytes of a generator size n d draws ahead, as symmetrization_check.
     """
     coefs, centered = cls.features[1], _centered(cls)
     a_vals = np.asarray(a_grid, float)
@@ -221,12 +234,12 @@ def symmetrization_probability_check(cls: FunctionClass, n: int, a_grid,
     scale = np.r_[np.full(len(cls), 2.0), 1.0, 4.0][:, None]
 
     def block(rng, size):
-        x = rng.uniform(size=(size * n, cls.d))
-        signs = rademacher_signs(rng, (size * n,))
+        raw = sign_bytes(jump_ahead(rng, size * n * cls.d), size * n)
         per_member, rad = (np.concatenate(s) for s in zip(*(
             (_norms(emp, centered, cls.d_y, sup=False),
              _norms(signed, coefs, cls.d_y)) for emp, signed in
-            _feature_means(cls, size, n, lambda a, b: x[a:b], signs))))
+            _feature_means(cls, size, n, _uniform(rng, cls.d),
+                           functools.partial(unpack_signs, raw)))))
         stat = np.column_stack([per_member, per_member.max(axis=1),
                                 rad])[:, :, None]
         return np.where(np.isnan(stat).any(axis=0), np.nan,
@@ -266,7 +279,7 @@ def gc_decay_curve(cls: FunctionClass, n_grid, reps: int, seed: int,
         def block(rng, size, n=n):
             return np.concatenate([_norms(emp, centered, cls.d_y)
                                    for emp, in _feature_means(
-                cls, size, n, lambda a, b: rng.uniform(size=(b - a, cls.d)))])
+                cls, size, n, _uniform(rng, cls.d))])
 
         devs = np.concatenate(map_blocks(block, reps, threads, seed, _TAG_GC,
                                          pos))
@@ -384,9 +397,11 @@ def chaining_tail_check(plan: ChainingPlan, cls: FunctionClass,
     top_vals = cls.values_on(design)[tops]    # (T, n, d_Y)
 
     def stat(rng, size):
-        return np.concatenate([
-            sup_sign_norms(rademacher_signs(rng, (rows, n)), top_vals)
-            for rows in row_tiles(size, n, len(tops) * cls.d_y)])
+        tiles = row_tiles(size, n, len(tops) * cls.d_y, 32)
+        buf = np.empty(max(tiles) * n)      # refilled tile by tile
+        return np.concatenate([sup_sign_norms(rademacher_signs(
+            rng, (rows, n), out=buf[:rows * n].reshape(rows, n)), top_vals)
+            for rows in tiles])
 
     return tail_check(stat, thresholds, ts, 2.0 * np.exp(-ts), reps, threads,
                       seed, _TAG_CHAIN)
@@ -425,7 +440,7 @@ def equicontinuity_curve(cls: FunctionClass, g0_index: int, radius_grid, n_grid,
         def block(rng, size, n=n):
             norms = np.concatenate([_norms(emp, diffs, cls.d_y, sup=False)
                                     for emp, in _feature_means(
-                cls, size, n, lambda a, b: rng.uniform(size=(b - a, cls.d)))])
+                cls, size, n, _uniform(rng, cls.d))])
             return math.sqrt(n) * np.array(
                 [norms.max(axis=1, where=h, initial=0.0) for h in holds])
 

@@ -246,10 +246,13 @@ def rate_experiment(pool: FunctionClass, noise: CovarianceSpectrum,
     only g0; the default net_fraction keeps the net a delta_n-net while
     retaining the local structure the error actually explores. A size
     whose net is g0 alone, or whose median error is 0, raises: the run
-    would measure nothing there, and log 0 leaves the slope undefined.
+    would measure nothing there, and log 0 leaves the slope undefined. So
+    does a grid of fewer than two distinct sizes, whose fit has no slope.
     """
     if abs(noise.trace - 1.0) > 1e-9:
         raise ValueError("noise covariance must have trace 1")
+    if len(set(n_grid)) < 2:
+        raise ValueError("need at least two distinct sample sizes")
     n_values = np.asarray(n_grid, int)
     coverage_bound = (1.0 + 2.0 / (math.e - 1.0)) * math.exp(-t)
     medians, deltas, cov_fail, net_sizes = [], [], [], []
@@ -291,7 +294,7 @@ def rate_experiment(pool: FunctionClass, noise: CovarianceSpectrum,
 
         def block(rng, size):
             return [tile(rng, rows)
-                    for rows in row_tiles(size, vc.shape[1], len(cand))]
+                    for rows in row_tiles(size, vc.shape[1], len(cand), 1)]
 
         parts = sum(map_blocks(block, reps, threads, seed, _TAG_RATE, pos), [])
         errs, basic = (np.concatenate(p) for p in zip(*parts))
@@ -345,7 +348,7 @@ def gaussian_chaining_check(cls: FunctionClass, design: EmpiricalDesign,
     def stat(rng, size):
         return np.concatenate([
             tile(rng, rows)
-            for rows in row_tiles(size, top_flat.shape[1], len(tops))])
+            for rows in row_tiles(size, top_flat.shape[1], len(tops), 1)])
 
     return tail_check(stat, thresholds, ts, np.exp(-ts), reps, threads, seed,
                       _TAG_GCHAIN)
@@ -569,7 +572,7 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
             excesses = np.empty(size)
             rads = np.empty(size)
             decomp = np.empty(size, dtype=bool)
-            tiles = row_tiles(_RAD_PATTERNS, n, len(cls))
+            tiles = row_tiles(_RAD_PATTERNS, n, len(cls), 32)
             buf = np.empty(max(tiles) * n)      # refilled tile by tile
             # every design and noise draw precedes the block's signs, so the
             # sign sampler cannot move the excess risks

@@ -8,10 +8,12 @@ function of (seed, path) only, never of execution order or worker count:
 `map_blocks` hands Monte-Carlo block i the generator substream(seed, *path,
 i), so no block kernel keys its own stream.
 
-Every Rademacher sign comes from `rademacher_signs`, which spends one
-random bit per sign. Generated function classes draw their amplitude signs
-with `Generator.choice` instead, since those are part of the seeded class
-definition, not a Rademacher process.
+Every Rademacher sign is one random bit of `sign_bytes`, expanded by
+`unpack_signs`; `rademacher_signs` is the two in one step. A block that
+reads several segments of its stream side by side starts each from a
+`jump_ahead` copy of its generator. Generated function classes draw their
+amplitude signs with `Generator.choice` instead, since those are part of
+the seeded class definition, not a Rademacher process.
 """
 
 from __future__ import annotations
@@ -77,15 +79,62 @@ _BYTE_SIGNS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
                             axis=1) * 2.0 - 1.0
 
 
+def jump_ahead(gen: np.random.Generator, draws: int) -> np.random.Generator:
+    """A new generator that continues gen's stream `draws` 64-bit draws
+    ahead; gen is left untouched. A uniform double takes exactly one 64-bit
+    draw, so a block can read its segments of one stream side by side.
+
+    Philox makes four 64-bit outputs per counter step, so the copy advances
+    its counter draws // 4 steps and discards draws % 4 outputs. gen must
+    hold no buffered output (a fresh block generator, or one that has drawn
+    whole counter steps of doubles only).
+    """
+    state = gen.bit_generator.state
+    if state["buffer_pos"] != 4 or state["has_uint32"]:
+        raise ValueError("cannot jump ahead of a generator with buffered "
+                         "output")
+    bits = np.random.Philox(counter=state["state"]["counter"],
+                            key=state["state"]["key"])
+    bits.advance(draws // 4)
+    bits.random_raw(draws % 4)
+    return np.random.Generator(bits)
+
+
+def sign_bytes(gen: np.random.Generator, count: int) -> np.ndarray:
+    """The packed bytes of `count` signs, gen.bytes(ceil(count / 8)) as
+    uint8: one random bit per sign. gen.bytes consumes whole 32-bit words,
+    so consecutive draws of whole words each (count a multiple of 32)
+    continue the stream exactly as one draw of their total would."""
+    return np.frombuffer(gen.bytes((count + 7) // 8), dtype=np.uint8)
+
+
+def unpack_signs(raw: np.ndarray, start: int, stop: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Signs start..stop-1 of the packed sign bytes raw (sign_bytes) as
+    +-1.0 float64, in np.unpackbits order, bit b giving the sign 2b - 1;
+    written into the 1-D float64 buffer `out` when given."""
+    count = stop - start
+    flat = np.empty(count) if out is None else out
+    head = min(count, -start % 8)       # signs before the first whole byte
+    if head:
+        flat[:head] = _BYTE_SIGNS[raw[start // 8], start % 8:start % 8 + head]
+    first, whole = (start + head) // 8, (count - head) // 8
+    # mode="clip" cannot clip a uint8 index; "raise" would buffer `out`
+    np.take(_BYTE_SIGNS, raw[first:first + whole], axis=0, mode="clip",
+            out=flat[head:head + 8 * whole].reshape(whole, 8))
+    rest = raw[first + whole:first + whole + 1]
+    flat[head + 8 * whole:] = _BYTE_SIGNS[rest].reshape(-1)[
+        :count - head - 8 * whole]
+    return flat
+
+
 def rademacher_signs(gen: np.random.Generator, shape,
                      out: np.ndarray | None = None) -> np.ndarray:
     """Independent +-1.0 float64 signs of the given shape: the package's one
     sign sampler, so every Rademacher draw consumes the stream the same way.
 
-    One random bit per sign: N signs take the first N bits of
-    gen.bytes(ceil(N / 8)) in np.unpackbits order. gen.bytes consumes whole
-    32-bit words, so consecutive draws of whole words each (N a multiple of
-    32) continue the stream exactly as one draw of their total would.
+    N signs are unpack_signs(sign_bytes(gen, N), 0, N), so they consume the
+    stream as sign_bytes does.
 
     `out` is an optional C-contiguous float64 buffer of the given shape,
     for callers that draw the same shape many times; the signs are written
@@ -98,13 +147,7 @@ def rademacher_signs(gen: np.random.Generator, shape,
           or not out.flags.c_contiguous):
         raise ValueError("out must be a C-contiguous float64 array of "
                          "the given size")
-    flat = out.reshape(-1)
-    raw = np.frombuffer(gen.bytes((count + 7) // 8), dtype=np.uint8)
-    whole = count // 8
-    # mode="clip" cannot clip a uint8 index; "raise" would buffer `out`
-    np.take(_BYTE_SIGNS, raw[:whole], axis=0, mode="clip",
-            out=flat[:8 * whole].reshape(whole, 8))
-    flat[8 * whole:] = _BYTE_SIGNS[raw[whole:]].reshape(-1)[:count - 8 * whole]
+    unpack_signs(sign_bytes(gen, count), 0, count, out.reshape(-1))
     return out
 
 
@@ -122,35 +165,36 @@ def sample_block(n: int) -> int:
     return max(1, min(BLOCK_SIZE, BLOCK_POINTS // n))
 
 
-def row_tiles(rows: int, width: int, columns: int):
+def row_tiles(rows: int, width: int, columns: int, grain: int):
     """Row counts, in order, of the tiles that split a block's `rows`
     replicate rows for a kernel that draws `width` values per row and
     reduces them through a GEMM against `columns` columns. Drawing and
     reducing tile by tile gives every row the bits of one draw of the
     whole block:
 
-      - Draws. Every tile but the last is a multiple of 32 rows, so a
-        tile of signs is whole 32-bit words and the next tile continues
-        the stream (rademacher_signs); Gaussian and uniform draws continue
-        it at any count.
-      - GEMM rows. A tile is as many 32-row groups as fit in TILE_VALUES
-        values, but at least one, and at least as many as its GEMM needs
-        for more than GEMM_FLOOR multiply-adds; a remainder at or below
-        the floor joins the last tile. So every tile's product clears the
-        floor, or the block is one tile and its product the one-shot
-        product. OpenBLAS 0.3.31 (numpy 2.4.6) sends products of at most
-        1e6 multiply-adds to a small-matrix kernel whose rows differ in
-        the last bit from the same rows of a large product: row slices of
+      - Draws. Every tile but the last is a multiple of `grain` rows. Sign
+        kernels pass 32, so a tile of signs is whole 32-bit words and the
+        next tile continues the stream (rademacher_signs); Gaussian and
+        uniform draws continue it at any count, so noise kernels pass 1.
+      - GEMM rows. A tile is as many grains as fit in TILE_VALUES values,
+        but at least one, and at least as many as its GEMM needs for more
+        than GEMM_FLOOR multiply-adds; a remainder at or below the floor
+        joins the last tile. So every tile's product clears the floor, or
+        the block is one tile and its product the one-shot product.
+        OpenBLAS 0.3.31 (numpy 2.4.6) sends products of at most 1e6
+        multiply-adds to a small-matrix kernel whose rows differ in the
+        last bit from the same rows of a large product: row slices of
         (M x n) @ (n x 10), n = 100, 400 and 1600, compared with the
         4096-row product, differed at every M with 10 M n <= 1e6 for a
         C-ordered right operand, and at M <= 120 to 131 (n = 100, 400) for
-        an F-ordered one; no slice above 1e6 multiply-adds differed.
+        an F-ordered one; no slice above 1e6 multiply-adds differed, nor
+        any of (M x 19200) @ (19200 x 20) above M = 2 against 256 rows.
 
     A tile but the last draws at most max(TILE_VALUES, GEMM_FLOOR / columns
-    + 32 width) values, however many rows the block has.
+    + grain width) values, however many rows the block has.
     """
-    step = 32 * max(TILE_VALUES // (32 * width),
-                    GEMM_FLOOR // (32 * width * columns) + 1)
+    step = grain * max(TILE_VALUES // (grain * width),
+                       GEMM_FLOOR // (grain * width * columns) + 1)
     tiles = block_sizes(rows, step)
     if len(tiles) > 1 and tiles[-1] * width * columns <= GEMM_FLOOR:
         tiles[-2:] = [tiles[-2] + tiles[-1]]

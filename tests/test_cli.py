@@ -415,6 +415,9 @@ def test_invalid_monte_carlo_input_exits_2(tmp_path, capsys, argv, message):
     # log-log rate fit undefined
     (["regress", "--n-grid", "64,1024,8192", "--reps", "50"],
      "at n = 8192 over half the replicates pick g0"),
+    # one sample size: a log-log fit through one point is no rate
+    (["regress", "--n-grid", "256", "--reps", "50"],
+     "need at least two distinct sample sizes"),
 ])
 def test_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
                                                   message):

@@ -10,7 +10,7 @@ from vecproc import function_class as fc
 from vecproc import regression as reg
 from vecproc.covering import PointCloud, greedy_cover
 from vecproc.rng import (BLOCK_POINTS, BLOCK_SIZE, TABLE_CHUNK, block_sizes,
-                         rademacher_signs, substream)
+                         rademacher_signs, sample_block, substream)
 
 
 def ball_class(count, seed, d_y=3, m=1, resolution=129, d=1, **kw):
@@ -262,6 +262,90 @@ def test_symmetrization_peak_memory_grows_only_with_its_draws():
     # x and x2 (d = 1) and the float64 signs: 8 bytes per point each
     extra_draws = 3 * 8 * reps * (1600 - 200)
     assert peak(1600) - peak(200) <= 1.5 * extra_draws
+
+
+def test_symmetrization_peak_memory_flat_in_n():
+    # x, x2 and the signs are read chunk by chunk: only the packed sign
+    # bytes, one bit per point, grow with n
+    cls = ball_class(20, seed=22)
+    cls.features
+
+    def peak(n):
+        return traced_peak(lambda: ep.symmetrization_check(cls, n, 200,
+                                                           seed=1))
+
+    assert peak(1600) < 1.25 * peak(200)
+
+
+def upfront_blocks(cls, n, a_grid):
+    """The block kernels of symmetrization_check and
+    symmetrization_probability_check drawing every point and sign of a
+    block before they tabulate anything: x, x2 (plain kernel only) and the
+    signs in turn from the block's generator."""
+    coefs, centered = cls.features[1], ep._centered(cls)
+    scale = np.r_[np.full(len(cls), 2.0), 1.0, 4.0][:, None]
+
+    def plain(rng, size):
+        x = rng.uniform(size=(size * n, cls.d))
+        x2 = rng.uniform(size=(size * n, cls.d))
+        signs = rademacher_signs(rng, (size * n,))
+        groups = zip(ep._feature_means(cls, size, n, lambda a, b: x[a:b],
+                                       lambda a, b: signs[a:b]),
+                     ep._feature_means(cls, size, n, lambda a, b: x2[a:b]))
+        return [np.concatenate(s) for s in zip(*(
+            (ep._norms(emp, centered, cls.d_y),
+             ep._norms(emp - emp2, centered, cls.d_y),
+             ep._norms(rad, coefs, cls.d_y))
+            for (emp, rad), (emp2,) in groups))]
+
+    def probability(rng, size):
+        x = rng.uniform(size=(size * n, cls.d))
+        signs = rademacher_signs(rng, (size * n,))
+        per_member, rad = (np.concatenate(s) for s in zip(*(
+            (ep._norms(emp, centered, cls.d_y, sup=False),
+             ep._norms(signed, coefs, cls.d_y)) for emp, signed in
+            ep._feature_means(cls, size, n, lambda a, b: x[a:b],
+                              lambda a, b: signs[a:b]))))
+        stat = np.column_stack([per_member, per_member.max(axis=1),
+                                rad])[:, :, None]
+        return np.where(np.isnan(stat).any(axis=0), np.nan,
+                        (stat > np.asarray(a_grid) / scale).sum(axis=0))
+
+    return plain, probability
+
+
+@pytest.mark.parametrize("case, n, reps", [
+    # n above a chunk's points, so a replicate spans several chunks; in
+    # each case some block's size n d is no multiple of 4, so its jumps end
+    # inside a Philox counter step
+    pytest.param(dict(d_y=3, count=4), None, 3, id="span"),
+    pytest.param(dict(d=2, d_y=3, count=5), 301, 2000, id="d2"),
+    pytest.param(dict(d_y=1, count=4, zero=True), 7, BLOCK_SIZE + 5,
+                 id="two-blocks"),
+])
+def test_symmetrization_kernels_match_upfront_draws(monkeypatch, case, n,
+                                                     reps):
+    cls = oracle_class(**case)
+    if n is None:
+        n = 2 * (TABLE_CHUNK // len(cls.features[0])) + 5
+    a_grid = [0.002, 0.02, 0.1]
+    blocks = []
+    real = ep.map_blocks
+
+    def spy(fn, reps, threads, seed, *path, block):
+        blocks.append((fn, seed, path, block))
+        return real(fn, reps, threads, seed, *path, block=block)
+
+    monkeypatch.setattr(ep, "map_blocks", spy)
+    ep.symmetrization_check(cls, n, reps, seed=6)
+    ep.symmetrization_probability_check(cls, n, a_grid, reps, seed=6)
+    for (fn, seed, path, block), ref in zip(blocks,
+                                            upfront_blocks(cls, n, a_grid)):
+        assert block == sample_block(n)
+        for i, size in enumerate(block_sizes(reps, block)):
+            got = fn(substream(seed, *path, i), size)
+            want = ref(substream(seed, *path, i), size)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.mark.parametrize("kernel", ["plain", "probability"])

@@ -459,7 +459,7 @@ def test_erm_tiled_signs_match_one_shot_at_a_split_shape():
     # rows and a last one of 128
     cls = ball_class(10, seed=6)
     noise = CovarianceSpectrum.uniform(3)
-    assert len(row_tiles(reg._RAD_PATTERNS, 1600, len(cls))) > 1
+    assert len(row_tiles(reg._RAD_PATTERNS, 1600, len(cls), 32)) > 1
     rep = reg.erm_lipschitz_experiment(cls, noise, [1600], reps=3, seed=2,
                                        noise_quad=3000)
     _, [(excess, rads, decomp)] = one_shot_erm(cls, noise, [1600], 3, 2,
@@ -470,15 +470,19 @@ def test_erm_tiled_signs_match_one_shot_at_a_split_shape():
     assert row.median_excess == float(np.median(excess))
 
 
-def test_gaussian_chain_tiled_noise_matches_one_shot(monkeypatch):
-    # 10,000 replicates: one block of 8192 and one of 1808, both tiled
-    cls, design, top_vals = chain_inputs()
+def assert_gaussian_chain_matches_one_shot(monkeypatch, n, reps):
+    """Each block of gaussian_chaining_check (20 members, midpoint design
+    of n points) has the bits of one noise draw of the block; the last
+    block is split into more than one tile, whose row counts are
+    returned."""
+    cls, design, top_vals = chain_inputs(n=n)
     noise = CovarianceSpectrum.uniform(3)
-    n, top_flat = design.n, top_vals.reshape(len(top_vals), -1)
-    assert len(row_tiles(1808, top_flat.shape[1], len(top_vals))) > 1
+    top_flat = top_vals.reshape(len(top_vals), -1)
+    tiles = row_tiles(block_sizes(reps)[-1], top_flat.shape[1], len(top_vals),
+                      1)
+    assert len(tiles) > 1
     calls = spied(monkeypatch, reg, "tail_check")
-    reg.gaussian_chaining_check(cls, design, noise, [1.0], reps=10_000,
-                                seed=4)
+    reg.gaussian_chaining_check(cls, design, noise, [1.0], reps=reps, seed=4)
     (stat, _, _, _, reps, _, seed, *path), _ = calls[0]
 
     def one_shot(rng, size):
@@ -488,12 +492,24 @@ def test_gaussian_chain_tiled_noise_matches_one_shot(monkeypatch):
     for got, want in zip(per_block(stat, reps, seed, path),
                          per_block(one_shot, reps, seed, path)):
         assert got.tobytes() == want.tobytes()
+    return tiles
+
+
+def test_gaussian_chain_tiled_noise_matches_one_shot(monkeypatch):
+    # 10,000 replicates: one block of 8192 and one of 1808, both tiled
+    assert_gaussian_chain_matches_one_shot(monkeypatch, 100, 10_000)
+
+
+def test_gaussian_chain_wide_row_tiles_match_one_shot(monkeypatch):
+    # rows of n d_Y = 19,200 values: noise tiles of a few rows, not 32
+    tiles = assert_gaussian_chain_matches_one_shot(monkeypatch, 6400, 40)
+    assert max(tiles) < 32
 
 
 def test_chaining_tail_tiled_signs_match_one_shot(monkeypatch):
     cls, design, top_vals = chain_inputs()
     n = design.n
-    assert len(row_tiles(1808, n, top_vals[:, 0].size)) > 1
+    assert len(row_tiles(1808, n, top_vals[:, 0].size, 32)) > 1
     calls = spied(monkeypatch, ep, "tail_check")
     ep.chaining_tail_check(ep.build_chaining_plan(cls, design), cls, design,
                            [1.0], reps=10_000, seed=4)
@@ -522,7 +538,7 @@ def test_rate_experiment_tiled_noise_matches_one_shot(monkeypatch):
     cand = greedy_cover(PointCloud(dist, metric="matrix"), delta_n / 64.0,
                         start=0).center_indices
     vc = pool.values_on(design)[cand].reshape(len(cand), -1)
-    assert len(row_tiles(reps, vc.shape[1], len(cand))) > 1
+    assert len(row_tiles(reps, vc.shape[1], len(cand), 1)) > 1
     g_norm, a_cross = np.sum(vc ** 2, axis=1), vc @ vc[0]
 
     def one_shot(rng, size):
@@ -580,12 +596,15 @@ def block_peak(fn, size):
 
 @pytest.mark.parametrize("kernel, small, large", [
     ("erm", 400, 1600), ("gaussian_chain", 100, 800),
-    ("chaining_tail", 100, 800), ("rate", 256, 800)])
+    ("chaining_tail", 100, 800), ("rate", 256, 800),
+    ("gaussian_chain", 100, 6400)])
 def test_kernel_block_peak_memory_flat_in_n(monkeypatch, kernel, small,
                                             large):
     # one sign or noise tile at a time: at most about TILE_VALUES values at
     # these widths, where one draw of the block took rows x width (erm: a
-    # replicate also holds its (10, n, 3) values and (10, n) losses)
+    # replicate also holds its (10, n, 3) values and (10, n) losses); a
+    # noise row of n = 6400 is 19,200 values, where a 32-row tile would
+    # draw 4.9 MB
     peaks = [block_peak(*kernel_block(monkeypatch, kernel, n))
              for n in (small, large)]
     assert peaks[1] < (2.0 if kernel == "erm" else 1.5) * peaks[0]

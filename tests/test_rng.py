@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vecproc.rng import (GEMM_FLOOR, TILE_VALUES, block_sizes, map_blocks,
-                         rademacher_signs, row_tiles, substream)
+from vecproc.rng import (GEMM_FLOOR, TILE_VALUES, block_sizes, jump_ahead,
+                         map_blocks, rademacher_signs, row_tiles, sign_bytes,
+                         substream, unpack_signs)
 
 
 def test_signs_golden_vector():
@@ -59,6 +60,53 @@ def test_signs_reject_a_buffer_of_another_size_layout_or_dtype(out):
         rademacher_signs(substream(0), 13, out=out)
 
 
+JUMPS = [*range(10), 4 * 25, 4 * 25 + 1, 4 * 1000, 4 * 1000 + 1]
+
+
+@pytest.mark.parametrize("draws", JUMPS)
+def test_jump_ahead_continues_the_uniform_stream(draws):
+    gen = substream(8, 3)
+    ahead = jump_ahead(gen, draws)
+    one = substream(8, 3).uniform(size=draws + 20)
+    assert np.array_equal(ahead.uniform(size=20), one[draws:])
+    # the original generator is untouched: it still starts the stream
+    assert np.array_equal(gen.uniform(size=draws + 20), one)
+
+
+@pytest.mark.parametrize("draws", JUMPS)
+@pytest.mark.parametrize("count", [1, 70, 4096])
+def test_jump_ahead_continues_the_sign_bytes(draws, count):
+    one = substream(8, 4)
+    one.uniform(size=draws)
+    want = sign_bytes(one, count)
+    assert np.array_equal(sign_bytes(jump_ahead(substream(8, 4), draws),
+                                     count), want)
+
+
+@pytest.mark.parametrize("spend", [
+    lambda gen: gen.uniform(),                # three outputs left buffered
+    # the fourth output's upper 32 bits left buffered
+    lambda gen: (gen.uniform(size=3), gen.bytes(4)),
+])
+def test_jump_ahead_refuses_a_generator_with_buffered_output(spend):
+    gen = substream(8, 5)
+    spend(gen)
+    with pytest.raises(ValueError, match="buffered output"):
+        jump_ahead(gen, 3)
+
+
+@pytest.mark.parametrize("start, stop", [
+    (0, 0), (0, 70), (3, 3), (3, 5), (3, 8), (5, 70), (8, 64), (13, 69),
+    (69, 70), (64, 70)])
+def test_unpack_signs_reads_any_run_of_the_expansion(start, stop):
+    raw = sign_bytes(substream(2, 6), 70)
+    whole = rademacher_signs(substream(2, 6), 70)
+    assert np.array_equal(unpack_signs(raw, start, stop), whole[start:stop])
+    buf = np.full(stop - start, np.nan)
+    assert unpack_signs(raw, start, stop, out=buf) is buf
+    assert np.array_equal(buf, whole[start:stop])
+
+
 @pytest.mark.parametrize("reps, block", [(1, 8192), (20_000, 8192), (100, 7)])
 def test_map_blocks_hands_block_i_its_substream(reps, block):
     def first_draws(rng, size):
@@ -76,16 +124,18 @@ def test_map_blocks_hands_block_i_its_substream(reps, block):
 
 @settings(max_examples=300, deadline=None)
 @given(rows=st.integers(1, 20_000), width=st.integers(1, 50_000),
-       columns=st.integers(1, 2_000))
+       columns=st.integers(1, 2_000), grain=st.sampled_from([1, 32]))
 def test_row_tiles_cover_the_rows_in_whole_words_above_the_floor(
-        rows, width, columns):
-    tiles = row_tiles(rows, width, columns)
+        rows, width, columns, grain):
+    tiles = row_tiles(rows, width, columns, grain)
     assert sum(tiles) == rows and min(tiles) > 0
-    # whole 32-bit words of signs, so the next tile continues the stream
-    assert all(t % 32 == 0 for t in tiles[:-1])
+    # whole grains (32 rows: 32-bit words of signs), so the next tile
+    # continues the stream
+    assert all(t % grain == 0 for t in tiles[:-1])
     # every GEMM clears the floor, unless the block is one tile: its own
     # one-shot product
     assert len(tiles) == 1 or min(tiles) * width * columns > GEMM_FLOOR
     # a tile's draws are bounded whatever the block's rows are
-    assert all(t * width <= max(TILE_VALUES, GEMM_FLOOR / columns + 32 * width)
+    assert all(t * width <= max(TILE_VALUES,
+                                GEMM_FLOOR / columns + grain * width)
                for t in tiles[:-1])

@@ -36,7 +36,8 @@ import numpy as np
 
 from .hilbert import distances
 from .reports import MC_SES, TailReport, fields_json, passes, tail_check
-from .rng import map_blocks, rademacher_signs, sample_block
+from .rng import (map_blocks, rademacher_signs, sample_block, sign_bytes,
+                  unpack_signs)
 
 _TAG_REAL = 301
 _TAG_HILBERT = 302
@@ -130,7 +131,7 @@ def _sum_norms(rng, size, n, d_y, c):
     with np.errstate(divide="ignore"):    # log 0 = -inf: a radius of 1
         for ck in c[1:]:
             if d_y == 1:
-                rademacher_signs(rng, (size,), out=tk)
+                unpack_signs(sign_bytes(rng, size), 0, size, tk)
             else:
                 rng.random(out=tk)
                 tk *= 2.0 * math.pi
@@ -194,6 +195,11 @@ def cosh_moment_check(c, n: int, lambda_grid, reps: int, seed: int, d_y: int = 5
         raise ValueError("lambda values must be positive")
     if reps < 2:
         raise ValueError("reps must be at least 2")
+    with np.errstate(over="ignore"):
+        rhs = np.exp(lams ** 2 * float(np.sum(c ** 2)))
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("the cosh bound exp(lambda^2 sum c_i^2) overflows "
+                         "a float")
 
     def block(rng, size):
         norms = _sum_norms(rng, size, n, d_y, c)
@@ -205,7 +211,6 @@ def cosh_moment_check(c, n: int, lambda_grid, reps: int, seed: int, d_y: int = 5
     mean = total / reps
     var = np.maximum(total_sq / reps - mean ** 2, 0.0)
     se = np.sqrt(var / reps)
-    rhs = np.exp(lams ** 2 * float(np.sum(c ** 2)))
     rows = []
     for lam, lhs, s, r in zip(lams, mean, se, rhs):
         rel = s / lhs if lhs > 0 else 0.0

@@ -226,6 +226,8 @@ def assouad_estimate(cloud: PointCloud, seed: int, n_trials: int = 64):
     inflated so every sampled trial satisfies the homogeneity bound. A
     finite sample cannot certify homogeneity, so this is an estimate only.
     """
+    if n_trials < 2:
+        raise ValueError("the Assouad slope needs at least two trials")
     if cloud.size < 10:
         raise ValueError("need at least 10 points")
     if approx_diameter(cloud) == 0:     # one ball covers it at every radius

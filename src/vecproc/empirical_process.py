@@ -31,8 +31,8 @@ from .function_class import (TWO_PI, EmpiricalDesign, FunctionClass,
                              l2_distance_uniform)
 from .hilbert import distances, sup_sign_norms
 from .reports import MC_SES, TailReport, fields_json, passes, tail_check
-from .rng import (TABLE_CHUNK, jump_ahead, map_blocks, rademacher_signs,
-                  row_tiles, sample_block, sign_bytes, unpack_signs)
+from .rng import (TABLE_CHUNK, jump_ahead, map_blocks, sample_block,
+                  sign_bytes, sign_rows, unpack_signs)
 
 _TAG_SYM = 401
 _TAG_GC = 402
@@ -397,11 +397,8 @@ def chaining_tail_check(plan: ChainingPlan, cls: FunctionClass,
     top_vals = cls.values_on(design)[tops]    # (T, n, d_Y)
 
     def stat(rng, size):
-        tiles = row_tiles(size, n, len(tops) * cls.d_y, 32)
-        buf = np.empty(max(tiles) * n)      # refilled tile by tile
-        return np.concatenate([sup_sign_norms(rademacher_signs(
-            rng, (rows, n), out=buf[:rows * n].reshape(rows, n)), top_vals)
-            for rows in tiles])
+        return np.concatenate([sup_sign_norms(signs, top_vals) for signs in
+                               sign_rows(rng, size, n, len(tops) * cls.d_y)])
 
     return tail_check(stat, thresholds, ts, 2.0 * np.exp(-ts), reps, threads,
                       seed, _TAG_CHAIN)

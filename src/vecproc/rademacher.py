@@ -25,7 +25,7 @@ from .empirical_process import build_chaining_plan
 from .function_class import EmpiricalDesign, FunctionClass
 from .hilbert import OrthonormalBasis, sup_sign_norms
 from .reports import MC_SES, passes
-from .rng import map_blocks, rademacher_signs
+from .rng import map_blocks, sign_rows
 
 _TAG_NORM_MC = 601
 _TAG_COORD_MC = 602
@@ -47,14 +47,14 @@ def _sign_matrix(start: int, count: int, n_bits: int) -> np.ndarray:
     return 2.0 * bits - 1.0
 
 
-def _sign_expectation(stat, n_bits: int, form: str, mode: str, reps: int,
-                      seed: int, tag: int, threads: int) -> RademacherEstimate:
+def _sign_expectation(stat, n_bits: int, columns: int, form: str, mode: str,
+                      reps: int, seed: int, tag: int,
+                      threads: int) -> RademacherEstimate:
     """E stat(signs) over n_bits Rademacher signs (stat maps a (rows,
-    n_bits) sign matrix to one value per row).
-
-    mode "exact" averages all 2^n_bits patterns, enumerated in chunks of
-    2^14 rows; mode "mc" averages reps sampled rows and reports the
-    standard error.
+    n_bits) sign matrix to one value per row by a GEMM against `columns`
+    columns). mode "exact" averages all 2^n_bits patterns, enumerated in
+    chunks of 2^14 rows; mode "mc" averages reps rows drawn tile by tile
+    (sign_rows) and reports the standard error.
     """
     if mode == "exact":
         if n_bits > 20:
@@ -74,7 +74,8 @@ def _sign_expectation(stat, n_bits: int, form: str, mode: str, reps: int,
         raise ValueError("reps must be at least 2")
 
     def block(rng, size):
-        values = stat(rademacher_signs(rng, (size, n_bits)))
+        values = np.concatenate([stat(signs) for signs in
+                                 sign_rows(rng, size, n_bits, columns)])
         return values.sum(), (values ** 2).sum()
 
     parts = map_blocks(block, reps, threads, seed, tag)
@@ -89,10 +90,11 @@ def norm_rademacher_values(values: np.ndarray, mode: str = "exact",
                            reps: int = 100_000, seed: int = 0,
                            threads: int = 1) -> RademacherEstimate:
     """E_sigma sup_g ||(1/n) sum_i sigma_i g(X_i)|| from a (K, n, d_Y) tensor."""
-    if values.shape[0] == 0:
+    k, n, d_y = values.shape
+    if k == 0:
         raise ValueError("class must be nonempty")
     return _sign_expectation(lambda signs: sup_sign_norms(signs, values),
-                             values.shape[1], "norm", mode, reps, seed,
+                             n, k * d_y, "norm", mode, reps, seed,
                              _TAG_NORM_MC, threads)
 
 
@@ -130,8 +132,8 @@ def coordinatewise_rademacher_values(coords: np.ndarray, normalized: bool,
     eff = flat[:, effective]                      # (K, E)
     per_row = n if mode == "mc" else 1
     est = _sign_expectation(lambda signs: (signs @ eff.T).max(axis=1) / per_row,
-                            effective.size, "coordinatewise", mode, reps, seed,
-                            _TAG_COORD_MC, threads)
+                            effective.size, k, "coordinatewise", mode, reps,
+                            seed, _TAG_COORD_MC, threads)
     if mode != "exact":
         return est
     if normalized:

@@ -24,7 +24,7 @@ from .function_class import (EmpiricalDesign, FunctionClass,
                              l2_distance_uniform)
 from .hilbert import clipped_loss, distances, sup_sign_norms
 from .reports import MC_SES, TailReport, fields_json, jsonable, passes, tail_check
-from .rng import TILE_VALUES, map_blocks, rademacher_signs, row_tiles
+from .rng import TILE_VALUES, map_blocks, row_tiles, sign_rows
 
 _TAG_RATE = 502
 _TAG_GCHAIN = 503
@@ -572,8 +572,6 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
             excesses = np.empty(size)
             rads = np.empty(size)
             decomp = np.empty(size, dtype=bool)
-            tiles = row_tiles(_RAD_PATTERNS, n, len(cls), 32)
-            buf = np.empty(max(tiles) * n)      # refilled tile by tile
             # every design and noise draw precedes the block's signs, so the
             # sign sampler cannot move the excess risks
             draws = [(rng.uniform(size=(n, cls.d)),
@@ -588,10 +586,9 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
                 excesses[b] = excess
                 decomp[b] = passes(excess, np.max(risks - emp) + emp[g_star]
                                    - risks[g_star], 1e-12)
-                rads[b] = np.concatenate([sup_sign_norms(
-                    rademacher_signs(rng, (rows, n),
-                                     out=buf[:rows * n].reshape(rows, n)),
-                    loss[:, :, None]) for rows in tiles]).mean()
+                rads[b] = np.concatenate([
+                    sup_sign_norms(signs, loss[:, :, None]) for signs in
+                    sign_rows(rng, _RAD_PATTERNS, n, len(cls))]).mean()
             return excesses, rads, decomp
 
         parts = map_blocks(block, reps, threads, seed, _TAG_ERM_RAD, pos,

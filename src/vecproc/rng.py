@@ -9,11 +9,11 @@ function of (seed, path) only, never of execution order or worker count:
 i), so no block kernel keys its own stream.
 
 Every Rademacher sign is one random bit of `sign_bytes`, expanded by
-`unpack_signs`; `rademacher_signs` is the two in one step. A block that
-reads several segments of its stream side by side starts each from a
-`jump_ahead` copy of its generator. Generated function classes draw their
-amplitude signs with `Generator.choice` instead, since those are part of
-the seeded class definition, not a Rademacher process.
+`unpack_signs`; `rademacher_signs` is the two in one step, and `sign_rows`
+one draw a row tile at a time. A block reading several segments of its
+stream side by side starts each from a `jump_ahead` copy of its generator.
+Generated function classes draw their amplitude signs with
+`Generator.choice` instead: they define the seeded class, not a process.
 """
 
 from __future__ import annotations
@@ -128,27 +128,12 @@ def unpack_signs(raw: np.ndarray, start: int, stop: int,
     return flat
 
 
-def rademacher_signs(gen: np.random.Generator, shape,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Independent +-1.0 float64 signs of the given shape: the package's one
-    sign sampler, so every Rademacher draw consumes the stream the same way.
-
-    N signs are unpack_signs(sign_bytes(gen, N), 0, N), so they consume the
-    stream as sign_bytes does.
-
-    `out` is an optional C-contiguous float64 buffer of the given shape,
-    for callers that draw the same shape many times; the signs are written
-    into it and it is the result. With or without it the draw is the same.
-    """
+def rademacher_signs(gen: np.random.Generator, shape) -> np.ndarray:
+    """Independent +-1.0 float64 signs of the given shape: N signs are
+    unpack_signs(sign_bytes(gen, N), 0, N), so they consume the stream as
+    sign_bytes does."""
     count = int(np.prod(shape, dtype=np.int64))
-    if out is None:
-        out = np.empty(shape)
-    elif (out.size != count or out.dtype != np.float64
-          or not out.flags.c_contiguous):
-        raise ValueError("out must be a C-contiguous float64 array of "
-                         "the given size")
-    unpack_signs(sign_bytes(gen, count), 0, count, out.reshape(-1))
-    return out
+    return unpack_signs(sign_bytes(gen, count), 0, count).reshape(shape)
 
 
 def block_sizes(reps: int, block: int = BLOCK_SIZE):
@@ -174,7 +159,7 @@ def row_tiles(rows: int, width: int, columns: int, grain: int):
 
       - Draws. Every tile but the last is a multiple of `grain` rows. Sign
         kernels pass 32, so a tile of signs is whole 32-bit words and the
-        next tile continues the stream (rademacher_signs); Gaussian and
+        next tile continues the stream (sign_rows); Gaussian and
         uniform draws continue it at any count, so noise kernels pass 1.
       - GEMM rows. A tile is as many grains as fit in TILE_VALUES values,
         but at least one, and at least as many as its GEMM needs for more
@@ -193,12 +178,29 @@ def row_tiles(rows: int, width: int, columns: int, grain: int):
     A tile but the last draws at most max(TILE_VALUES, GEMM_FLOOR / columns
     + grain width) values, however many rows the block has.
     """
+    if width == 0:                      # rows of nothing: one tile
+        return [rows]
     step = grain * max(TILE_VALUES // (grain * width),
                        GEMM_FLOOR // (grain * width * columns) + 1)
     tiles = block_sizes(rows, step)
     if len(tiles) > 1 and tiles[-1] * width * columns <= GEMM_FLOOR:
         tiles[-2:] = [tiles[-2] + tiles[-1]]
     return tiles
+
+
+def sign_rows(gen: np.random.Generator, rows: int, width: int, columns: int):
+    """The rows of one rademacher_signs(gen, (rows, width)) draw, one
+    (tile, width) array per tile of row_tiles(rows, width, columns, 32),
+    for a GEMM against `columns` columns; gen ends where the one draw
+    leaves it. Every tile is written into one buffer the size of the
+    largest tile, so read each tile before the next is drawn.
+    """
+    tiles = row_tiles(rows, width, columns, 32)
+    buf = np.empty(max(tiles) * width)
+    for tile in tiles:
+        count = tile * width
+        yield unpack_signs(sign_bytes(gen, count), 0, count,
+                           buf[:count]).reshape(tile, width)
 
 
 def map_blocks(fn, reps: int, threads: int, seed: int, *path: int,

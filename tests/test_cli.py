@@ -135,6 +135,16 @@ def test_rademacher_monte_carlo_honours_threads(tmp_path, monkeypatch, check):
     assert bodies[0] == bodies[1]
 
 
+def test_rademacher_monte_carlo_without_an_effective_sign(tmp_path):
+    # one member: every coordinate-wise sign is member-constant, so Monte
+    # Carlo draws rows of no sign and the complexity is exactly 0
+    code, out = run_cli(["rademacher", "--check", "coordinatewise", "--mode",
+                         "mc", "--count", "1"], tmp_path, "width0")
+    assert code == 0
+    est = json.loads((out / "rademacher.json").read_text())["normalized"]
+    assert (est["value"], est["se"], est["n_patterns"]) == (0.0, 0.0, 100_000)
+
+
 def test_dimension_subcommand(tmp_path):
     pts = tmp_path / "line.csv"
     t = np.linspace(0, 1, 400)
@@ -316,6 +326,12 @@ def test_default_out_dir(tmp_path, monkeypatch):
     (["concentration", "--check", "cosh", "--reps", "1"],
      "reps must be at least 2"),
     (["rademacher", "--mode", "mc", "--reps", "1"], "reps must be at least 2"),
+    # at the default n = 50 and c = 1 the bound exp(50 lambda^2) overflows a
+    # float from lambda = 3.77
+    (["concentration", "--check", "cosh", "--lambdas", "30"],
+     "the cosh bound exp(lambda^2 sum c_i^2) overflows a float"),
+    (["concentration", "--check", "cosh", "--lambdas", "5"],
+     "the cosh bound exp(lambda^2 sum c_i^2) overflows a float"),
 ])
 def test_invalid_monte_carlo_input_exits_2(tmp_path, capsys, argv, message):
     code, _ = run_cli(argv, tmp_path, argv[0])
@@ -418,6 +434,9 @@ def test_invalid_monte_carlo_input_exits_2(tmp_path, capsys, argv, message):
     # one sample size: a log-log fit through one point is no rate
     (["regress", "--n-grid", "256", "--reps", "50"],
      "need at least two distinct sample sizes"),
+    # one trial: a least-squares line through one point is no slope
+    (["dimension", "--input", "POINTS", "--check", "assouad", "--trials", "1"],
+     "the Assouad slope needs at least two trials"),
 ])
 def test_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
                                                   message):

@@ -86,7 +86,7 @@ def square_sum(signs):
 
 
 def test_sign_expectation_exact_enumerates_every_pattern():
-    est = rad._sign_expectation(square_sum, 6, "norm", "exact", 0, 0, 0, 1)
+    est = rad._sign_expectation(square_sum, 6, 1, "norm", "exact", 0, 0, 0, 1)
     assert (est.value, est.mode, est.form, est.n_patterns, est.se) == (
         6.0, "exact_enumeration", "norm", 64, 0.0)
     # 2^20 patterns is the one limit, for every form
@@ -96,25 +96,28 @@ def test_sign_expectation_exact_enumerates_every_pattern():
         rows.append(len(signs))
         return signs[:, -1]
 
-    est = rad._sign_expectation(last_sign, 20, "coordinatewise", "exact", 0, 0,
-                                0, 1)
+    est = rad._sign_expectation(last_sign, 20, 1, "coordinatewise", "exact",
+                                0, 0, 0, 1)
     assert est.value == 0.0 and sum(rows) == est.n_patterns == 1 << 20
     with pytest.raises(ValueError, match="2\\^20"):
-        rad._sign_expectation(square_sum, 21, "norm", "exact", 0, 0, 0, 1)
+        rad._sign_expectation(square_sum, 21, 1, "norm", "exact", 0, 0, 0, 1)
 
 
 def test_sign_expectation_monte_carlo():
-    est = rad._sign_expectation(square_sum, 6, "norm", "mc", 40_000, 3, 601, 1)
+    est = rad._sign_expectation(square_sum, 6, 1, "norm", "mc", 40_000, 3,
+                                601, 1)
     assert est.mode == "monte_carlo" and est.n_patterns == 40_000
     assert 0.0 < est.se and abs(est.value - 6.0) <= 4 * est.se
-    again = rad._sign_expectation(square_sum, 6, "norm", "mc", 40_000, 3, 601,
-                                  2)
+    again = rad._sign_expectation(square_sum, 6, 1, "norm", "mc", 40_000, 3,
+                                  601, 2)
     assert again == est
     for reps in (0, 1):
         with pytest.raises(ValueError, match="reps"):
-            rad._sign_expectation(square_sum, 6, "norm", "mc", reps, 3, 601, 1)
+            rad._sign_expectation(square_sum, 6, 1, "norm", "mc", reps, 3,
+                                  601, 1)
     with pytest.raises(ValueError, match="mode"):
-        rad._sign_expectation(square_sum, 6, "norm", "sampled", 10, 3, 601, 1)
+        rad._sign_expectation(square_sum, 6, 1, "norm", "sampled", 10, 3,
+                              601, 1)
 
 
 def test_public_estimates_share_the_driver_checks():

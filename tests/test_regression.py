@@ -9,6 +9,7 @@ import pytest
 from vecproc import empirical_process as ep
 from vecproc import function_class as fc
 from vecproc import hilbert
+from vecproc import rademacher as rad
 from vecproc import regression as reg
 from vecproc.concentration import CovarianceSpectrum, sample_gaussian_batch
 from vecproc.covering import PointCloud, greedy_cover
@@ -573,7 +574,11 @@ def kernel_block(monkeypatch, kernel, n):
             return calls[-1][0][0], 2048
         cls = ball_class(20, seed=8)
         design = fc.EmpiricalDesign.midpoint_grid(n, 1)
-        if kernel == "gaussian_chain":
+        if kernel == "rademacher":
+            calls = spied(m, rad, "map_blocks")
+            rad.norm_rademacher_values(cls.values_on(design), mode="mc",
+                                       reps=10, seed=1)
+        elif kernel == "gaussian_chain":
             calls = spied(m, reg, "tail_check")
             reg.gaussian_chaining_check(cls, design, noise, [1.0], reps=10,
                                         seed=1)
@@ -597,7 +602,7 @@ def block_peak(fn, size):
 @pytest.mark.parametrize("kernel, small, large", [
     ("erm", 400, 1600), ("gaussian_chain", 100, 800),
     ("chaining_tail", 100, 800), ("rate", 256, 800),
-    ("gaussian_chain", 100, 6400)])
+    ("gaussian_chain", 100, 6400), ("rademacher", 100, 800)])
 def test_kernel_block_peak_memory_flat_in_n(monkeypatch, kernel, small,
                                             large):
     # one sign or noise tile at a time: at most about TILE_VALUES values at
@@ -616,9 +621,9 @@ def test_erm_excess_risks_do_not_depend_on_the_sign_sampler(monkeypatch):
     kw = dict(reps=5, seed=2, noise_quad=3000)
     rep = reg.erm_lipschitz_experiment(cls, noise, [9, 40], **kw)
     # signs from one 64-bit draw each: another stream consumption
-    monkeypatch.setattr(reg, "rademacher_signs",
-                        lambda gen, shape, out=None: np.where(
-                            gen.random(shape) < 0.5, -1.0, 1.0))
+    monkeypatch.setattr(reg, "sign_rows",
+                        lambda gen, rows, width, columns: [np.where(
+                            gen.random((rows, width)) < 0.5, -1.0, 1.0)])
     other = reg.erm_lipschitz_experiment(cls, noise, [9, 40], **kw)
     assert np.array_equal(rep.risks, other.risks)
     for row, alt in zip(rep.rows, other.rows):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vecproc.rng import (GEMM_FLOOR, TILE_VALUES, block_sizes, jump_ahead,
                          map_blocks, rademacher_signs, row_tiles, sign_bytes,
-                         substream, unpack_signs)
+                         sign_rows, substream, unpack_signs)
 
 
 def test_signs_golden_vector():
@@ -43,21 +43,24 @@ def test_whole_word_chunks_continue_one_draw(n):
     assert gen.uniform() == one.uniform()
 
 
-@pytest.mark.parametrize("shape", [13, 64, (3, 7), (40, 9)])
-def test_signs_into_a_buffer_match_a_fresh_draw(shape):
+@pytest.mark.parametrize("rows, width, columns", [
+    (2048, 1600, 10),       # erm at n = 1600: 96-row tiles, then 128
+    (10_000, 100, 60),      # 1280-row tiles and a ragged last of 1040
+    (70, 3, 1),             # one tile
+    (5, 0, 4),              # rows of no sign: one empty tile
+])
+def test_sign_rows_are_one_draw_a_tile_at_a_time(rows, width, columns):
     gen, ref = substream(4, 7), substream(4, 7)
-    buf = np.full(shape, np.nan)
-    got = rademacher_signs(gen, shape, out=buf)
-    assert got is buf and np.shares_memory(got, buf)
-    assert np.array_equal(got, rademacher_signs(ref, shape))
+    tiles, starts = [], set()
+    for signs in sign_rows(gen, rows, width, columns):
+        starts.add(signs.__array_interface__["data"][0])
+        tiles.append(signs.copy())      # the next tile overwrites this one
+    assert [len(t) for t in tiles] == row_tiles(rows, width, columns, 32)
+    assert all(len(t) % 32 == 0 for t in tiles[:-1])
+    assert len(starts) == 1             # every tile is the one buffer
+    assert np.array_equal(np.concatenate(tiles),
+                          rademacher_signs(ref, (rows, width)))
     assert gen.uniform() == ref.uniform()      # the stream continues alike
-
-
-@pytest.mark.parametrize("out", [np.empty(12), np.empty(26)[::2],
-                                 np.empty(13, dtype=np.float32)])
-def test_signs_reject_a_buffer_of_another_size_layout_or_dtype(out):
-    with pytest.raises(ValueError, match="out must be"):
-        rademacher_signs(substream(0), 13, out=out)
 
 
 JUMPS = [*range(10), 4 * 25, 4 * 25 + 1, 4 * 1000, 4 * 1000 + 1]
@@ -123,7 +126,8 @@ def test_map_blocks_hands_block_i_its_substream(reps, block):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=st.integers(1, 20_000), width=st.integers(1, 50_000),
+@example(rows=5, width=0, columns=4, grain=32)     # rows of no value
+@given(rows=st.integers(1, 20_000), width=st.integers(0, 50_000),
        columns=st.integers(1, 2_000), grain=st.sampled_from([1, 32]))
 def test_row_tiles_cover_the_rows_in_whole_words_above_the_floor(
         rows, width, columns, grain):

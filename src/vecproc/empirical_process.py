@@ -13,9 +13,10 @@ statements require.
 The Monte-Carlo kernels never evaluate a member at a point: every member
 is linear in the class's product features (`FunctionClass.features`), so a
 replicate is reduced to its feature means, TABLE_CHUNK // F points of a
-class with F features at a time, and the whole class is then one small
-GEMM. A block's tables grow neither with n nor with the class; what grows
-with the class is its coefficient tensor.
+class with F features at a time, and `hilbert.member_norms` then takes the
+whole class, a slab of whole members at a time. A block's tables and
+products grow neither with n nor with the class; what grows with the
+class is its coefficient tensor.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .covering import PointCloud, greedy_cover
 from .function_class import (TWO_PI, EmpiricalDesign, FunctionClass,
                              l2_distance_uniform)
-from .hilbert import distances, sup_sign_norms
+from .hilbert import distances, member_norms
 from .reports import MC_SES, TailReport, fields_json, passes, tail_check
 from .rng import (TABLE_CHUNK, jump_ahead, map_blocks, sample_block,
                   sign_bytes, sign_rows, unpack_signs)
@@ -39,8 +40,6 @@ _TAG_GC = 402
 _TAG_CHAIN = 403
 _TAG_EQUI = 404
 _TAG_SYMPROB = 405
-
-_SLAB_COLUMNS = 32     # coefficient columns per GEMM (at least one member)
 
 
 def true_means(cls: FunctionClass) -> np.ndarray:
@@ -130,17 +129,6 @@ def _centered(cls: FunctionClass) -> np.ndarray:
     return coefs
 
 
-def _norms(moments, coefs, d_y, sup=True):
-    """||moments @ C_k|| per row and member k, (rows, K), or its max over k
-    when sup; the GEMM takes _SLAB_COLUMNS columns of coefs at a time."""
-    step = max(1, _SLAB_COLUMNS // d_y) * d_y
-    slabs = (distances((moments @ coefs[:, i:i + step]).reshape(
-        len(moments), -1, d_y), 0.0) for i in range(0, coefs.shape[1], step))
-    if sup:
-        return functools.reduce(np.maximum, (norms.max(axis=1) for norms in slabs))
-    return np.hstack(list(slabs))
-
-
 # --------------------------------------------------------------------------
 # symmetrization
 
@@ -200,8 +188,9 @@ def symmetrization_check(cls: FunctionClass, n: int, reps: int, seed: int,
                                     functools.partial(unpack_signs, raw)),
                      _feature_means(cls, size, n, _uniform(rng2, cls.d)))
         return [np.concatenate(s) for s in zip(*(
-            (_norms(emp, centered, cls.d_y),
-             _norms(emp - emp2, centered, cls.d_y), _norms(rad, coefs, cls.d_y))
+            (member_norms(emp, centered, cls.d_y, 1),
+             member_norms(emp - emp2, centered, cls.d_y, 1),
+             member_norms(rad, coefs, cls.d_y, 1))
             for (emp, rad), (emp2,) in groups))]
 
     parts = map_blocks(block, reps, threads, seed, _TAG_SYM,
@@ -236,8 +225,8 @@ def symmetrization_probability_check(cls: FunctionClass, n: int, a_grid,
     def block(rng, size):
         raw = sign_bytes(jump_ahead(rng, size * n * cls.d), size * n)
         per_member, rad = (np.concatenate(s) for s in zip(*(
-            (_norms(emp, centered, cls.d_y, sup=False),
-             _norms(signed, coefs, cls.d_y)) for emp, signed in
+            (member_norms(emp, centered, cls.d_y, 1, sup=False),
+             member_norms(signed, coefs, cls.d_y, 1)) for emp, signed in
             _feature_means(cls, size, n, _uniform(rng, cls.d),
                            functools.partial(unpack_signs, raw)))))
         stat = np.column_stack([per_member, per_member.max(axis=1),
@@ -277,7 +266,7 @@ def gc_decay_curve(cls: FunctionClass, n_grid, reps: int, seed: int,
     rows = []
     for pos, n in enumerate(n_grid):
         def block(rng, size, n=n):
-            return np.concatenate([_norms(emp, centered, cls.d_y)
+            return np.concatenate([member_norms(emp, centered, cls.d_y, 1)
                                    for emp, in _feature_means(
                 cls, size, n, _uniform(rng, cls.d))])
 
@@ -394,11 +383,13 @@ def chaining_tail_check(plan: ChainingPlan, cls: FunctionClass,
     thresholds = math.sqrt(2.0) * plan.j_n / math.sqrt(n) \
         + 6.0 * plan.r_n * np.sqrt((1.0 + ts) / n)
     tops = np.unique(plan.chains[:, -1])
-    top_vals = cls.values_on(design)[tops]    # (T, n, d_Y)
+    # the chain tops' values as (n, T d_Y): sample i's row holds every top
+    flat = cls.values_on(design)[tops].transpose(1, 0, 2).reshape(n, -1)
 
     def stat(rng, size):
-        return np.concatenate([sup_sign_norms(signs, top_vals) for signs in
-                               sign_rows(rng, size, n, len(tops) * cls.d_y)])
+        return np.concatenate([member_norms(signs, flat, cls.d_y, n)
+                               for signs in sign_rows(rng, size, n,
+                                                      flat.shape[1])])
 
     return tail_check(stat, thresholds, ts, 2.0 * np.exp(-ts), reps, threads,
                       seed, _TAG_CHAIN)
@@ -435,7 +426,8 @@ def equicontinuity_curve(cls: FunctionClass, g0_index: int, radius_grid, n_grid,
     medians = np.zeros((len(radii), len(n_grid)))
     for pos, n in enumerate(n_grid if members else ()):
         def block(rng, size, n=n):
-            norms = np.concatenate([_norms(emp, diffs, cls.d_y, sup=False)
+            norms = np.concatenate([member_norms(emp, diffs, cls.d_y, 1,
+                                                 sup=False)
                                     for emp, in _feature_means(
                 cls, size, n, _uniform(rng, cls.d))])
             return math.sqrt(n) * np.array(

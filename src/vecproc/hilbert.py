@@ -6,21 +6,31 @@ inner products are numpy's. The coordinates of points `values` (..., d_Y)
 in another orthonormal basis are `values @ basis.columns`. This module
 holds the basis type, Gram-Schmidt, a random basis and the two output
 norms, which share one coordinate loop: `distances` and `clipped_loss`,
-the loss min(||y - yhat||, c) of the learning application. Truncation
-level d_Y is a declared parameter of every experiment.
+the loss min(||y - yhat||, c) of the learning application. Every
+Monte-Carlo statistic that turns a class's coefficient columns into its
+members' output norms goes through one kernel, `member_norms`, a slab of
+whole members at a time. Truncation level d_Y is a declared parameter of
+every experiment.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .rng import GEMM_FLOOR
 
 # Orthonormality tolerance: double-precision head-room.
 ORTHO_TOL = 1e-12
 # Below 8 coordinates numpy's add.reduce sums left to right; from 8 on it
 # keeps eight interleaved partial sums and adds them pairwise.
 _PAIRWISE_WIDTH = 8
+# Most values one member_norms product holds where lcm(d_Y, 8) of its
+# columns fit: a wider product is taken in slabs of whole members.
+_SLAB_VALUES = 2 ** 20
 
 
 def _root_sum_squares(a, b, width) -> np.ndarray:
@@ -78,17 +88,41 @@ def clipped_loss(y: np.ndarray, yhat: np.ndarray, cap: float,
     return loss if loss.ndim else loss[()]
 
 
-def sup_sign_norms(signs, values) -> np.ndarray:
-    """max_k ||(1/n) sum_i s_i values[k, i]|| for each sign row s.
+def member_norms(rows, coefs, d_y, divisor, sup=True) -> np.ndarray:
+    """||rows[r] @ C_k|| / divisor for every row r and member k, (rows, K),
+    or its max over k when sup; C_k is member k's d_Y columns of coefs
+    (., K d_Y). Sign statistics pass sign rows against the members' values
+    flattened to (n, K d_Y) and divisor n; moment statistics pass feature
+    means against the class's coefficients and divisor 1, which is exact.
+    At d_Y = 1 the norm is the absolute value bitwise, sqrt(x x) = |x|.
 
-    signs is (C, n), values (K, n, d_Y). One GEMM of the signs against the
-    values flattened to (n, K d_Y) sums every member's coordinates; at
-    d_Y = 1 the norm is the absolute value bitwise, sqrt(x x) = |x|.
+    The product is divided in place and taken in slabs of whole members
+    and whole 8-column groups, at most _SLAB_VALUES values where lcm(d_Y,
+    8) columns fit, so no product grows with K; a last slab of at most
+    GEMM_FLOOR multiply-adds joins the one before. So every slab clears
+    rng.row_tiles' GEMM floor: the others hold over _SLAB_VALUES / 2 = 2^19
+    values of len(coefs) terms, over GEMM_FLOOR multiply-adds from two
+    terms on (a one-term sum is one rounded product in any kernel). On
+    OpenBLAS 0.3.31 (numpy 2.4.6) slabs kept the one-slab product's bits
+    except, where K d_Y is no multiple of 8 and the product is wider than
+    about 190 columns, in its last K d_Y mod 8 columns, which a wide product
+    computes by another path (9 of 27 split sign shapes, all at n = 5, 16).
     """
-    k, n, d_y = values.shape
-    sums = signs @ values.transpose(1, 0, 2).reshape(n, k * d_y)
-    sums /= n
-    return distances(sums.reshape(len(signs), k, d_y), 0.0).max(axis=1)
+    cols, unit = coefs.shape[1], math.lcm(d_y, 8)
+    step = max(1, _SLAB_VALUES // (len(rows) * unit)) * unit
+    edges = list(range(0, cols, step)) + [cols]
+    if len(edges) > 2 and (cols - edges[-2]) * rows.size <= GEMM_FLOOR:
+        del edges[-2]
+
+    def slabs():
+        for lo, hi in zip(edges, edges[1:]):
+            prod = rows @ coefs[:, lo:hi]
+            prod /= divisor
+            yield distances(prod.reshape(len(rows), -1, d_y), 0.0)
+
+    if sup:
+        return functools.reduce(np.maximum, (s.max(axis=1) for s in slabs()))
+    return np.hstack(list(slabs()))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .empirical_process import build_chaining_plan
 from .function_class import EmpiricalDesign, FunctionClass
-from .hilbert import OrthonormalBasis, sup_sign_norms
+from .hilbert import OrthonormalBasis, member_norms
 from .reports import MC_SES, passes
 from .rng import map_blocks, sign_rows
 
@@ -93,7 +93,8 @@ def norm_rademacher_values(values: np.ndarray, mode: str = "exact",
     k, n, d_y = values.shape
     if k == 0:
         raise ValueError("class must be nonempty")
-    return _sign_expectation(lambda signs: sup_sign_norms(signs, values),
+    flat = values.transpose(1, 0, 2).reshape(n, k * d_y)
+    return _sign_expectation(lambda signs: member_norms(signs, flat, d_y, n),
                              n, k * d_y, "norm", mode, reps, seed,
                              _TAG_NORM_MC, threads)
 

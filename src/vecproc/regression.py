@@ -22,7 +22,7 @@ from .function_class import (EmpiricalDesign, FunctionClass,
                              SmoothOutputDescriptor, ball_members,
                              blend_members, generate_finite_dim_ball_class,
                              l2_distance_uniform)
-from .hilbert import clipped_loss, distances, sup_sign_norms
+from .hilbert import clipped_loss, distances, member_norms
 from .reports import MC_SES, TailReport, fields_json, jsonable, passes, tail_check
 from .rng import TILE_VALUES, map_blocks, row_tiles, sign_rows
 
@@ -587,7 +587,7 @@ def erm_lipschitz_experiment(cls: FunctionClass, noise: CovarianceSpectrum,
                 decomp[b] = passes(excess, np.max(risks - emp) + emp[g_star]
                                    - risks[g_star], 1e-12)
                 rads[b] = np.concatenate([
-                    sup_sign_norms(signs, loss[:, :, None]) for signs in
+                    member_norms(signs, loss.T, 1, n) for signs in
                     sign_rows(rng, _RAD_PATTERNS, n, len(cls))]).mean()
             return excesses, rads, decomp
 

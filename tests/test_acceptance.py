@@ -275,15 +275,18 @@ def test_c10_contraction_and_entropy_bound():
 
 
 def run_cli_pair(tmp_path, name, args):
-    """Run a command with threads 1 and 4, return CSV bodies of both runs."""
+    """Run a command with threads 1 and 4, return the CSV and JSON bodies
+    of both runs; the manifest, which records the thread count, is left
+    out."""
     outs = []
     for threads in (1, 4):
         out = tmp_path / f"{name}-t{threads}"
         code = cli_main(args + ["--threads", str(threads), "--out", str(out)])
         assert code in (0, 1)
         bodies = {}
-        for path in sorted(out.glob("*.csv")):
-            bodies[path.name] = path.read_bytes()
+        for path in sorted([*out.glob("*.csv"), *out.glob("*.json")]):
+            if path.name != "manifest.json":
+                bodies[path.name] = path.read_bytes()
         outs.append(bodies)
     return outs
 
@@ -322,6 +325,11 @@ def c11_battery(tmp_path):
         ("rademacher", ["rademacher", "--check", "entropy-bound",
                         "--count", "10", "--n", "12", "--levels", "4",
                         "--seed", "3"]),
+        # three blocks of 8192, 8192 and 3616 sign rows, each product of
+        # 100 members at d_Y = 20 taken in several slabs
+        ("rademacher-wide", ["rademacher", "--check", "norm", "--mode", "mc",
+                             "--count", "100", "--dy", "20", "--n", "16",
+                             "--reps", "20000", "--seed", "3"]),
     ]
 
 
@@ -329,8 +337,8 @@ def test_c11_determinism(tmp_path):
     c = Criterion("C11 determinism", 600.0)
     for name, args in c11_battery(tmp_path):
         a, b = run_cli_pair(tmp_path, name, args)
-        c.check(f"{name}: csv bodies byte-identical across --threads",
-                a == b and (len(a) > 0 or name in ("demo", "rademacher")))
+        c.check(f"{name}: csv and json bodies byte-identical across "
+                "--threads", a == b and len(a) > 0)
     c.finish()
 
 

@@ -9,6 +9,7 @@ from vecproc import empirical_process as ep
 from vecproc import function_class as fc
 from vecproc import regression as reg
 from vecproc.covering import PointCloud, greedy_cover
+from vecproc.hilbert import member_norms
 from vecproc.rng import (BLOCK_POINTS, BLOCK_SIZE, TABLE_CHUNK, block_sizes,
                          rademacher_signs, sample_block, substream)
 
@@ -293,17 +294,17 @@ def upfront_blocks(cls, n, a_grid):
                                        lambda a, b: signs[a:b]),
                      ep._feature_means(cls, size, n, lambda a, b: x2[a:b]))
         return [np.concatenate(s) for s in zip(*(
-            (ep._norms(emp, centered, cls.d_y),
-             ep._norms(emp - emp2, centered, cls.d_y),
-             ep._norms(rad, coefs, cls.d_y))
+            (member_norms(emp, centered, cls.d_y, 1),
+             member_norms(emp - emp2, centered, cls.d_y, 1),
+             member_norms(rad, coefs, cls.d_y, 1))
             for (emp, rad), (emp2,) in groups))]
 
     def probability(rng, size):
         x = rng.uniform(size=(size * n, cls.d))
         signs = rademacher_signs(rng, (size * n,))
         per_member, rad = (np.concatenate(s) for s in zip(*(
-            (ep._norms(emp, centered, cls.d_y, sup=False),
-             ep._norms(signed, coefs, cls.d_y)) for emp, signed in
+            (member_norms(emp, centered, cls.d_y, 1, sup=False),
+             member_norms(signed, coefs, cls.d_y, 1)) for emp, signed in
             ep._feature_means(cls, size, n, lambda a, b: x[a:b],
                               lambda a, b: signs[a:b]))))
         stat = np.column_stack([per_member, per_member.max(axis=1),

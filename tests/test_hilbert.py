@@ -58,7 +58,8 @@ def test_sup_sign_norms_matches_the_einsum_forms(subscripts, d_y):
             rng = np.random.default_rng([k, n, d_y])
             values = rng.standard_normal((k, n, d_y))
             signs = np.where(rng.random((300, n)) < 0.5, -1.0, 1.0)
-            got = hb.sup_sign_norms(signs, values)
+            got = hb.member_norms(
+                signs, values.transpose(1, 0, 2).reshape(n, -1), d_y, n)
             ref = einsum_sup_sign_norms(subscripts, signs, values)
             if d_y == 8:
                 assert np.array_equal(got, ref)
@@ -73,10 +74,47 @@ def test_sup_sign_norms_matches_the_einsum_forms(subscripts, d_y):
 
 @pytest.mark.parametrize("k", [1, 2, 10])
 def test_sup_sign_norms_at_one_coordinate_is_the_absolute_value(k):
-    # the ERM loss class: loss[:, :, None] flattens to the loss.T view
+    # the ERM loss class, passed as erm passes it: the F-ordered loss.T view
     rng = np.random.default_rng(k)
     for n in (1, 9, 40, 100):
         loss = np.minimum(np.abs(rng.standard_normal((k, n))), 1.0)
         signs = np.where(rng.random((2048, n)) < 0.5, -1.0, 1.0)
-        assert np.array_equal(hb.sup_sign_norms(signs, loss[:, :, None]),
+        assert np.array_equal(hb.member_norms(signs, loss.T, 1, n),
                               np.abs(signs @ loss.T / n).max(axis=1))
+
+
+def one_slab_norms(rows, coefs, d_y, divisor):
+    """Every member's norm from one product of the whole matrix."""
+    prod = rows @ coefs
+    prod /= divisor
+    return hb.distances(prod.reshape(len(rows), -1, d_y), 0.0)
+
+
+@pytest.mark.parametrize("rows, n, d_y, k, operand", [
+    # signs against the flattened values: slabs of 6 members and a last of 4
+    (8192, 16, 20, 10, "values"),
+    # a last slab under the GEMM floor joins the one before: 168 and 176
+    # members
+    (2048, 16, 3, 344, "values"),
+    # feature means against a coefficient matrix: 3 slabs of 168 members
+    # and a last of 16
+    (2048, 100, 3, 520, "coefficients"),
+    # signs against the loss class, F-ordered as erm passes loss.T: 512
+    # and 512 members
+    (2048, 40, 1, 1024, "losses"),
+])
+def test_member_norms_slabs_match_one_product(rows, n, d_y, k, operand):
+    rng = np.random.default_rng([rows, n, d_y, k])
+    coefs = rng.standard_normal((n, k * d_y))
+    if operand == "coefficients":
+        lhs, divisor = rng.standard_normal((rows, n)), 1
+    else:
+        lhs, divisor = np.where(rng.random((rows, n)) < 0.5, -1.0, 1.0), n
+    if operand == "losses":
+        coefs = np.asfortranarray(coefs)
+    assert rows * k * d_y > hb._SLAB_VALUES        # several slabs
+    want = one_slab_norms(lhs, coefs, d_y, divisor)
+    got = hb.member_norms(lhs, coefs, d_y, divisor, sup=False)
+    assert got.tobytes() == want.tobytes()
+    assert hb.member_norms(lhs, coefs, d_y, divisor).tobytes() == \
+        want.max(axis=1).tobytes()

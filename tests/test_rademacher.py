@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vecproc import empirical_process as ep
 from vecproc import function_class as fc
 from vecproc import rademacher as rad
 from vecproc.hilbert import random_orthonormal_basis
@@ -133,6 +135,32 @@ def test_public_estimates_share_the_driver_checks():
     with pytest.raises(ValueError, match="exact enumeration"):
         rad.coordinatewise_rademacher_values(values, normalized=False,
                                              mode="mc")
+
+
+@pytest.mark.parametrize("path", ["mc", "exact", "chain"])
+def test_sign_paths_peak_memory_flat_in_class_size(path):
+    # n = 16 and d_Y = 20: 10 members (9 chain tops) against 100 (77 tops),
+    # one block of 8192 sign rows or the 2^14-row exact chunks; a product of
+    # the whole class held 8192 x 2000 values at 100 members
+    design = fc.EmpiricalDesign.midpoint_grid(16, 1)
+
+    def peak(count):
+        cls = ball_class(count, seed=22, d_y=20)
+        values = cls.values_on(design)
+        plan = ep.build_chaining_plan(cls, design)
+        run = {"mc": lambda: rad.norm_rademacher_values(values, "mc", 8192,
+                                                        seed=1),
+               "exact": lambda: rad.norm_rademacher_values(values),
+               "chain": lambda: ep.chaining_tail_check(plan, cls, design,
+                                                       [1.0], 8192, seed=1)}
+        tracemalloc.start()
+        try:
+            run[path]()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(100) < 1.25 * peak(10)
 
 
 # ----------------------------------------------------------- coordinate-wise

@@ -517,8 +517,9 @@ def test_chaining_tail_tiled_signs_match_one_shot(monkeypatch):
     (stat, _, _, _, reps, _, seed, *path), _ = calls[0]
 
     def one_shot(rng, size):
-        return hilbert.sup_sign_norms(rademacher_signs(rng, (size, n)),
-                                      top_vals)
+        return hilbert.member_norms(
+            rademacher_signs(rng, (size, n)),
+            top_vals.transpose(1, 0, 2).reshape(n, -1), cls.d_y, n)
 
     for got, want in zip(per_block(stat, reps, seed, path),
                          per_block(one_shot, reps, seed, path)):

@@ -5,11 +5,11 @@ theoretical tail bounds with a slack of three binomial standard errors;
 moment-generating-function inequalities for Gaussians are verified
 deterministically through their finite-spectrum product form, with no
 sampling noise at all. Replicates are partitioned into fixed blocks with
-counter-derived seeds and combined in block order, so results depend only on
-(seed, reps), never on the worker count. A block's memory does not grow
-with n: the sign-sum check, which draws a (replicates, n) sign matrix, runs
-sample_block(n) replicates per block, and the bounded-vector and cosh
-checks draw one row of replicates at a time.
+counter-derived seeds and averaged in block order by `reports.mc_mean`, so
+results depend only on (seed, reps), never on the worker count. A block's
+memory does not grow with n: the sign-sum check, which draws a (replicates,
+n) sign matrix, runs sample_block(n) replicates per block, and the
+bounded-vector and cosh checks draw one row of replicates at a time.
 
 The bounded-vector checks read only ||S_n||, S_n = sum_i eps_i c_i U_i with
 U_i uniform on the unit sphere of R^d_y. The signs are absorbed into U_i,
@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import distances
-from .reports import MC_SES, TailReport, fields_json, passes, tail_check
-from .rng import (map_blocks, rademacher_signs, sample_block, sign_bytes,
-                  unpack_signs)
+from .reports import (MC_SES, TailReport, fields_json, mc_mean, passes,
+                      tail_check)
+from .rng import sample_block, sign_bytes, sign_rows, unpack_signs
 
 _TAG_REAL = 301
 _TAG_HILBERT = 302
@@ -110,8 +110,8 @@ def hoeffding_real_check(c, n: int, t_grid, reps: int, seed: int,
     b = math.sqrt(float(np.sum(c ** 2)))
     ts = np.asarray(t_grid, float)
 
-    def stat(rng, size):
-        return rademacher_signs(rng, (size, n)) @ c
+    def stat(rng, size):    # one tile: a block has under GEMM_FLOOR / n rows
+        return np.concatenate([s @ c for s in sign_rows(rng, size, n, 1)])
 
     return tail_check(stat, b * np.sqrt(2.0 * ts), ts, np.exp(-ts), reps,
                       threads, seed, _TAG_REAL, block=sample_block(n))
@@ -193,24 +193,16 @@ def cosh_moment_check(c, n: int, lambda_grid, reps: int, seed: int, d_y: int = 5
     lams = np.asarray(lambda_grid, float)
     if np.any(lams <= 0):
         raise ValueError("lambda values must be positive")
-    if reps < 2:
-        raise ValueError("reps must be at least 2")
     with np.errstate(over="ignore"):
         rhs = np.exp(lams ** 2 * float(np.sum(c ** 2)))
     if not np.all(np.isfinite(rhs)):
         raise ValueError("the cosh bound exp(lambda^2 sum c_i^2) overflows "
                          "a float")
 
-    def block(rng, size):
-        norms = _sum_norms(rng, size, n, d_y, c)
-        vals = np.cosh(lams[None, :] * norms[:, None])
-        return vals.sum(axis=0), (vals ** 2).sum(axis=0)
+    def cosh(rng, size):
+        return np.cosh(lams * _sum_norms(rng, size, n, d_y, c)[:, None])
 
-    parts = map_blocks(block, reps, threads, seed, _TAG_COSH)
-    total, total_sq = (np.sum(p, axis=0) for p in zip(*parts))
-    mean = total / reps
-    var = np.maximum(total_sq / reps - mean ** 2, 0.0)
-    se = np.sqrt(var / reps)
+    mean, se = mc_mean(cosh, reps, threads, seed, _TAG_COSH)
     rows = []
     for lam, lhs, s, r in zip(lams, mean, se, rhs):
         rel = s / lhs if lhs > 0 else 0.0

@@ -31,7 +31,8 @@ from .covering import PointCloud, greedy_cover
 from .function_class import (TWO_PI, EmpiricalDesign, FunctionClass,
                              l2_distance_uniform)
 from .hilbert import distances, member_norms
-from .reports import MC_SES, TailReport, fields_json, passes, tail_check
+from .reports import (MC_SES, TailReport, fields_json, mc_mean, passes,
+                      tail_check)
 from .rng import (TABLE_CHUNK, jump_ahead, map_blocks, sample_block,
                   sign_bytes, sign_rows, unpack_signs)
 
@@ -211,10 +212,10 @@ def symmetrization_probability_check(cls: FunctionClass, n: int, a_grid,
     """P(||P_n - P||_G > a) <= 4 P(||P_n^sigma||_G > a/4) where the
     per-member premise P(||(P_n - P) g|| > a/2) <= 1/2 holds empirically.
 
-    Returns rows (a, premise_max, lhs, rhs, applicable, ok). A NaN
-    statistic makes its counts NaN, which fails every row it enters. A
-    block reads its points chunk by chunk and its signs from the packed
-    bytes of a generator size n d draws ahead, as symmetrization_check.
+    Returns rows (a, premise_max, lhs, rhs, applicable, ok) of mc_mean
+    frequencies, NaN (failing its rows) where a statistic is NaN. A block
+    reads its points chunk by chunk and its signs from the packed bytes of a
+    generator size n d draws ahead, as symmetrization_check.
     """
     coefs, centered = cls.features[1], _centered(cls)
     a_vals = np.asarray(a_grid, float)
@@ -222,7 +223,7 @@ def symmetrization_probability_check(cls: FunctionClass, n: int, a_grid,
     # symmetrized sup, counted against a/2, a and a/4
     scale = np.r_[np.full(len(cls), 2.0), 1.0, 4.0][:, None]
 
-    def block(rng, size):
+    def exceed(rng, size):
         raw = sign_bytes(jump_ahead(rng, size * n * cls.d), size * n)
         per_member, rad = (np.concatenate(s) for s in zip(*(
             (member_norms(emp, centered, cls.d_y, 1, sup=False),
@@ -232,11 +233,11 @@ def symmetrization_probability_check(cls: FunctionClass, n: int, a_grid,
         stat = np.column_stack([per_member, per_member.max(axis=1),
                                 rad])[:, :, None]
         return np.where(np.isnan(stat).any(axis=0), np.nan,
-                        (stat > a_vals / scale).sum(axis=0))
+                        stat > a_vals / scale)
 
-    counts = np.sum(map_blocks(block, reps, threads, seed, _TAG_SYMPROB,
-                               block=sample_block(n)), axis=0) / reps
-    prem, lhs, rhs = counts[:-2], counts[-2], counts[-1]
+    freqs, _ = mc_mean(exceed, reps, threads, seed, _TAG_SYMPROB,
+                       block=sample_block(n))
+    prem, lhs, rhs = freqs[:-2], freqs[-2], freqs[-1]
     rows = []
     for j, a in enumerate(a_vals):
         premise_max = float(prem[:, j].max())

@@ -465,7 +465,7 @@ def _members(d, m, d_y, seed, k_b, n_terms, max_freq, min_freq, range_terms):
         phases = rng.uniform(0.0, TWO_PI, size=(n_terms, d))
         # the amplitude signs are part of the seeded class definition, not a
         # Rademacher process: drawn with choice, so a seed keeps naming the
-        # same class whatever rng.rademacher_signs does
+        # same class whatever the sign sampler (rng.sign_bytes) does
         raw = rng.uniform(0.3, 1.0, size=n_terms) * rng.choice([-1.0, 1.0],
                                                                size=n_terms)
         dirs, cap = range_terms(rng)

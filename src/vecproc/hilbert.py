@@ -59,14 +59,14 @@ def distances(a, b) -> np.ndarray:
     Below _PAIRWISE_WIDTH coordinates _root_sum_squares sums left to right
     over whole slices, which is numpy's own order there; numpy instead runs
     one short reduce per row. Wider axes, width 0 and a single vector go to
-    np.linalg.norm itself.
+    np.linalg.norm itself, handed a alone when b is the scalar 0 (no copy).
     """
     a, b = np.asarray(a, float), np.asarray(b, float)
     wa, wb = (x.shape[-1] if x.ndim else 1 for x in (a, b))
     width = wb if wa == 1 else wa
     if not 0 < width < _PAIRWISE_WIDTH or wb not in (1, width) \
             or max(a.ndim, b.ndim) < 2:
-        return np.linalg.norm(a - b, axis=-1)
+        return np.linalg.norm(a - b if b.ndim or b else a, axis=-1)
     return _root_sum_squares(a, b, width)
 
 

@@ -24,8 +24,8 @@ import numpy as np
 from .empirical_process import build_chaining_plan
 from .function_class import EmpiricalDesign, FunctionClass
 from .hilbert import OrthonormalBasis, member_norms
-from .reports import MC_SES, passes
-from .rng import map_blocks, sign_rows
+from .reports import MC_SES, mc_mean, passes
+from .rng import sign_rows
 
 _TAG_NORM_MC = 601
 _TAG_COORD_MC = 602
@@ -70,20 +70,14 @@ def _sign_expectation(stat, n_bits: int, columns: int, form: str, mode: str,
                                   n_patterns=n_patterns)
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
-    if reps < 2:
-        raise ValueError("reps must be at least 2")
 
-    def block(rng, size):
-        values = np.concatenate([stat(signs) for signs in
-                                 sign_rows(rng, size, n_bits, columns)])
-        return values.sum(), (values ** 2).sum()
+    def rows(rng, size):
+        return np.concatenate([stat(signs) for signs in
+                               sign_rows(rng, size, n_bits, columns)])
 
-    parts = map_blocks(block, reps, threads, seed, tag)
-    total, total_sq = (sum(p) for p in zip(*parts))
-    mean = total / reps
-    var = max(total_sq / reps - mean ** 2, 0.0)
+    mean, se = mc_mean(rows, reps, threads, seed, tag)
     return RademacherEstimate(value=mean, mode="monte_carlo", form=form,
-                              n_patterns=reps, se=math.sqrt(var / reps))
+                              n_patterns=reps, se=se)
 
 
 def norm_rademacher_values(values: np.ndarray, mode: str = "exact",

@@ -1,4 +1,4 @@
-"""Report containers, CSV/JSON emission, the verdict rule and the tail check.
+"""Report containers, CSV/JSON emission, verdicts, mc_mean and tail_check.
 
 One converter, `jsonable`, feeds both writers. A CSV body is a list of row
 dicts whose keys are the header, so a CSV row is the JSON row it came from.
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -130,25 +131,41 @@ class TailReport:
                 "all_ok": self.all_ok, "rows": self.rows()}
 
 
+def mc_mean(stat, reps: int, threads: int, seed: int, *path: int,
+            block: int = BLOCK_SIZE):
+    """(mean, se) of `reps` replicates of stat(rng, size), a (size, ...)
+    array, over the blocks of map_blocks(..., seed, *path, block=block),
+    whose sums of values and squares are added in block order (np.sum adds
+    one-column sums pairwise); se = sqrt(max(E x^2 - E[x]^2, 0) / reps)."""
+    if reps < 2:
+        raise ValueError("reps must be at least 2")
+
+    def sums(rng, size):
+        values = stat(rng, size)
+        return values.sum(axis=0), (values ** 2).sum(axis=0)
+
+    parts = map_blocks(sums, reps, threads, seed, *path, block=block)
+    total, total_sq = (functools.reduce(np.add, p) for p in zip(*parts))
+    mean = total / reps
+    return mean, np.sqrt(np.maximum(total_sq / reps - mean ** 2, 0.0) / reps)
+
+
 def tail_check(stat, levels, rows, bounds, reps: int, threads: int, seed: int,
                *path: int, label: str = "t",
                block: int = BLOCK_SIZE) -> TailReport:
     """Row j: rows[j], the frequency of stat >= levels[j] and bounds[j].
 
-    stat(rng, size) gives `size` replicates of the statistic from a block's
-    generator; map_blocks(..., seed, *path, block=block) hands each block
-    of at most `block` replicates its own. A NaN replicate makes every
-    frequency NaN, which fails every row.
+    stat(rng, size) gives `size` replicates of the statistic; a frequency
+    is the mc_mean of its indicator, with a binomial standard error. A NaN
+    replicate makes every frequency NaN, which fails every row.
     """
     levels = np.asarray(levels, float)
 
-    def count(rng, size):
+    def exceed(rng, size):
         s = stat(rng, size)[:, None]
-        return np.where(np.isnan(s).any(), np.nan, (s >= levels).sum(axis=0))
+        return np.where(np.isnan(s).any(), np.nan, s >= levels)
 
-    counts = np.sum(map_blocks(count, reps, threads, seed, *path, block=block),
-                    axis=0)
-    freqs = counts / reps
+    freqs, _ = mc_mean(exceed, reps, threads, seed, *path, block=block)
     ses = np.sqrt(freqs * (1.0 - freqs) / reps)
     return TailReport(thresholds=np.asarray(rows, float), freqs=freqs,
                       ses=ses, bounds=np.asarray(bounds, float), reps=reps,

@@ -9,11 +9,11 @@ function of (seed, path) only, never of execution order or worker count:
 i), so no block kernel keys its own stream.
 
 Every Rademacher sign is one random bit of `sign_bytes`, expanded by
-`unpack_signs`; `rademacher_signs` is the two in one step, and `sign_rows`
-one draw a row tile at a time. A block reading several segments of its
-stream side by side starts each from a `jump_ahead` copy of its generator.
-Generated function classes draw their amplitude signs with
-`Generator.choice` instead: they define the seeded class, not a process.
+`unpack_signs`; `sign_rows` draws a block's sign matrix a row tile at a
+time. A block reading several segments of its stream side by side starts
+each from a `jump_ahead` copy of its generator. Generated function classes
+draw their amplitude signs with `Generator.choice` instead: they define
+the seeded class, not a process.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ TABLE_CHUNK = 2 ** 16
 
 # Most values a tile of row_tiles draws where its GEMM floor allows: a
 # block's sign or noise rows are drawn and reduced a tile at a time, and
-# the tiles move no bit.
+# the tiles move no bit, but for the wide products row_tiles names.
 TILE_VALUES = 2 ** 17
 
 # Fewest multiply-adds of a tile's GEMM, which takes rows beyond
@@ -128,14 +128,6 @@ def unpack_signs(raw: np.ndarray, start: int, stop: int,
     return flat
 
 
-def rademacher_signs(gen: np.random.Generator, shape) -> np.ndarray:
-    """Independent +-1.0 float64 signs of the given shape: N signs are
-    unpack_signs(sign_bytes(gen, N), 0, N), so they consume the stream as
-    sign_bytes does."""
-    count = int(np.prod(shape, dtype=np.int64))
-    return unpack_signs(sign_bytes(gen, count), 0, count).reshape(shape)
-
-
 def block_sizes(reps: int, block: int = BLOCK_SIZE):
     """Split `reps` into fixed blocks; the split ignores worker count."""
     if reps <= 0:
@@ -155,7 +147,7 @@ def row_tiles(rows: int, width: int, columns: int, grain: int):
     replicate rows for a kernel that draws `width` values per row and
     reduces them through a GEMM against `columns` columns. Drawing and
     reducing tile by tile gives every row the bits of one draw of the
-    whole block:
+    whole block, but for the one exception below:
 
       - Draws. Every tile but the last is a multiple of `grain` rows. Sign
         kernels pass 32, so a tile of signs is whole 32-bit words and the
@@ -174,6 +166,9 @@ def row_tiles(rows: int, width: int, columns: int, grain: int):
         C-ordered right operand, and at M <= 120 to 131 (n = 100, 400) for
         an F-ordered one; no slice above 1e6 multiply-adds differed, nor
         any of (M x 19200) @ (19200 x 20) above M = 2 against 256 rows.
+      - The exception: a product wider than about 190 columns and no
+        multiple of 8 takes its last width mod 8 columns by another path
+        (at n = 100, 67 members at d_Y = 3: 14 of 8192 rows differed).
 
     A tile but the last draws at most max(TILE_VALUES, GEMM_FLOOR / columns
     + grain width) values, however many rows the block has.
@@ -189,11 +184,12 @@ def row_tiles(rows: int, width: int, columns: int, grain: int):
 
 
 def sign_rows(gen: np.random.Generator, rows: int, width: int, columns: int):
-    """The rows of one rademacher_signs(gen, (rows, width)) draw, one
-    (tile, width) array per tile of row_tiles(rows, width, columns, 32),
-    for a GEMM against `columns` columns; gen ends where the one draw
-    leaves it. Every tile is written into one buffer the size of the
-    largest tile, so read each tile before the next is drawn.
+    """The rows of one draw of (rows, width) signs, unpack_signs of
+    sign_bytes(gen, rows width), one (tile, width) array per tile of
+    row_tiles(rows, width, columns, 32), for a GEMM against `columns`
+    columns; gen ends where the one draw leaves it. Every tile is written
+    into one buffer the size of the largest tile, so read each tile before
+    the next is drawn.
     """
     tiles = row_tiles(rows, width, columns, 32)
     buf = np.empty(max(tiles) * width)

@@ -12,6 +12,7 @@ from vecproc import covering as cov
 from vecproc import dimension as dim
 from vecproc import function_class as fc
 from vecproc import rademacher as rad
+from vecproc import reports
 from vecproc.cli import _TAG_CLI_DESIGN, build_parser, main
 from vecproc.rng import substream
 
@@ -116,13 +117,13 @@ def test_rademacher_subcommand(tmp_path):
 @pytest.mark.parametrize("check", ["coordinatewise", "entropy-bound"])
 def test_rademacher_monte_carlo_honours_threads(tmp_path, monkeypatch, check):
     seen = []
-    map_blocks = rad.map_blocks
+    map_blocks = reports.map_blocks
 
     def spy(fn, reps, threads, *args, **kwargs):
         seen.append(threads)
         return map_blocks(fn, reps, threads, *args, **kwargs)
 
-    monkeypatch.setattr(rad, "map_blocks", spy)
+    monkeypatch.setattr(reports, "map_blocks", spy)
     argv = ["rademacher", "--check", check, "--mode", "mc", "--count", "4",
             "--n", "8", "--levels", "3", "--reps", "20000"]
     bodies = []
@@ -332,6 +333,15 @@ def test_default_out_dir(tmp_path, monkeypatch):
      "the cosh bound exp(lambda^2 sum c_i^2) overflows a float"),
     (["concentration", "--check", "cosh", "--lambdas", "5"],
      "the cosh bound exp(lambda^2 sum c_i^2) overflows a float"),
+    # every tail frequency is a Monte-Carlo mean
+    (["concentration", "--check", "hoeffding-real", "--n", "50", "--reps",
+      "1"], "reps must be at least 2"),
+    (["concentration", "--check", "hoeffding-hilbert", "--reps", "1"],
+     "reps must be at least 2"),
+    (["chain", "--kind", "rademacher", "--reps", "1"],
+     "reps must be at least 2"),
+    (["chain", "--kind", "gaussian", "--reps", "1"],
+     "reps must be at least 2"),
 ])
 def test_invalid_monte_carlo_input_exits_2(tmp_path, capsys, argv, message):
     code, _ = run_cli(argv, tmp_path, argv[0])

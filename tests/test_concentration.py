@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from vecproc import concentration as conc
-from vecproc.rng import rademacher_signs, substream
+from vecproc import reports
+from vecproc.rng import sample_block, substream
+
+from sign_reference import rademacher_signs
 
 
 def test_spectrum_validation():
@@ -55,6 +58,24 @@ def test_hoeffding_real():
     rep = conc.hoeffding_real_check(1.0, 100, [0.0, 0.5, 2.0], 20_000, seed=5)
     assert rep.bounds[0] == 1.0          # t = 0: trivial bound
     assert rep.all_ok
+
+
+@pytest.mark.parametrize("n", [1, 7, 50, 1000, 100_000])
+def test_hoeffding_real_block_is_one_sign_draw(monkeypatch, n):
+    # at one column a sign tile takes over GEMM_FLOOR / n rows, more than a
+    # block's sample_block(n): every block is the one-shot product signs @ c
+    stats, real = [], conc.tail_check
+
+    def spy(stat, *args, **kw):
+        stats.append(stat)
+        return real(stat, *args, **kw)
+
+    monkeypatch.setattr(conc, "tail_check", spy)
+    c = np.random.default_rng(n).uniform(0.1, 2.0, n)
+    conc.hoeffding_real_check(c, n, [1.0], reps=2, seed=0)
+    size = sample_block(n)
+    want = rademacher_signs(substream(4, n), (size, n)) @ c
+    assert stats[0](substream(4, n), size).tobytes() == want.tobytes()
 
 
 def test_hoeffding_real_support_bound():
@@ -111,7 +132,7 @@ def test_cosh_inconclusive_when_estimator_noisy():
 def test_cosh_overflowing_bound_is_refused(monkeypatch):
     # rhs = exp(0.4^2 70^2) overflows a float: no verdict can be reached, so
     # the check refuses before any draw
-    monkeypatch.setattr(conc, "map_blocks", None)
+    monkeypatch.setattr(reports, "map_blocks", None)
     with pytest.raises(ValueError, match="cosh bound .* overflows a float"):
         conc.cosh_moment_check(70.0, 1, [0.4], 100, seed=0, d_y=1)
 

@@ -11,7 +11,9 @@ from vecproc import regression as reg
 from vecproc.covering import PointCloud, greedy_cover
 from vecproc.hilbert import member_norms
 from vecproc.rng import (BLOCK_POINTS, BLOCK_SIZE, TABLE_CHUNK, block_sizes,
-                         rademacher_signs, sample_block, substream)
+                         sample_block, substream)
+
+from sign_reference import rademacher_signs
 
 
 def ball_class(count, seed, d_y=3, m=1, resolution=129, d=1, **kw):
@@ -310,7 +312,7 @@ def upfront_blocks(cls, n, a_grid):
         stat = np.column_stack([per_member, per_member.max(axis=1),
                                 rad])[:, :, None]
         return np.where(np.isnan(stat).any(axis=0), np.nan,
-                        (stat > np.asarray(a_grid) / scale).sum(axis=0))
+                        stat > np.asarray(a_grid) / scale)
 
     return plain, probability
 
@@ -331,17 +333,21 @@ def test_symmetrization_kernels_match_upfront_draws(monkeypatch, case, n,
         n = 2 * (TABLE_CHUNK // len(cls.features[0])) + 5
     a_grid = [0.002, 0.02, 0.1]
     blocks = []
-    real = ep.map_blocks
 
-    def spy(fn, reps, threads, seed, *path, block):
-        blocks.append((fn, seed, path, block))
-        return real(fn, reps, threads, seed, *path, block=block)
+    def spied(real):
+        def spy(fn, reps, threads, seed, *path, block):
+            blocks.append((fn, seed, path, block))
+            return real(fn, reps, threads, seed, *path, block=block)
+        return spy
 
-    monkeypatch.setattr(ep, "map_blocks", spy)
+    # the plain kernel goes to map_blocks, the indicators to mc_mean
+    for name in ("map_blocks", "mc_mean"):
+        monkeypatch.setattr(ep, name, spied(getattr(ep, name)))
     ep.symmetrization_check(cls, n, reps, seed=6)
     ep.symmetrization_probability_check(cls, n, a_grid, reps, seed=6)
     for (fn, seed, path, block), ref in zip(blocks,
-                                            upfront_blocks(cls, n, a_grid)):
+                                            upfront_blocks(cls, n, a_grid),
+                                            strict=True):
         assert block == sample_block(n)
         for i, size in enumerate(block_sizes(reps, block)):
             got = fn(substream(seed, *path, i), size)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,3 +120,22 @@ def test_member_norms_slabs_match_one_product(rows, n, d_y, k, operand):
     assert got.tobytes() == want.tobytes()
     assert hb.member_norms(lhs, coefs, d_y, divisor).tobytes() == \
         want.max(axis=1).tobytes()
+
+
+def test_member_norms_wide_norm_makes_no_copy_of_the_product():
+    # 8192 sign rows of n = 16 against 6 members at d_Y = 20: one 7.5 MB
+    # slab, whose norms np.linalg.norm takes at 8 or more coordinates;
+    # subtracting 0.0 there would copy the slab a second time (3.1 x)
+    rng = np.random.default_rng(3)
+    signs = np.where(rng.random((8192, 16)) < 0.5, -1.0, 1.0)
+    coefs = rng.standard_normal((16, 6 * 20))
+    product = signs.shape[0] * coefs.shape[1] * 8
+    tracemalloc.start()
+    try:
+        got = hb.member_norms(signs, coefs, 20, 16, sup=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * product
+    assert got.tobytes() == one_slab_norms(signs, coefs, 20, 16).tobytes()
+

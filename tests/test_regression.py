@@ -11,10 +11,12 @@ from vecproc import function_class as fc
 from vecproc import hilbert
 from vecproc import rademacher as rad
 from vecproc import regression as reg
+from vecproc import reports
 from vecproc.concentration import CovarianceSpectrum, sample_gaussian_batch
 from vecproc.covering import PointCloud, greedy_cover
-from vecproc.rng import (BLOCK_SIZE, block_sizes, rademacher_signs, row_tiles,
-                         substream)
+from vecproc.rng import BLOCK_SIZE, block_sizes, row_tiles, substream
+
+from sign_reference import rademacher_signs
 
 
 def ball_class(count, seed, d_y=3, resolution=129, **kw):
@@ -576,7 +578,7 @@ def kernel_block(monkeypatch, kernel, n):
         cls = ball_class(20, seed=8)
         design = fc.EmpiricalDesign.midpoint_grid(n, 1)
         if kernel == "rademacher":
-            calls = spied(m, rad, "map_blocks")
+            calls = spied(m, reports, "map_blocks")
             rad.norm_rademacher_values(cls.values_on(design), mode="mc",
                                        reps=10, seed=1)
         elif kernel == "gaussian_chain":
